@@ -9,6 +9,18 @@
   also what the spider emits at aggregation time
   (``scrapy_career_spider.py:676-681`` sorts the global sets).
 
+  The reference runs both patterns unanchored with ``findall``, which is
+  quadratic in the length of any run of local-part characters.  The
+  engine reproduces each pattern's ``findall`` list with one linear scan
+  anchored on ``@``: find each ``@`` with ``str.find``, extend left over
+  the local-part class (never past the end of the previous match, which
+  keeps findall's non-overlapping leftmost-first order), take pattern
+  0's leading ``\\b`` as the first word boundary in that run, and
+  ``match`` the pattern's domain tail at ``@+1``.  The literal two-pattern
+  code lives on as the reference in
+  :mod:`crawler_ai_ray.oracle.contacts_oracle`, which the corpus goldens
+  and the differential tests use.
+
 * **M2 loose phones** (``crawler.py:319-327``): three loose patterns over
   raw HTML, concatenated, set-dedup (pinned sorted).
 
@@ -26,6 +38,8 @@ from __future__ import annotations
 
 import re
 
+from .htmltext import collapse_ws
+
 __all__ = [
     "extract_emails",
     "extract_phones_loose",
@@ -36,10 +50,19 @@ __all__ = [
 
 # --- M1 emails -------------------------------------------------------------
 
-_EMAIL_PATTERNS = [
-    re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b", re.IGNORECASE),
-    re.compile(r"[a-zA-Z0-9._%+-]+@[a-zA-Z0-9.-]+\.[a-zA-Z]{2,}", re.IGNORECASE),
-]
+# The two reference patterns, each split at its '@' into a local-part
+# class (scanned by hand) and a domain tail (matched at '@'+1).  Under
+# re.IGNORECASE the letter ranges also match the four non-ASCII case
+# folds of ASCII letters: ſ (s), K (Kelvin, k), İ and ı (i).
+_LOCAL_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._%+-"
+    "\u017f\u212a\u0130\u0131"
+)
+# (domain tail, leading \b on the local part)
+_EMAIL_SCANS = (
+    (re.compile(r"[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b", re.IGNORECASE), True),
+    (re.compile(r"[a-zA-Z0-9.-]+\.[a-zA-Z]{2,}", re.IGNORECASE), False),
+)
 
 # crawler.py:306-309 — substrings that invalidate a match.
 _EMAIL_BLOCKLIST = (
@@ -48,13 +71,45 @@ _EMAIL_BLOCKLIST = (
 )
 
 
+def _is_word(c: str) -> bool:
+    """``re`` ``\\w`` on one str character."""
+    return c.isalnum() or c == "_"
+
+
+def _email_findall(html: str, tail: re.Pattern, word_start: bool) -> list[str]:
+    """``findall`` of ``[local]+@<tail>`` (``\\b`` first when
+    ``word_start``) in one pass over the ``@`` positions."""
+    out: list[str] = []
+    floor = 0  # end of the previous match: findall never overlaps
+    at = html.find("@")
+    while at != -1:
+        start = at
+        while start > floor and html[start - 1] in _LOCAL_CHARS:
+            start -= 1
+        m = tail.match(html, at + 1) if start < at else None
+        if m is not None and word_start:
+            # leftmost \b in the run; none means no match at this '@'
+            prev = start > 0 and _is_word(html[start - 1])
+            while start < at and _is_word(html[start]) == prev:
+                start += 1
+            if start == at:
+                m = None
+        if m is None:
+            at = html.find("@", at + 1)
+            continue
+        floor = m.end()
+        out.append(html[start:floor])
+        at = html.find("@", floor)
+    return out
+
+
 def extract_emails(html: str) -> list[str]:
     """M1 semantics; returns sorted unique emails."""
     if "@" not in html:  # fast path — both patterns require a literal '@'
         return []
     found: list[str] = []
-    for pat in _EMAIL_PATTERNS:
-        found.extend(pat.findall(html))
+    for tail, word_start in _EMAIL_SCANS:
+        found.extend(_email_findall(html, tail, word_start))
     valid: set[str] = set()
     for email in found:
         email = email.strip().lower()
@@ -89,14 +144,15 @@ _SEP_CLASS = rf"[{_WS_CLASS}\.\-\(\)]"
 _SEP = rf"{_SEP_CLASS}*"
 
 _VN_PHONE_RX = re.compile(rf"(?<!\d)(?:\+?84|0)(?:{_SEP}\d){{8,10}}(?!\d)")
-_WS_RX = re.compile(rf"[{_WS_CLASS}]+")
 _NON_DIGIT_PLUS_RX = re.compile(r"[^\d+]")
 _NON_DIGIT_RX = re.compile(r"\D")
 
 
 def normalize_text(s: str) -> str:
-    """utils/text.py:44-46 — collapse all unicode whitespace to one space."""
-    return _WS_RX.sub(" ", s).strip()
+    """utils/text.py:44-46 — collapse every ``_WS_CLASS`` run to one space
+    and strip.  U+200B is the class's only member that is not
+    ``str.isspace``, so it is mapped to a space before the split-join."""
+    return collapse_ws(s.replace("\u200b", " "))
 
 
 def clean_phone(candidate: str) -> str | None:

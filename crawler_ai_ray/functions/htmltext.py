@@ -48,12 +48,8 @@ __all__ = [
     "finalize_jobdetail_text",
     "pick_job_title",
     "extract_out_links",
-    "WS_RE",
+    "collapse_ws",
 ]
-
-# re.sub(r'\s+', ' ', ·) — the exact whitespace collapse used everywhere
-# (Python \s on str is Unicode-aware: matches NBSP, not zero-width space).
-WS_RE = re.compile(r"\s+")
 
 # job_extraction_service.py:1726 — subtrees removed before get_text().
 _DECOMPOSE_TAGS = frozenset(
@@ -360,7 +356,7 @@ class _FactParser(HTMLParser):
             if self._row_stack:
                 self._row_stack[-1].append(text)
         elif cap.kind == "hidden":
-            t = WS_RE.sub(" ", text).strip()
+            t = collapse_ws(text)
             if t:
                 f.hidden_texts.append(t)
 
@@ -384,9 +380,17 @@ def parse_page(html: str) -> PageFacts:
     return p.facts
 
 
+def collapse_ws(s: str) -> str:
+    """``re.sub(r'\\s+', ' ', s).strip()`` — the whitespace collapse used
+    everywhere.  ``str.isspace`` and ``re``'s ``\\s`` agree on every code
+    point (NBSP yes, zero-width space no), so the split-join is the same
+    function without the regex engine."""
+    return " ".join(s.split())
+
+
 def finalize_jobdetail_text(raw: str) -> str:
     """Whitespace-collapse + length gate (job_extraction_service.py:1733-1737)."""
-    text = WS_RE.sub(" ", raw).strip()
+    text = collapse_ws(raw)
     if len(text) > 50:
         return text[:5000]
     return ""
@@ -475,7 +479,7 @@ def extract_anchor_pairs(
         if not href or href.startswith(_SKIP_HREF_PREFIXES):
             continue
         host = urlparse(urljoin(base_url, href)).netloc
-        text = " ".join(txt.split())
+        text = collapse_ws(txt)
         if host and text:
             out.append((host, text))
     return out

@@ -27,7 +27,7 @@ import json
 import re
 from urllib.parse import urlparse
 
-from .htmltext import PageFacts, WS_RE
+from .htmltext import PageFacts, collapse_ws
 
 __all__ = [
     "is_job_title",
@@ -97,7 +97,7 @@ def is_job_title(text: str) -> bool:
 def summarize_description(text: str, max_length: int = 300) -> str:
     if not text:
         return ""
-    text = WS_RE.sub(" ", text).strip()
+    text = collapse_ws(text)
     if len(text) <= max_length:
         return text
     cutoff = text[:max_length]
@@ -324,7 +324,7 @@ def _p18_prefilter_hit(page_text: str) -> bool:
 def _clean_card_title(title: str) -> str:
     t = _TITLE_SUFFIX_RE.sub("", title).strip()
     t = _COM_PREFIX_RE.sub("", t).strip()
-    return WS_RE.sub(" ", t).strip()
+    return collapse_ws(t)
 
 
 def extract_jobs_from_cards(page_text: str, fast: bool = True) -> list[dict]:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from urllib.parse import urlparse
 
+from .htmltext import collapse_ws
+
 __all__ = [
     "normalize_jobs",
     "apply_enrichment",
@@ -34,7 +36,6 @@ _TITLE_SUFFIX_RX = re.compile(
     r"\s*(Singapore Only|Fully Remote|Remote|See Details|See)\s*$"
 )
 _COM_PREFIX_RX = re.compile(r"^com\s*")
-_WS_RX = re.compile(r"\s+")
 
 
 def normalize_jobs(jobs: list[dict]) -> list[dict]:
@@ -48,7 +49,7 @@ def normalize_jobs(jobs: list[dict]) -> list[dict]:
         combined = f"{original} {desc}"
         clean = _TITLE_SUFFIX_RX.sub("", original).strip()
         clean = _COM_PREFIX_RX.sub("", clean).strip()
-        clean = _WS_RX.sub(" ", clean).strip()
+        clean = collapse_ws(clean)
         if not job.get("location"):
             if re.search(r"Singapore Only", combined, re.IGNORECASE):
                 job["location"] = "Singapore Only"

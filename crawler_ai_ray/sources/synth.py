@@ -64,6 +64,7 @@ from ..functions.htmltext import (
     facts_crawldata_text,
     parse_page,
 )
+from ..oracle import contacts_oracle
 from ..oracle.extract_oracle import oracle_text_jobdetail
 
 # Bump when generation or golden semantics change (stale /tmp caches are
@@ -477,9 +478,9 @@ def _golden_for_page(url: str, html: str) -> tuple[dict, list[dict]]:
         "text_crawldata": facts_crawldata_text(facts),
         "title": title,
         "meta_description": facts.meta_description,
-        "emails": contacts.extract_emails(html),
+        "emails": contacts_oracle.extract_emails(html),
         "phones_loose": contacts.extract_phones_loose(html),
-        "phones_vn": contacts.extract_phones_vn(text),
+        "phones_vn": contacts_oracle.extract_phones_vn(text),
         "out_links": extract_out_links(facts, url),
         "all_links": all_links,
         # aligned (target_host, anchor_text) pairs — the anchor-corpus
