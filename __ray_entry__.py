@@ -37,6 +37,16 @@ def _corpus(sf_dir: str) -> str:
     return _CORPUS_CACHE[key]
 
 
+def _q_dir(kind: str, corpus: str) -> str:
+    """On-disk derived state (WARC archives, crawl / recrawl checkpoints)
+    for one corpus, named by the corpus path's last two components
+    (``{CORPUS_VERSION}/{tag}``): ``write_warc(resume=True)`` and the
+    finished-crawl check trust what they find there, so a version bump
+    must land in a fresh directory."""
+    version = os.path.basename(os.path.dirname(corpus))
+    return f"/tmp/crawler_ai_ray_q/{kind}-{version}-{os.path.basename(corpus)}"
+
+
 _PROJ_CACHE: dict[tuple, Any] = {}
 
 
@@ -1187,8 +1197,8 @@ def _warc_shared(sf_dir: str):
         from crawler_ai_ray.sources.warc import write_warc, write_warc_dedup
 
         corpus = _corpus(sf_dir)
-        out_dir = f"/tmp/crawler_ai_ray_q/warc-{os.path.basename(corpus)}"
-        dd_dir = f"/tmp/crawler_ai_ray_q/warcdd-{os.path.basename(corpus)}"
+        out_dir = _q_dir("warc", corpus)
+        dd_dir = _q_dir("warcdd", corpus)
         pages = _pages(
             sf_dir, columns=["url", "warc_ts", "html", "hshard"]
         ).materialize()
@@ -2712,8 +2722,7 @@ def _ensure_crawl(sf_dir: str) -> str:
     import json
 
     corpus = _corpus(sf_dir)
-    tag = os.path.basename(corpus)
-    out_dir = f"/tmp/crawler_ai_ray_q/crawl-{tag}"
+    out_dir = _q_dir("crawl", corpus)
     # idempotent per process sweep: a finished run ends with a q==0 round
     if os.path.isdir(out_dir):
         for d in sorted(os.listdir(out_dir), reverse=True):
@@ -2750,7 +2759,7 @@ def _ensure_recrawl(sf_dir: str) -> str:
 
     crawl_out = _ensure_crawl(sf_dir)
     corpus = _corpus(sf_dir)
-    out_dir = f"/tmp/crawler_ai_ray_q/recrawl-{os.path.basename(corpus)}"
+    out_dir = _q_dir("recrawl", corpus)
     if os.path.isdir(out_dir):
         for d in sorted(os.listdir(out_dir), reverse=True):
             m = os.path.join(out_dir, d, "_MANIFEST.json")

@@ -28,6 +28,9 @@
   ``app/utils/text.py:40-55``): ``(?<!\\d)(?:\\+?84|0)(?:SEP\\d){8,10}(?!\\d)``
   over whitespace-normalized text, each candidate cleaned to digits
   (``+84`` → ``0``), kept iff 10–11 digits, order-preserving dedup.
+  An exact nine-digit-chain gate skips the normalise and the scan on
+  text that cannot hold a candidate; the ungated function lives on in
+  :mod:`crawler_ai_ray.oracle.contacts_oracle`.
 
 All functions are pure and operate on one string; the Ray stage applies
 them per row inside ``map_batches`` with the patterns compiled once at
@@ -144,6 +147,11 @@ _SEP_CLASS = rf"[{_WS_CLASS}\.\-\(\)]"
 _SEP = rf"{_SEP_CLASS}*"
 
 _VN_PHONE_RX = re.compile(rf"(?<!\d)(?:\+?84|0)(?:{_SEP}\d){{8,10}}(?!\d)")
+# Exact gate: every _VN_PHONE_RX match holds nine digits joined by
+# separator runs, and whitespace normalisation (which only shortens
+# separator runs or strips them at the ends) neither makes nor breaks
+# such a chain.  No chain, no candidate.
+_DIGIT_CHAIN_RX = re.compile(rf"\d(?:{_SEP}\d){{8}}")
 _NON_DIGIT_PLUS_RX = re.compile(r"[^\d+]")
 _NON_DIGIT_RX = re.compile(r"\D")
 
@@ -166,7 +174,11 @@ def clean_phone(candidate: str) -> str | None:
 
 def extract_phones_vn(text: str) -> list[str]:
     """M3 semantics over visible text; order-preserving dedup then the
-    reference's final sort-by-length (contact_extractor_service.py:368-390)."""
+    reference's final sort-by-length (contact_extractor_service.py:368-390).
+    Text without a nine-digit chain returns ``[]`` before the normalise
+    and the candidate scan."""
+    if _DIGIT_CHAIN_RX.search(text) is None:
+        return []
     norm = normalize_text(text)
     out: list[str] = []
     seen: set[str] = set()

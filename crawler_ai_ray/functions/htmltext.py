@@ -25,10 +25,31 @@ processing instructions contribute no text; ``<script>``/``<style>``
 bodies are raw CDATA text nodes; malformed markup follows HTMLParser's
 recovery rather than bs4's.
 
+Two passes share one :class:`html.parser.HTMLParser` subclass chain:
+
+* **core** (:func:`parse_core`, :class:`CoreFacts`) — the open-tag
+  stack with its end-tag recovery rule (an end tag closes the innermost
+  open element of its name and everything opened inside it; an
+  unmatched end tag is ignored), the decomposed-subtree gate, and the
+  ``title`` and ``anchors`` captures.  It is all the crawl reads.
+* **full** (:func:`parse_page`, :class:`PageFacts`) — the core plus the
+  headings, lists, tables, meta, scripts, paragraphs, selector and
+  hidden-text captures the job and page-structure consumers read.
+
+A capture records the stack position of its element and the index of
+its first text node; it finishes when an end tag pops that position,
+and its text is every text node since.  Open captures therefore sit in
+position order, the ones one end tag ends are a tail of that list, and
+they finish in creation order.  The parser's line/offset bookkeeping
+(``getpos``) is switched off: nothing reads it.
+
 The independent oracle implementation lives in
 :mod:`crawler_ai_ray.oracle.extract_oracle` (a DOM-tree builder +
 recursive walker — deliberately different code); tests assert byte
-equality between the two over the whole synthetic corpus.
+equality between the two over the whole synthetic corpus.  The parser
+as it stood before the core/full split is kept verbatim in
+:mod:`crawler_ai_ray.oracle.facts_oracle`; both passes are checked
+field by field against it.
 
 Everything here is pure-Python and stateless; the Ray stage wrapping it
 is ``crawler_ai_ray.stages.extract``.
@@ -41,7 +62,9 @@ from html.parser import HTMLParser
 from urllib.parse import urljoin, urlparse
 
 __all__ = [
+    "CoreFacts",
     "PageFacts",
+    "parse_core",
     "parse_page",
     "extract_text_jobdetail",
     "extract_text_crawldata",
@@ -68,18 +91,35 @@ _HEADINGS = ("h1", "h2", "h3", "h4", "h5", "h6")
 
 _HIDDEN_STYLE_RE = re.compile(r"display\s*:\s*none|visibility\s*:\s*hidden", re.I)
 
+# ``_excl_at`` when no decomposed element is open (above any stack position)
+_NO_EXCL = 1 << 62
 
-class PageFacts:
-    """Everything one parse pass learns about a page."""
+
+class CoreFacts:
+    """What the core pass learns about a page: the three fields the crawl
+    reads, plus the text-node list their captures are sliced from."""
 
     __slots__ = (
         "text_pieces",      # text nodes outside decomposed subtrees (jobdetail)
         "all_pieces",       # every text node (crawldata text)
         "title",            # first <title> text
+        "anchors",          # [(href, anchor_text)] as the anchors close
+    )
+
+    def __init__(self) -> None:
+        self.text_pieces: list[str] = []
+        self.all_pieces: list[str] = []
+        self.title: str | None = None
+        self.anchors: list[tuple[str, str]] = []
+
+
+class PageFacts(CoreFacts):
+    """Everything one full parse pass learns about a page."""
+
+    __slots__ = (
         "meta_description", # <meta name="description" content=...>
         "meta_tags",        # {name/property: content} (M35)
         "headings",         # {"h1": [...], ..., "h6": [...]} subtree texts
-        "anchors",          # [(href, anchor_text)] in document order
         "list_items",       # <li> subtree texts (M26)
         "tables",           # [[row=[cell_text,...], ...], ...] (M24)
         "n_scripts", "n_styles", "n_images", "n_links",
@@ -113,13 +153,10 @@ class PageFacts:
     )
 
     def __init__(self) -> None:
-        self.text_pieces: list[str] = []
-        self.all_pieces: list[str] = []
-        self.title: str | None = None
+        super().__init__()
         self.meta_description: str = ""
         self.meta_tags: dict[str, str] = {}
         self.headings: dict[str, list[str]] = {h: [] for h in _HEADINGS}
-        self.anchors: list[tuple[str, str]] = []
         self.list_items: list[str] = []
         self.tables: list[list[list[str]]] = []
         self.n_scripts = 0
@@ -148,32 +185,107 @@ class PageFacts:
 
 
 class _Cap:
-    """An active subtree-text capture (generic: heading, anchor, li, cell…)."""
+    """An open subtree-text capture (title, anchor, heading, li, cell…):
+    ``pos`` is its element's stack position, ``start`` the index of its
+    first text node in ``all_pieces``."""
 
-    __slots__ = ("kind", "tag", "depth", "buf", "extra")
+    __slots__ = ("kind", "pos", "start", "extra")
 
-    def __init__(self, kind: str, tag: str, extra=None) -> None:
+    def __init__(self, kind: str, pos: int, start: int, extra=None) -> None:
         self.kind = kind
-        self.tag = tag
-        self.depth = 1
-        self.buf: list[str] = []
+        self.pos = pos
+        self.start = start
         self.extra = extra
 
 
-class _FactParser(HTMLParser):
-    """One streaming pass filling a :class:`PageFacts`."""
+class _CoreParser(HTMLParser):
+    """The core pass: the open-tag stack and its end-tag recovery rule,
+    the decomposed-subtree gate, and the title and anchor captures."""
+
+    def __init__(self, facts: CoreFacts | None = None) -> None:
+        super().__init__(convert_charrefs=True)
+        self.facts = CoreFacts() if facts is None else facts
+        self._open: list[str] = []      # open elements, outermost first
+        self._excl_at = _NO_EXCL        # position of the outermost open decomposed element
+        self._caps: list[_Cap] = []     # open captures, in creation order
+
+    def updatepos(self, i: int, j: int) -> int:
+        # skips the line/offset bookkeeping behind getpos(), unused here
+        return j
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        if tag in _VOID:
+            return
+        pos = len(self._open)
+        self._open.append(tag)
+        if tag in _DECOMPOSE_TAGS:
+            if pos < self._excl_at:
+                self._excl_at = pos
+        elif tag == "a":
+            href = None
+            for k, v in attrs:  # the last duplicate wins, as in dict(attrs)
+                if k == "href":
+                    href = v
+            if href is not None:
+                self._caps.append(_Cap("a", pos, len(self.facts.all_pieces), href))
+        elif tag == "title" and self.facts.title is None:
+            self._caps.append(_Cap("title", pos, len(self.facts.all_pieces)))
+
+    def handle_endtag(self, tag: str) -> None:
+        # Tree-recovery semantics (mirrors the bs4-style oracle tree):
+        # an end tag closes the INNERMOST matching open tag, implicitly
+        # closing everything opened inside it; an end tag with no
+        # matching open tag is ignored entirely.
+        open_ = self._open
+        idx = len(open_) - 1
+        while idx >= 0 and open_[idx] != tag:
+            idx -= 1
+        if idx < 0:
+            return
+        self._close(idx)
+        del open_[idx:]
+        if idx <= self._excl_at:
+            self._excl_at = _NO_EXCL
+        # Captures sit in position order (a capture opened later is
+        # nested deeper), so the ones this pop ends form a tail; they
+        # finish in creation order.
+        caps = self._caps
+        if caps and caps[-1].pos >= idx:
+            k = len(caps) - 1
+            while k and caps[k - 1].pos >= idx:
+                k -= 1
+            done = caps[k:]
+            del caps[k:]
+            for cap in done:
+                self._finish(cap)
+
+    def _close(self, idx: int) -> None:
+        """The elements at stack positions ``idx:`` are about to close."""
+
+    def _finish(self, cap: _Cap) -> None:
+        f = self.facts
+        text = "".join(f.all_pieces[cap.start:])
+        if cap.kind == "a":
+            f.anchors.append((cap.extra, text))
+        elif f.title is None:
+            f.title = text
+
+    def handle_data(self, data: str) -> None:
+        f = self.facts
+        f.all_pieces.append(data)
+        if self._excl_at == _NO_EXCL:
+            f.text_pieces.append(data)
+
+
+class _FactParser(_CoreParser):
+    """The full pass: the core plus every other :class:`PageFacts` field."""
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.facts = PageFacts()
-        self._excl_depth = 0            # inside any decomposed subtree
-        self._excl_stack: list[str] = []
-        self._caps: list[_Cap] = []
-        self._in_script = False
-        self._script_buf: list[str] = []
+        super().__init__(PageFacts())
+        self._classes: list[str] = []   # class attr per open element
+        self._script_at = 0             # all_pieces index where the open <script> began
         self._table_stack: list[list[list[str]]] = []   # tables of rows
         self._row_stack: list[list[str]] = []
-        self._open: list[tuple[str, str]] = []  # (tag, class) of open tags
         self._div_kw_active: set[str] = set()
         self._sel_active: set[str] = set()
 
@@ -201,36 +313,28 @@ class _FactParser(HTMLParser):
                 )
             return
 
-        # existing captures grow one level deeper
-        for cap in self._caps:
-            cap.depth += 1
-
+        pos = len(self._open)
+        super().handle_starttag(tag, attrs)
+        start = len(f.all_pieces)
+        caps = self._caps
         ad = dict(attrs)
-        if tag in _DECOMPOSE_TAGS:
-            self._excl_depth += 1
-            self._excl_stack.append(tag)
-            if tag == "script":
-                f.n_scripts += 1
-                self._in_script = True
-                self._script_buf = []
-                f.script_types.append(ad.get("type") or "")
-            elif tag == "style":
-                f.n_styles += 1
+        if tag == "script":
+            f.n_scripts += 1
+            self._script_at = start
+            f.script_types.append(ad.get("type") or "")
+        elif tag == "style":
+            f.n_styles += 1
 
         cls_attr = ad.get("class") or ""
-        if tag == "title" and f.title is None:
-            self._caps.append(_Cap("title", tag))
-        elif tag in _HEADINGS:
-            self._caps.append(_Cap("heading", tag))
+        if tag in _HEADINGS:
+            caps.append(_Cap("heading", pos, start, tag))
         elif tag == "li":
-            self._caps.append(_Cap("li", tag))
+            caps.append(_Cap("li", pos, start))
         elif tag in ("td", "th"):
-            self._caps.append(_Cap("cell", tag))
+            caps.append(_Cap("cell", pos, start))
         elif tag == "p":
-            anc_tokens = " ".join(
-                c for _, c in self._open if c
-            )
-            self._caps.append(_Cap("p", tag, extra=(cls_attr, anc_tokens)))
+            anc_tokens = " ".join(c for c in self._classes if c)
+            caps.append(_Cap("p", pos, start, (cls_attr, anc_tokens)))
         elif tag == "div":
             for kw in ("description", "about", "intro"):
                 if (
@@ -239,9 +343,9 @@ class _FactParser(HTMLParser):
                     and kw not in self._div_kw_active
                 ):
                     self._div_kw_active.add(kw)
-                    self._caps.append(_Cap("div_kw", tag, extra=kw))
+                    caps.append(_Cap("div_kw", pos, start, kw))
         elif tag == "button":
-            self._caps.append(_Cap("button", tag))
+            caps.append(_Cap("button", pos, start))
         # selector-key first-match captures (any tag)
         cls_tokens = cls_attr.split()
         el_id = ad.get("id") or ""
@@ -254,122 +358,86 @@ class _FactParser(HTMLParser):
                 or (kind == "id" and el_id == val)
             ):
                 self._sel_active.add(key)
-                self._caps.append(_Cap("sel", tag, extra=key))
+                caps.append(_Cap("sel", pos, start, key))
         if tag == "table":
             self._table_stack.append([])
         elif tag == "tr":
             self._row_stack.append([])
-        if tag == "a":
+        elif tag == "a":
             f.n_links += 1
-            href = ad.get("href")
-            if href is not None:
-                self._caps.append(_Cap("a", tag, extra=href))
 
-        style = ad.get("style") or ""
-        cls = ad.get("class") or ""
         if (
-            _HIDDEN_STYLE_RE.search(style)
-            or "hidden" in cls.split()
-            or "invisible" in cls.split()
+            _HIDDEN_STYLE_RE.search(ad.get("style") or "")
+            or "hidden" in cls_tokens
+            or "invisible" in cls_tokens
             or ad.get("aria-hidden") == "true"
         ):
-            self._caps.append(_Cap("hidden", tag))
+            caps.append(_Cap("hidden", pos, start))
         dj = ad.get("data-job")
         if dj:
             f.data_job_attrs.append(dj)
-        self._open.append((tag, cls_attr))
+        self._classes.append(cls_attr)
 
     # -- end tags -----------------------------------------------------
-    def handle_endtag(self, tag: str) -> None:
-        # Tree-recovery semantics (mirrors the bs4-style oracle builder):
-        # an end tag closes the INNERMOST matching open tag, implicitly
-        # closing everything opened inside it; an end tag with no
-        # matching open tag is ignored entirely.
-        if tag in _VOID:
-            return
+    def _close(self, idx: int) -> None:
         f = self.facts
-        idx = None
-        for i in range(len(self._open) - 1, -1, -1):
-            if self._open[i][0] == tag:
-                idx = i
-                break
-        if idx is None:
-            return
-        popped = self._open[idx:]
-        del self._open[idx:]
-        for t, _cls in reversed(popped):
-            if t in _DECOMPOSE_TAGS:
-                for k in range(len(self._excl_stack) - 1, -1, -1):
-                    if self._excl_stack[k] == t:
-                        del self._excl_stack[k]
-                        break
-                self._excl_depth -= 1
-                if t == "script" and self._in_script:
-                    self._in_script = False
-                    f.script_bodies.append("".join(self._script_buf))
-            if t == "table" and self._table_stack:
+        for t in reversed(self._open[idx:]):
+            if t == "script":
+                # a script body is raw text: no tag opens inside it
+                f.script_bodies.append("".join(f.all_pieces[self._script_at:]))
+            elif t == "table" and self._table_stack:
                 f.tables.append(self._table_stack.pop())
             elif t == "tr" and self._row_stack:
                 row = self._row_stack.pop()
                 if self._table_stack:
                     self._table_stack[-1].append(row)
-
-        done: list[_Cap] = []
-        for cap in self._caps:
-            cap.depth -= len(popped)
-            if cap.depth <= 0:
-                done.append(cap)
-        if done:
-            self._caps = [c for c in self._caps if c.depth > 0]
-            for cap in done:
-                self._finish(cap)
+        del self._classes[idx:]
 
     def _finish(self, cap: _Cap) -> None:
         f = self.facts
-        text = "".join(cap.buf)
-        if cap.kind == "title":
-            if f.title is None:
-                f.title = text
-        elif cap.kind == "heading":
-            f.headings[cap.tag].append(text)
-        elif cap.kind == "a":
-            f.anchors.append((cap.extra, text))
-            f.clickables.append(("a", cap.extra, text))
-        elif cap.kind == "button":
+        kind = cap.kind
+        if kind == "a" or kind == "title":
+            super()._finish(cap)
+            if kind == "a":
+                f.clickables.append(("a",) + f.anchors[-1])
+            return
+        if kind == "sel":
+            self._sel_active.discard(cap.extra)
+            if cap.extra not in f.sel_pieces:
+                f.sel_pieces[cap.extra] = f.all_pieces[cap.start:]
+            return
+        text = "".join(f.all_pieces[cap.start:])
+        if kind == "heading":
+            f.headings[cap.extra].append(text)
+        elif kind == "button":
             f.clickables.append(("button", None, text))
-        elif cap.kind == "p":
+        elif kind == "p":
             cls_attr, anc = cap.extra
             f.paragraphs.append(text)
             f.p_classes.append(cls_attr)
             f.p_anc_classes.append(anc)
-        elif cap.kind == "div_kw":
+        elif kind == "div_kw":
             self._div_kw_active.discard(cap.extra)
             if cap.extra not in f.div_first:
                 f.div_first[cap.extra] = text
-        elif cap.kind == "sel":
-            self._sel_active.discard(cap.extra)
-            if cap.extra not in f.sel_pieces:
-                f.sel_pieces[cap.extra] = list(cap.buf)
-        elif cap.kind == "li":
+        elif kind == "li":
             f.list_items.append(text)
-        elif cap.kind == "cell":
+        elif kind == "cell":
             if self._row_stack:
                 self._row_stack[-1].append(text)
-        elif cap.kind == "hidden":
+        elif kind == "hidden":
             t = collapse_ws(text)
             if t:
                 f.hidden_texts.append(t)
 
-    # -- text ---------------------------------------------------------
-    def handle_data(self, data: str) -> None:
-        f = self.facts
-        f.all_pieces.append(data)
-        if self._excl_depth == 0:
-            f.text_pieces.append(data)
-        if self._in_script:
-            self._script_buf.append(data)
-        for cap in self._caps:
-            cap.buf.append(data)
+
+def parse_core(html: str) -> CoreFacts:
+    """Parse ``html`` for the crawl's fields only: ``title``,
+    ``text_pieces`` and ``anchors`` (equal to :func:`parse_page`'s)."""
+    p = _CoreParser()
+    p.feed(html)
+    p.close()
+    return p.facts
 
 
 def parse_page(html: str) -> PageFacts:
@@ -396,11 +464,11 @@ def finalize_jobdetail_text(raw: str) -> str:
     return ""
 
 
-def facts_jobdetail_text(facts: PageFacts) -> str:
+def facts_jobdetail_text(facts: CoreFacts) -> str:
     return finalize_jobdetail_text("".join(facts.text_pieces))
 
 
-def facts_crawldata_text(facts: PageFacts) -> str:
+def facts_crawldata_text(facts: CoreFacts) -> str:
     """``get_text(separator=' ', strip=True)``: strip every text node, drop
     empties, join with single spaces (script/style bodies included)."""
     pieces = (s.strip() for s in facts.all_pieces)
@@ -446,7 +514,7 @@ def pick_job_title(facts: PageFacts) -> str:
     return ""
 
 
-def extract_out_links(facts: PageFacts, base_url: str, limit: int = 50) -> list[str]:
+def extract_out_links(facts: CoreFacts, base_url: str, limit: int = 50) -> list[str]:
     """First-``limit`` anchors, scheme-filtered, urljoined, order-preserving
     dedup (crawler.py:388-399 takes the first 50 a[href]; its later set()
     dedup is pinned here as order-preserving first occurrence)."""
@@ -463,7 +531,7 @@ def extract_out_links(facts: PageFacts, base_url: str, limit: int = 50) -> list[
 
 
 def extract_anchor_pairs(
-    facts: PageFacts, base_url: str, limit: int = 100
+    facts: CoreFacts, base_url: str, limit: int = 100
 ) -> list[tuple[str, str]]:
     """First-``limit`` anchors as (target_host, visible_text) pairs — the
     inbound anchor-text-corpus projection (beyond the reference; href

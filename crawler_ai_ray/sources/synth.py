@@ -62,9 +62,9 @@ from ..functions.htmltext import (
     extract_anchor_pairs,
     extract_out_links,
     facts_crawldata_text,
-    parse_page,
 )
 from ..oracle import contacts_oracle
+from ..oracle.facts_oracle import parse_page
 from ..oracle.extract_oracle import oracle_text_jobdetail
 
 # Bump when generation or golden semantics change (stale /tmp caches are
@@ -452,10 +452,11 @@ def _gen_host_pages(host: _Host) -> list[dict]:
 def _golden_for_page(url: str, html: str) -> tuple[dict, list[dict]]:
     """Golden extraction facts for one page.
 
-    ``text`` comes from the independent oracle extractor; the remaining
-    fields are produced by the same pure functions the engine stages use
-    (their unit tests pin the semantics; the golden comparison then
-    checks the distributed plumbing end-to-end).
+    ``text`` comes from the independent oracle extractor and the page
+    facts from the reference parser copy (``oracle/facts_oracle.py``);
+    the remaining fields are produced by the same pure functions the
+    engine stages use (their unit tests pin the semantics; the golden
+    comparison then checks the distributed plumbing end-to-end).
     """
     facts = parse_page(html)
     text = oracle_text_jobdetail(html)

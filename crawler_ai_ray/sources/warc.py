@@ -119,7 +119,12 @@ def write_warc(pages_ds, out_dir: str, resume: bool = False) -> pa.Table:
     """Archive a pages Dataset (url, warc_ts, html, hshard) as per-shard
     WARC files + CDX parquet parts under ``out_dir``; returns the full
     CDX table (skinny — one row per record).  ``resume=True`` skips
-    shards whose ``.done`` marker exists and re-reads their CDX part."""
+    shards whose ``.done`` marker exists and re-reads their CDX part.
+
+    Precondition: every ``warc_ts`` is a whole second.  ``WARC-Date``
+    is written at second resolution (the constant-length header the
+    CDX layout relies on), while the CDX keeps the exact ``ts_ms``, so
+    a sub-second timestamp would not survive :func:`read_warc`."""
     import ray
 
     os.makedirs(out_dir, exist_ok=True)
@@ -233,7 +238,10 @@ def _parse_warc_file(path: str) -> pa.Table:
 
 def read_warc(out_dir: str):
     """WARC files under ``out_dir`` → Dataset of (url, ts_ms, html) —
-    one parse task per file (files are shard-sized by construction)."""
+    one parse task per file (files are shard-sized by construction).
+    ``ts_ms`` is rebuilt from the second-resolution ``WARC-Date``, so it
+    equals the archived timestamp only under :func:`write_warc`'s
+    whole-second precondition."""
     import ray
     import ray.data
 

@@ -4,9 +4,11 @@ The reference runs BeautifulSoup + regexes per URL inside one asyncio
 process (``crawler.py``, ``job_extraction_service.py``); here the same
 per-page semantics run as ``map_batches`` over zero-copy Arrow batches:
 
-* one HTML parse per page (the engine's single-pass parser) produces
-  every downstream column at once — text (byte-identical invariant),
-  crawldata text, title, contacts, links, classification;
+* one HTML parse per page produces every downstream column at once —
+  text (byte-identical invariant), crawldata text, title, contacts,
+  links, classification; the crawl extraction and the two link
+  projections read only title, text and anchors and take the core pass
+  (``parse_core``), the rest the full pass (``parse_page``);
 * batches stay ``pyarrow`` end-to-end (list columns for
   emails/phones/links — kept out of pandas, which would object-box them);
 * the regexes/keyword tables are compiled once per *process* at module
@@ -31,6 +33,7 @@ from ..functions.htmltext import (
     extract_out_links,
     facts_crawldata_text,
     facts_jobdetail_text,
+    parse_core,
     parse_page,
 )
 
@@ -169,17 +172,16 @@ LINKS_SCHEMA = pa.schema(
 
 def extract_links_batch(batch: pa.Table) -> pa.Table:
     """pages(url, html) → (url, host, out_links) ONLY — the link-graph
-    projection.  Same ``parse_page`` + ``_join_anchors`` + ``_out_links``
-    as the full extraction (identical link semantics by construction),
-    but skips text assembly, contacts and classification — measured
-    ~2.8× cheaper per page, which matters when a consumer (PageRank,
-    components, degree stats) touches the whole corpus for links
-    alone."""
+    projection.  The core parse (anchors equal to ``parse_page``'s) +
+    ``_join_anchors`` + ``_out_links`` as in the full extraction, but
+    skips the full parse, text assembly, contacts and classification —
+    which matters when a consumer (PageRank, components, degree stats)
+    touches the whole corpus for links alone."""
     urls = batch["url"].to_pylist()
     htmls = batch["html"].to_pylist()
     cols: dict[str, list] = {"url": [], "host": [], "out_links": []}
     for url, html_b in zip(urls, htmls):
-        facts = parse_page(_decode(html_b))
+        facts = parse_core(_decode(html_b))
         cols["url"].append(url)
         cols["host"].append(classify.host_of(url))
         cols["out_links"].append(_out_links(facts, _join_anchors(facts, url)))
@@ -214,7 +216,7 @@ def extract_links_career_batch(batch: pa.Table) -> pa.Table:
     }
     for url, html_b in zip(urls, htmls):
         html = _decode(html_b)
-        facts = parse_page(html)
+        facts = parse_core(html)
         cols["url"].append(url)
         cols["host"].append(classify.host_of(url))
         cols["out_links"].append(_out_links(facts, _join_anchors(facts, url)))
@@ -411,14 +413,14 @@ def extract_pages_crawl_batch(batch: pa.Table) -> pa.Table:
     """The crawl loop's per-page extraction (what the fetch stage
     computes for every fetched URL): golden text + contacts + frontier
     links + career classification.  Leaner than the full
-    ``extract_pages_batch`` — this is the bench's 'fetch+extract'
-    operator."""
+    ``extract_pages_batch``: the core parse reads only title, text and
+    anchors — this is the bench's 'fetch+extract' operator."""
     urls = batch["url"].to_pylist()
     htmls = batch["html"].to_pylist()
     cols: dict[str, list] = {name: [] for name in CRAWL_EXTRACT_SCHEMA.names}
     for url, html_b in zip(urls, htmls):
         html = _decode(html_b)
-        facts = parse_page(html)
+        facts = parse_core(html)
         text = facts_jobdetail_text(facts)
         title = (facts.title or "").strip()
         joined = _join_anchors(facts, url)

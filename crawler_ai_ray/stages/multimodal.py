@@ -634,8 +634,10 @@ class AudioSilence:
     absolute amplitude ≥ ``threshold`` int16 levels — all-integer, so
     the sequential golden matches bit-for-bit).  Contiguous same-class
     windows merge into segments → ``(media_id, seg_idx, voiced,
-    start_sample, n_samples, sum_abs)``; a trailing partial window
-    rides with the final segment."""
+    start_sample, n_samples, sum_abs)``.  A trailing partial window is
+    classified as its own shorter window (``sum ≥ threshold · tail``)
+    and merges into the final segment only when its class matches;
+    otherwise it opens one more segment."""
 
     def __init__(self, win: int = 160, threshold: int = 1000,
                  decoder: str = "real"):

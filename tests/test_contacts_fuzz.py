@@ -10,7 +10,11 @@ kernels against the reference's literal regexes, kept verbatim in
   ``str.isspace``, then hypothesis strings through the jobdetail finalize
   and ``normalize_text``;
 * a 1 MB page of one local-part run plus one address, which the
-  reference patterns need hours for.
+  reference patterns need hours for;
+* VN phones — the gated ``extract_phones_vn`` against the reference's
+  ungated one on every corpus page and on hypothesis strings of digits,
+  ``+``, letters and every separator character, plus an all-code-point
+  check of the gate's separator class.
 """
 
 from __future__ import annotations
@@ -170,3 +174,68 @@ def test_collapse_all_code_points_match_reference():
         s = "x" + _ALL_CHARS[i:i + chunk] + "x"
         assert collapse_ws(s) == ref.WS_RE.sub(" ", s).strip()
         assert contacts.normalize_text(s) == ref.normalize_text(s)
+
+
+# -- VN phones: the nine-digit-chain gate ------------------------------------
+
+_SEP_CHARS = sorted(set(re.findall(contacts._SEP_CLASS, _ALL_CHARS)))
+
+
+def test_phone_gate_separators_are_sep_class_on_every_code_point():
+    # c joins "0" to eight more digits iff it is a separator or a digit
+    gate = contacts._DIGIT_CHAIN_RX
+    want = set(_SEP_CHARS) | set(re.findall(r"\d", _ALL_CHARS))
+    assert {"\u200b", "\xa0", ".", "-", "(", ")"} <= want
+    assert {c for c in _ALL_CHARS if gate.search("0" + c + "12345678")} == want
+
+
+_PHONE_ALPHABET = st.sampled_from(
+    list("0123456789" * 3) + ["+", "8", "4", "a", "Z", "x", "\u0663", "\uff11"]
+    + _SEP_CHARS
+)
+
+
+@st.composite
+def _phone_text(draw):
+    """Phone-shaped runs: an optional +84/84/0 prefix, 7–12 digits each
+    followed by 0–3 separators, inside random junk."""
+    parts = [draw(st.text(alphabet=_PHONE_ALPHABET, max_size=12))]
+    for _ in range(draw(st.integers(1, 3))):
+        parts.append(draw(st.sampled_from(["", "+84", "84", "0", "x"])))
+        for _ in range(draw(st.integers(7, 12))):
+            parts.append(draw(st.sampled_from("0123456789")))
+            parts.append(draw(st.text(
+                alphabet=st.sampled_from(_SEP_CHARS), max_size=3
+            )))
+        parts.append(draw(st.text(alphabet=_PHONE_ALPHABET, max_size=6)))
+    return "".join(parts)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_PHONE_ALPHABET, max_size=80))
+def test_phones_vn_gate_matches_reference_on_strings(s):
+    assert contacts.extract_phones_vn(s) == ref.extract_phones_vn(s)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_phone_text())
+def test_phones_vn_gate_matches_reference_on_phone_shapes(s):
+    assert contacts.extract_phones_vn(s) == ref.extract_phones_vn(s)
+
+
+def test_phones_vn_gate_matches_reference_on_corpora(unit_corpus):
+    from crawler_ai_ray.functions.htmltext import facts_jobdetail_text, parse_core
+    from crawler_ai_ray.sources.synth import ensure_corpus
+
+    fired = 0
+    for corpus in (unit_corpus, ensure_corpus("sf0.001")):
+        pages = pq.read_table(
+            os.path.join(corpus, "pages.parquet"), columns=["html"]
+        ).column("html").to_pylist()
+        for html_b in pages:
+            html = html_b.decode("utf-8", errors="ignore")
+            for s in (facts_jobdetail_text(parse_core(html)), html):
+                got = contacts.extract_phones_vn(s)
+                assert got == ref.extract_phones_vn(s), s[:200]
+                fired += bool(got)
+    assert fired  # the corpora do hold VN phones

@@ -75,3 +75,21 @@ def test_warc_ts_whole_seconds():
 
     ms = pc.cast(pc.cast(ts, "timestamp[ms]"), "int64").to_numpy()
     assert int(np.max(ms % 1000)) == 0
+
+
+def test_derived_cache_dirs_keyed_by_corpus_version():
+    """The WARC archives and crawl/recrawl checkpoints under /tmp are
+    resumed from whatever is on disk, so their directory names carry
+    CORPUS_VERSION: a version bump must never reuse them."""
+    import __ray_entry__ as entry
+    from crawler_ai_ray.sources.synth import CORPUS_VERSION, corpus_dir
+
+    corpus = corpus_dir("sf0.01")
+    root, tag = os.path.split(corpus)
+    assert os.path.basename(root) == CORPUS_VERSION
+    other = os.path.join(os.path.dirname(root), "v27", tag)
+    for kind in ("warc", "warcdd", "crawl", "recrawl"):
+        a = entry._q_dir(kind, corpus)
+        b = entry._q_dir(kind, other)
+        assert a != b and tag in a and CORPUS_VERSION in a and "v27" in b
+    assert entry._q_dir("warc", corpus) != entry._q_dir("warcdd", corpus)

@@ -1,16 +1,30 @@
 """Property fuzz for the byte-identical invariant (input_hint): the
 engine's streaming extractor must equal the independent tree-building
 oracle byte-for-byte on arbitrary messy HTML — malformed nesting,
-entities, NBSP/zero-width whitespace, decomposed-tag boundaries."""
+entities, NBSP/zero-width whitespace, decomposed-tag boundaries.
+
+The same tag soup drives the parser differential: the core pass's
+``title`` / ``text_pieces`` / ``all_pieces`` / ``anchors`` and every
+``PageFacts`` slot of the full pass must equal the reference parser copy
+(``oracle/facts_oracle.py``), here and on every page of the unit and
+sf0.001 corpora."""
 
 from __future__ import annotations
 
+import os
+
+import pyarrow.parquet as pq
 from hypothesis import given, settings, strategies as st
 
 from crawler_ai_ray.functions.htmltext import (
     extract_text_crawldata,
     extract_text_jobdetail,
+    facts_crawldata_text,
+    facts_jobdetail_text,
+    parse_core,
+    parse_page,
 )
+from crawler_ai_ray.oracle import facts_oracle
 from crawler_ai_ray.oracle.extract_oracle import (
     oracle_text_crawldata,
     oracle_text_jobdetail,
@@ -18,18 +32,50 @@ from crawler_ai_ray.oracle.extract_oracle import (
 
 _TAGS = [
     "div", "p", "span", "h1", "h2", "li", "table", "tr", "td", "a",
-    "strong", "em", "section", "article", "main", "button",
+    "strong", "em", "section", "article", "main", "button", "title",
     # decomposed by the jobdetail path:
     "script", "style", "nav", "header", "footer", "aside", "noscript",
 ]
 
+_ATTRS = [
+    "", ' class="x y"', ' style="display:none"', ' href="/a"', ' id="main"',
+    ' href="/a" href="/b"',  # duplicate: the last one wins
+    " href=x/", ' href="/s"/', " href", ' class="content hidden"',
+    ' class="description"', ' aria-hidden="true"', ' data-job="j"',
+    ' type="application/ld+json"',
+]
+
 _TEXT_BITS = st.sampled_from(
     [
-        "hello", "Việc làm", "a  b", " nbsp ", "​zw",
+        "hello", "Việc làm", "a  b", "\u00a0nbsp\u00a0", "\u200bzw",
         "x&amp;y", "&lt;tag&gt;", "5 > 3", "tab\there", "line\nbreak",
         " lead", "trail ", "&#65;", "…", "", "Ứng tuyển ngay",
+        # stray end tags and void elements
+        "</a>", "</div>", "</title>", "</p>", "</br>", "<br/>", "<img src=i>",
+        '<meta name="description" content="d">',
     ]
 )
+
+# Fragments the random nesting rarely builds on its own.
+_SOUP_PIECES = [
+    # nested and unclosed anchors; one end tag closing two anchors
+    '<a href="/1">one<a href="/2">two</a>',
+    '<div><a href="/1">one<a href="/2">two</div>',
+    '<p><a href="/1">one<span><a href="/2">two</p>',
+    # duplicate href, self-closing and valueless anchors
+    '<a href="/a" href="/b">dup</a>',
+    "<a href=x/>slash</a>",
+    '<a href="/s"/>sc',
+    "<a href>bare</a>",
+    # nested titles
+    "<title>t1<title>t2</title>t3</title>",
+    # '</' inside raw-text bodies
+    '<script>if (a</b) s = "</a></div>";</script>',
+    '<style>p:after{content:"</p>"}</style>',
+    "<script>x</scrip</script>",
+    # a table closed from outside its rows and cells
+    "<table><tr><td>c1<td>c2</table>",
+]
 
 
 @st.composite
@@ -37,34 +83,76 @@ def _html(draw, depth=0):
     n = draw(st.integers(0, 4 if depth < 3 else 0))
     parts = [draw(_TEXT_BITS)]
     for _ in range(n):
-        if depth < 3 and draw(st.booleans()):
+        choice = draw(st.integers(0, 5)) if depth < 3 else 0
+        if choice >= 3:
             tag = draw(st.sampled_from(_TAGS))
-            attrs = draw(
-                st.sampled_from(
-                    ["", ' class="x y"', ' style="display:none"',
-                     ' href="/a"', ' id="main"']
-                )
-            )
+            attrs = draw(st.sampled_from(_ATTRS))
             inner = draw(_html(depth=depth + 1))
             closed = draw(st.booleans())
             parts.append(
                 f"<{tag}{attrs}>{inner}" + (f"</{tag}>" if closed else "")
             )
+        elif choice == 2:
+            parts.append(draw(st.sampled_from(_SOUP_PIECES)))
         else:
             parts.append(draw(_TEXT_BITS))
     return "".join(parts)
 
 
+def _assert_core_and_full_match_reference(html: str) -> None:
+    want = facts_oracle.parse_page(html)
+    core = parse_core(html)
+    for slot in ("title", "text_pieces", "all_pieces", "anchors"):
+        assert getattr(core, slot) == getattr(want, slot), (slot, html)
+    full = parse_page(html)
+    for slot in facts_oracle.PageFacts.__slots__:
+        assert getattr(full, slot) == getattr(want, slot), (slot, html)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_html())
 def test_jobdetail_text_byte_identical(html):
-    assert extract_text_jobdetail(html) == oracle_text_jobdetail(html)
+    want = oracle_text_jobdetail(html)
+    assert extract_text_jobdetail(html) == want
+    assert facts_jobdetail_text(parse_core(html)) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(_html())
 def test_crawldata_text_byte_identical(html):
-    assert extract_text_crawldata(html) == oracle_text_crawldata(html)
+    want = oracle_text_crawldata(html)
+    assert extract_text_crawldata(html) == want
+    assert facts_crawldata_text(parse_core(html)) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(_html())
+def test_parsers_match_reference_on_tag_soup(html):
+    _assert_core_and_full_match_reference(html)
+
+
+def test_parsers_match_reference_on_soup_pieces():
+    for piece in _SOUP_PIECES:
+        for html in (piece, f"<div class=main>{piece}</div>x", piece * 2):
+            _assert_core_and_full_match_reference(html)
+    # pinned: creation order on a shared close, last duplicate href
+    facts = parse_core('<div><a href="/1">one<a href="/2">two</div>')
+    assert facts.anchors == [("/1", "onetwo"), ("/2", "two")]
+    assert parse_core('<a href="/a" href="/b">d</a>').anchors == [("/b", "d")]
+
+
+def test_parsers_match_reference_on_corpora(unit_corpus):
+    from crawler_ai_ray.sources.synth import ensure_corpus
+
+    for corpus in (unit_corpus, ensure_corpus("sf0.001")):
+        pages = pq.read_table(
+            os.path.join(corpus, "pages.parquet"), columns=["html"]
+        ).column("html").to_pylist()
+        assert pages
+        for html in pages:
+            _assert_core_and_full_match_reference(
+                html.decode("utf-8", errors="ignore")
+            )
 
 
 def test_zipf_fit_exact_law_and_edges(ray_session):
