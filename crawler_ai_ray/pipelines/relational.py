@@ -4175,6 +4175,28 @@ def events_cms_estimates(sf_dir: str, probe_mod: int = 97):
     )
 
 
+def _event_id_span(path: str, num_buckets: int) -> int:
+    """Width of the ``event_id`` range buckets that split ids 0..max
+    into at most ``num_buckets``.  The max comes from the parquet
+    footer's row-group statistics of the column NAMED ``event_id``; a
+    file where any row group lacks them pays one read of that column
+    instead (a row-count guess would be wrong for sparse ids)."""
+    import pyarrow.parquet as _pq
+
+    pf = _pq.ParquetFile(path)
+    meta = pf.metadata
+    col = meta.schema.names.index("event_id")
+    stats = [
+        meta.row_group(rg).column(col).statistics
+        for rg in range(meta.num_row_groups)
+    ]
+    if all(st is not None and st.has_min_max for st in stats):
+        max_id = max((st.max for st in stats), default=0)
+    else:
+        max_id = pc.max(pf.read(columns=["event_id"])["event_id"]).as_py() or 0
+    return -(-(max_id + 1) // num_buckets)
+
+
 def events_late_arrivals(
     sf_dir: str,
     allowed_lateness_us: int = 600_000_000,
@@ -4189,7 +4211,8 @@ def events_late_arrivals(
 
     The global prefix-max over arrival order is a classic two-phase
     distributed scan (Blelloch): ``event_id`` RANGE buckets (contiguous
-    — parquet-footer max id, no decode) → per-bucket max ts (one skinny
+    — parquet-footer max id, no decode when the file has statistics;
+    ``_event_id_span``) → per-bucket max ts (one skinny
     k-row job), driver exclusive prefix-max gives each bucket its
     carry-in, then a second per-bucket pass computes local
     prefix-before maxima + the carry-in.  Two exchanges of 16-byte
@@ -4197,18 +4220,7 @@ def events_late_arrivals(
     int64 microseconds."""
     import ray
 
-    import pyarrow.parquet as _pq
-
-    meta = _pq.ParquetFile(
-        os.path.join(sf_dir, "events.parquet")
-    ).metadata
-    max_id = 0
-    for rg in range(meta.num_row_groups):
-        col = meta.row_group(rg).column(0)  # event_id is column 0
-        if col.statistics is not None and col.statistics.has_min_max:
-            max_id = max(max_id, col.statistics.max)
-    span = -(-(max_id + 1) // num_buckets)
-
+    span = _event_id_span(os.path.join(sf_dir, "events.parquet"), num_buckets)
     ev = _read(sf_dir, "events", columns=["event_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:

@@ -4,7 +4,8 @@ A web-scale crawl's link structure is itself a ranking signal (Common
 Crawl publishes host-level harmonic centrality / PageRank with every
 snapshot); a frontier scheduler and a training-data curator both
 consume it.  This module builds the distinct host→host edge set from
-the extraction stage's ``out_links`` and runs PageRank over it.
+the extraction stage's ``out_links`` and runs the graph kernels over
+it.
 
 Determinism: all rank arithmetic is INTEGER fixed-point (ranks in
 micros, ``contrib = rank // outdeg``, ``new = base + d·inbound // 100``)
@@ -13,18 +14,36 @@ matter how blocks/batches are ordered, and a DuckDB oracle can unroll
 the same iterations with plain SQL integer arithmetic.  (A float
 PageRank would hash-mismatch the oracle on summation order alone.)
 
-Scale shape (iters × one streaming pass over edges, NO edge shuffle):
-edges are built once — distinct inside ``blake2b(src|dst) % B`` buckets,
-outdeg attached while all of a src's rows are co-located in its
-``src_h % B`` bucket — and every iteration broadcasts the rank vector
-via ``ray.put`` (two sorted numpy arrays: u64 host-hash keys + int64
-ranks), maps over edges computing per-batch dst-partial sums (a
-combiner), and reduces the partials in a small ``dst_h % B`` bucketed
-sweep.  This is the classic "ship the skinny vertex state, never the
-fat edge set" PageRank layout; it assumes the HOST universe (not the
-edge set) fits plasma — ~16 B/host ⇒ fine to ~10⁹ hosts.  Beyond that,
-co-partition ranks with edges on ``src_h % B`` and join per bucket
-(the `relational.hash_bucket_join` path) instead of broadcasting.
+Edges are built once — distinct inside ``blake2b(src|dst) % B``
+buckets, outdeg attached while all of a src's rows are co-located in
+its ``src_h % B`` bucket — and every iterative kernel then makes one
+streaming pass over them per round, with NO edge shuffle.
+
+The six u64-keyed iterative kernels — PageRank (plus personalized
+PageRank and TrustRank), BFS, HITS, Katz, OPIC and HyperBall
+(``harmonic_hosts`` / ``neighborhood_function``) — are vertex programs
+of one engine, ``vertexprog``: each declares its ``init``, a per-edge
+``message``, a ``reduceat`` combiner (sum, min or register max), an
+``apply`` and an output builder, and the engine runs it on one of
+three bit-identical tiers:
+
+- driver-local numpy up to ``driver_max_edges``;
+- a broadcast loop above it — the classic "ship the skinny vertex
+  state, never the fat edge set" layout: keys and the state a message
+  reads go out via ``ray.put``, each edge block returns its
+  per-destination partial, partials reduce on the driver or through a
+  task tree.  It assumes the HOST universe (not the edge set) fits
+  plasma — ~16 B/host ⇒ fine to ~10⁹ hosts;
+- a fully sharded tier past ``shard_min_edges`` (PageRank, BFS,
+  HyperBall), where edges and vertex state shard by hash and each
+  round is one routed exchange, so no vertex-sized structure lives
+  anywhere.  Only a program whose ``apply`` is per-vertex can run
+  sharded; HITS (max renormalisation) and OPIC (dangling-cash sum)
+  reduce globally and keep the two driver-resident tiers, as does
+  Katz.
+
+Connected components and label propagation keep their own exchanges
+(string labels, mode messages).
 
 Simplification mirrored exactly by the oracle: dangling hosts (no
 out-edges) leak their rank mass rather than redistributing it, and the
@@ -43,6 +62,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.classify import host_of
+from . import vertexprog as vp
 
 __all__ = [
     "host_edges",
@@ -54,19 +74,6 @@ __all__ = [
     "lpa_communities",
     "harmonic_hosts",
 ]
-
-
-_FAN = 8
-
-
-def _merge_parts(*tables: pa.Table) -> pa.Table:
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return tables[0]
-    agg = pa.concat_tables(live).group_by("dst_h").aggregate(
-        [("part", "sum")]
-    )
-    return pa.table({"dst_h": agg["dst_h"], "part": agg["part_sum"]})
 
 
 def _h64(s: str) -> int:
@@ -139,17 +146,7 @@ def host_edges(extracted_ds, num_buckets: int = 64,
 
         blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
         if not blocks:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "src": pa.array([], pa.string()),
-                        "dst": pa.array([], pa.string()),
-                        "src_h": pa.array([], pa.uint64()),
-                        "dst_h": pa.array([], pa.uint64()),
-                        "outdeg": pa.array([], pa.int64()),
-                    }
-                )
-            )
+            return ray.data.from_arrow(vp.EDGE_SCHEMA.empty_table())
         whole = bucket_distinct(pa.concat_tables(blocks))
         return ray.data.from_arrow(whole)
     return (
@@ -263,348 +260,48 @@ def _collect_verts(edges):
     return hosts_arr.take(pa.array(order)).to_pylist(), hh_u[order]
 
 
-def _seed_base_vec(
-    keys: np.ndarray, seed_h: np.ndarray, unit: int
-) -> np.ndarray:
-    """Personalized-PageRank teleport vector over a sorted vertex-hash
-    array: in-graph seeds get ``unit · n_hosts // n_seeds`` (total
-    teleport mass preserved vs the uniform case), everyone else 0.
-    ``n_seeds`` counts seeds PRESENT in the vertex set — mirrored by
-    the oracle's seeds⋈hosts join."""
-    if not len(keys):
-        return np.zeros(0, np.int64)
-    if not len(seed_h):
-        return np.zeros(len(keys), np.int64)
-    pos = np.searchsorted(seed_h, keys)
-    is_seed = (pos < len(seed_h)) & (
-        seed_h[np.minimum(pos, len(seed_h) - 1)] == keys
-    )
-    n_seeds = int(is_seed.sum())
-    return np.where(
-        is_seed, (unit * len(keys)) // max(n_seeds, 1), 0
-    ).astype(np.int64)
+def _host_keys(hosts) -> np.ndarray:
+    """sorted unique u64 hashes of a host-string collection (seed
+    sets)."""
+    return np.unique(np.array([_h64(s) for s in set(hosts)], dtype=np.uint64))
 
 
-def _pagerank_local(et: pa.Table, iters: int, damping_pct: int,
-                    scale: int, seed_h: np.ndarray | None = None) -> pa.Table:
-    """Driver-local integer PageRank over one Arrow edge table —
-    bit-identical to the distributed loop (same searchsorted vertex
-    index, same ``//`` truncations, order-free integer sums).  With
-    ``seed_h`` the base term is the personalized teleport VECTOR
-    (`_seed_base_vec`) instead of the uniform scalar — the update line
-    is unchanged (numpy broadcasting)."""
-    hh = np.concatenate(
-        [
-            et["src_h"].to_numpy(zero_copy_only=False),
-            et["dst_h"].to_numpy(zero_copy_only=False),
-        ]
-    ).astype(np.uint64, copy=False)
-    names = et["src"].to_pylist() + et["dst"].to_pylist()
-    keys, first = np.unique(hh, return_index=True)
-    hosts = [names[i] for i in first]
-    ranks = np.full(len(keys), scale, dtype=np.int64)
+def _pagerank_program(iters: int, damping_pct: int, scale: int,
+                      seed_h: np.ndarray | None) -> vp.VertexProgram:
+    """Integer PageRank as a vertex program: ``rank₀ = scale``, message
+    ``rank[src] // outdeg``, sum, ``rank = base + damping·inbound //
+    100``.  ``base`` is the uniform ``unit`` or, with seeds, the
+    personalized teleport column — ``unit·n_hosts // n_seeds`` on
+    in-graph seeds, 0 elsewhere — whose global counts come from the
+    census (so the sharded tier has them before its first round)."""
     unit = scale * (100 - damping_pct) // 100
-    base = unit if seed_h is None else _seed_base_vec(keys, seed_h, unit)
-    if et.num_rows:
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        deg = et["outdeg"].to_numpy(zero_copy_only=False)
-        # segment-sum by destination: one stable argsort up front, an
-        # int64 reduceat per iteration (np.add.at is far slower; float
-        # bincount would widen past exact integers at real rank mass)
-        order = np.argsort(dst_idx, kind="stable")
-        sorted_dst = dst_idx[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_dst, prepend=np.int64(-1))
-        )
-        seg_vert = sorted_dst[starts]
-        for _ in range(iters):
-            c = ranks[src_idx] // deg
-            inbound = np.zeros(len(keys), dtype=np.int64)
-            inbound[seg_vert] = np.add.reduceat(c[order], starts)
-            ranks = base + (damping_pct * inbound) // 100
-    else:
-        for _ in range(iters):
-            ranks = np.zeros(len(keys), dtype=np.int64) + base
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "rank_micros": pa.array(ranks, pa.int64()),
-        }
+
+    def census(v: vp.Verts) -> tuple:
+        return len(v.keys), int(np.isin(v.keys, seed_h).sum())
+
+    def init(v: vp.Verts, totals) -> dict:
+        if seed_h is None:
+            base = np.full(len(v.keys), unit, np.int64)
+        else:
+            n_hosts, n_seeds = totals
+            base = np.where(
+                np.isin(v.keys, seed_h), unit * n_hosts // max(n_seeds, 1), 0
+            ).astype(np.int64)
+        return {"rank": np.full(len(v.keys), scale, np.int64), "base": base}
+
+    def apply(s: dict, inbound: np.ndarray, t: int) -> dict:
+        return {"rank": s["base"] + damping_pct * inbound // 100,
+                "base": s["base"]}
+
+    return vp.VertexProgram(
+        init=init,
+        steps=(vp.Step("rank", lambda r, deg: r // deg, np.add, apply),),
+        rounds=iters,
+        output=lambda hosts, s: pa.table(
+            {"host": hosts, "rank_micros": pa.array(s["rank"], pa.int64())}
+        ),
+        census=None if seed_h is None else census,
     )
-
-
-def _pr_scatter(block: pa.Table, n: int):
-    """One worker task: an edge block → per-src-bucket edge slices
-    (src_h, dst_h, dst_b, outdeg) + per-vert-bucket distinct (host, h)
-    pairs for the sharded PageRank.  Routing key is the u64 host hash
-    already carried by ``host_edges``, so bucket membership (and the
-    integer math downstream) matches the broadcast path bit-for-bit."""
-    empty_e = pa.table(
-        {
-            "src_h": pa.array([], pa.uint64()),
-            "dst_h": pa.array([], pa.uint64()),
-            "dst_b": pa.array([], pa.int64()),
-            "outdeg": pa.array([], pa.int64()),
-        }
-    )
-    empty_v = pa.table(
-        {"host": pa.array([], pa.string()), "h": pa.array([], pa.uint64())}
-    )
-    if not block.num_rows:
-        return (*[empty_e] * n, *[empty_v] * n)
-    sh = block["src_h"].to_numpy(zero_copy_only=False)
-    dh = block["dst_h"].to_numpy(zero_copy_only=False)
-    deg = block["outdeg"].to_numpy(zero_copy_only=False)
-    src_b = (sh % np.uint64(n)).astype(np.int64)
-    dst_b = (dh % np.uint64(n)).astype(np.int64)
-    edge_slices = []
-    for k in range(n):
-        m = src_b == k
-        edge_slices.append(
-            pa.table(
-                {
-                    "src_h": pa.array(sh[m], pa.uint64()),
-                    "dst_h": pa.array(dh[m], pa.uint64()),
-                    "dst_b": pa.array(dst_b[m], pa.int64()),
-                    "outdeg": pa.array(deg[m], pa.int64()),
-                }
-            )
-        )
-    vt = pa.table(
-        {
-            "host": pa.concat_arrays(
-                [block["src"].combine_chunks(), block["dst"].combine_chunks()]
-            ),
-            "h": pa.concat_arrays(
-                [
-                    block["src_h"].combine_chunks(),
-                    block["dst_h"].combine_chunks(),
-                ]
-            ),
-        }
-    ).group_by(["host", "h"]).aggregate([])
-    vb = (
-        vt["h"].to_numpy(zero_copy_only=False) % np.uint64(n)
-    ).astype(np.int64)
-    vert_slices = [vt.filter(pa.array(vb == k)) for k in range(n)]
-    return (*edge_slices, *vert_slices)
-
-
-def _pr_gather_edges(*slices: pa.Table) -> pa.Table:
-    live = [t for t in slices if t.num_rows]
-    return pa.concat_tables(live) if live else slices[0]
-
-
-def _pr_init_state(scale: int, *slices: pa.Table) -> pa.Table:
-    """unique-merge one bucket's (host, h) pairs → h-sorted state table
-    with rank₀ = scale."""
-    live = [t for t in slices if t.num_rows]
-    if not live:
-        return pa.table(
-            {
-                "host": pa.array([], pa.string()),
-                "h": pa.array([], pa.uint64()),
-                "rank": pa.array([], pa.int64()),
-            }
-        )
-    cat = pa.concat_tables(live)
-    hh = cat["h"].to_numpy(zero_copy_only=False)
-    keys, first = np.unique(hh, return_index=True)
-    return pa.table(
-        {
-            "host": cat["host"].take(pa.array(first)).combine_chunks(),
-            "h": pa.array(keys, pa.uint64()),
-            "rank": pa.array(
-                np.full(len(keys), scale, dtype=np.int64), pa.int64()
-            ),
-        }
-    )
-
-
-def _pr_contrib_sharded(edges_b: pa.Table, state_b: pa.Table, n: int):
-    """This src bucket's rank/outdeg contributions, pre-summed by dst_h
-    and routed by the destination's bucket."""
-    empty = pa.table(
-        {"dst_h": pa.array([], pa.uint64()), "part": pa.array([], pa.int64())}
-    )
-    out = [empty] * n
-    if not edges_b.num_rows:
-        return out
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    ranks = state_b["rank"].to_numpy(zero_copy_only=False)
-    sh = edges_b["src_h"].to_numpy(zero_copy_only=False)
-    c = ranks[np.searchsorted(keys, sh)] // edges_b["outdeg"].to_numpy(
-        zero_copy_only=False
-    )
-    db = edges_b["dst_b"].to_numpy(zero_copy_only=False)
-    t = pa.table(
-        {
-            "dst_h": edges_b["dst_h"],
-            "part": pa.array(c, pa.int64()),
-        }
-    )
-    for k in np.unique(db):
-        agg = (
-            t.filter(pa.array(db == k))
-            .group_by("dst_h")
-            .aggregate([("part", "sum")])
-        )
-        out[int(k)] = pa.table(
-            {"dst_h": agg["dst_h"], "part": agg["part_sum"]}
-        )
-    return out
-
-
-def _pr_shard_counts(state_b: pa.Table, seed_h: np.ndarray) -> tuple:
-    """(n_vertices, n_in-graph-seeds) of one state shard — the tiny
-    pre-count round that gives the sharded PPR tier its GLOBAL
-    n_hosts/n_seeds scalars without any vertex-sized driver state."""
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    if not len(keys) or not len(seed_h):
-        return len(keys), 0
-    pos = np.searchsorted(seed_h, keys)
-    hit = (pos < len(seed_h)) & (
-        seed_h[np.minimum(pos, len(seed_h) - 1)] == keys
-    )
-    return len(keys), int(hit.sum())
-
-
-def _pr_shard_base(
-    state_b: pa.Table, seed_h: np.ndarray, unit: int,
-    n_hosts: int, n_seeds: int,
-) -> np.ndarray:
-    """Per-shard personalized teleport column, aligned with the shard's
-    (order-stable) vertex rows; the seed set is the only broadcast —
-    input-sized, never vertex-sized."""
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    if not len(keys):
-        return np.zeros(0, np.int64)
-    if not len(seed_h):
-        return np.zeros(len(keys), np.int64)
-    pos = np.searchsorted(seed_h, keys)
-    is_seed = (pos < len(seed_h)) & (
-        seed_h[np.minimum(pos, len(seed_h) - 1)] == keys
-    )
-    return np.where(
-        is_seed, (unit * n_hosts) // max(n_seeds, 1), 0
-    ).astype(np.int64)
-
-
-def _pr_apply_sharded(
-    state_b: pa.Table, base, damping_pct: int, *parts: pa.Table
-) -> pa.Table:
-    live = [t for t in parts if t.num_rows]
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    inbound = np.zeros(len(keys), dtype=np.int64)
-    if live and len(keys):
-        merged = (
-            pa.concat_tables(live)
-            .group_by("dst_h")
-            .aggregate([("part", "sum")])
-        )
-        idx = np.searchsorted(
-            keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        inbound[idx] = merged["part_sum"].to_numpy(zero_copy_only=False)
-    return pa.table(
-        {
-            "host": state_b["host"],
-            "h": state_b["h"],
-            "rank": pa.array(
-                base + (damping_pct * inbound) // 100, pa.int64()
-            ),
-        }
-    )
-
-
-def _pr_distributed_sharded(
-    edge_block_refs, iters: int, damping_pct: int, scale: int,
-    n_buckets: int = 32, seed_h: np.ndarray | None = None,
-) -> pa.Table:
-    """Fully bucket-sharded PageRank iteration — NO vertex-sized driver
-    or broadcast structure (the scale path past the documented
-    O(hosts)-broadcast boundary of the default distributed branch, the
-    PageRank twin of ``_cc_distributed_labels``).  Vertex state
-    (host, h, rank) shards by ``h % B``; each iteration is one routed
-    exchange: B contrib tasks (rank//outdeg, pre-summed per dst_h)
-    scatter ``num_returns=B`` outputs, B apply tasks sum their column
-    and rewrite their shard.  Edges are bucketed by src once and stay
-    in plasma across iterations; the driver only schedules — it never
-    holds keys, ranks, or messages.  Integer math is associative, so
-    the result is bit-identical to the broadcast and driver-local
-    paths (pinned by a forced-path test).  At test/bench scale the
-    final shards concat driver-side; a 100 TB deployment writes each
-    shard straight to hash-partitioned parquet."""
-    import ray
-
-    scatter = ray.remote(num_cpus=1)(_pr_scatter)
-    gath_e = ray.remote(num_cpus=1)(_pr_gather_edges)
-    init_s = ray.remote(num_cpus=1)(_pr_init_state)
-    contrib = ray.remote(num_cpus=1)(_pr_contrib_sharded)
-    apply_s = ray.remote(num_cpus=1)(_pr_apply_sharded)
-
-    flats = [
-        scatter.options(num_returns=2 * n_buckets).remote(b, n_buckets)
-        for b in edge_block_refs
-    ]
-    edge_refs = [
-        gath_e.remote(*[f[k] for f in flats]) for k in range(n_buckets)
-    ]
-    state_refs = [
-        init_s.remote(scale, *[f[n_buckets + k] for f in flats])
-        for k in range(n_buckets)
-    ]
-    unit = scale * (100 - damping_pct) // 100
-    if seed_h is None:
-        base_refs = [unit] * n_buckets
-    else:
-        # personalized teleport: one tiny count round for the GLOBAL
-        # n_hosts/n_seeds scalars, then a per-shard base column aligned
-        # with the (order-stable) shard rows — the only broadcast is
-        # the seed set itself
-        counts_t = ray.remote(num_cpus=1)(_pr_shard_counts)
-        base_t = ray.remote(num_cpus=1)(_pr_shard_base)
-        s_ref = ray.put(seed_h)
-        cnt = ray.get(
-            [counts_t.remote(state_refs[k], s_ref) for k in range(n_buckets)]
-        )
-        n_hosts = sum(c[0] for c in cnt)
-        n_seeds = sum(c[1] for c in cnt)
-        base_refs = [
-            base_t.remote(state_refs[k], s_ref, unit, n_hosts, n_seeds)
-            for k in range(n_buckets)
-        ]
-    for _ in range(iters):
-        grids = [
-            contrib.options(num_returns=n_buckets).remote(
-                edge_refs[k], state_refs[k], n_buckets
-            )
-            for k in range(n_buckets)
-        ]
-        state_refs = [
-            apply_s.remote(
-                state_refs[k], base_refs[k], damping_pct,
-                *[g[k] for g in grids]
-            )
-            for k in range(n_buckets)
-        ]
-    parts = [t for t in ray.get(state_refs) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "host": pa.array([], pa.string()),
-                "rank_micros": pa.array([], pa.int64()),
-            }
-        )
-    out = pa.concat_tables(parts)
-    return pa.table(
-        {"host": out["host"], "rank_micros": out["rank"]}
-    ).sort_by([("host", "ascending")])
 
 
 def pagerank_hosts(
@@ -612,7 +309,6 @@ def pagerank_hosts(
     iters: int = 5,
     damping_pct: int = 85,
     scale: int = 1_000_000,
-    num_buckets: int = 64,
     driver_max_edges: int = 5_000_000,
     shard_min_edges: int = 500_000_000,
     seed_hosts=None,
@@ -626,134 +322,22 @@ def pagerank_hosts(
     summation order (all ints), so the DuckDB oracle unrolls the same
     ``iters`` iterations and must match bit-for-bit.
 
-    Three adaptive tiers, all bit-identical (forced-path tests pin
-    each pair equal): ≤ ``driver_max_edges`` runs driver-local;
-    above it the broadcast loop (vertex-sized (keys, ranks) via
-    ``ray.put`` per iteration — fine to ~10^8 hosts); past
-    ``shard_min_edges`` the fully bucket-sharded
-    ``_pr_distributed_sharded`` path, which holds NO vertex-sized
-    state anywhere (10^9-host framing).
+    Three adaptive tiers of the vertex-program engine
+    (``vertexprog.run``), all bit-identical (forced-path tests pin each
+    pair equal): ≤ ``driver_max_edges`` runs driver-local; above it the
+    broadcast loop (vertex-sized (keys, ranks) via ``ray.put`` per
+    iteration — fine to ~10^8 hosts); past ``shard_min_edges`` the
+    fully bucket-sharded tier, which holds NO vertex-sized state
+    anywhere (10^9-host framing).
 
     ``seed_hosts`` switches every tier to PERSONALIZED PageRank
     (topic-sensitive teleport): the base term becomes
     ``unit·n_hosts // n_seeds`` on in-graph seeds and 0 elsewhere —
     the update line is unchanged, so the three tiers stay
     bit-identical (forced-path PPR test)."""
-    import ray
-
-    seed_h = None
-    if seed_hosts is not None:
-        seed_h = np.sort(
-            np.unique(
-                np.array(
-                    [_h64(s) for s in set(seed_hosts)], dtype=np.uint64
-                )
-            )
-        )
-    edges = edges.materialize()  # iterated over `iters` times
-    n_edges = edges.count()
-    if n_edges > shard_min_edges:
-        return _pr_distributed_sharded(
-            list(edges.to_arrow_refs()), iters, damping_pct, scale,
-            seed_h=seed_h,
-        )
-    # adaptive: below the edge threshold the whole iteration loop runs
-    # driver-local (identical integer math — pinned by a forced-path
-    # test).  5 Ray map rounds over a combiner-sized edge set pay ~5×
-    # fixed task/dispatch cost for state that already fits the driver.
-    if n_edges <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        et = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "src_h": pa.array([], pa.uint64()),
-                    "dst_h": pa.array([], pa.uint64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
-            )
-        )
-        return _pagerank_local(et, iters, damping_pct, scale, seed_h)
-    merge_task = ray.remote(num_cpus=1)(_merge_parts)
-    # the skinny vertex state: sorted u64 keys + int64 ranks (driver/
-    # plasma-sized by design — see module docstring for the boundary);
-    # collected via per-batch distinct pairs, NOT a groupby shuffle
-    hosts, keys = _collect_verts(edges)
-    ranks = np.full(len(keys), scale, dtype=np.int64)
-    unit = scale * (100 - damping_pct) // 100
-    base = unit if seed_h is None else _seed_base_vec(keys, seed_h, unit)
-
-    @ray.remote(num_cpus=1)
-    def contrib(batch: pa.Table, k: np.ndarray, r: np.ndarray) -> pa.Table:
-        if not batch.num_rows:
-            return pa.table(
-                {
-                    "dst_h": pa.array([], pa.uint64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        sh = batch["src_h"].to_numpy(zero_copy_only=False)
-        dh = batch["dst_h"].to_numpy(zero_copy_only=False)
-        deg = batch["outdeg"].to_numpy(zero_copy_only=False)
-        c = r[np.searchsorted(k, sh)] // deg
-        t = pa.table(
-            {
-                "dst_h": pa.array(dh, pa.uint64()),
-                "part": pa.array(c, pa.int64()),
-            }
-        )
-        agg = t.group_by("dst_h").aggregate([("part", "sum")])
-        return pa.table({"dst_h": agg["dst_h"], "part": agg["part_sum"]})
-
-    # iterate with plain tasks over the once-materialized edge blocks —
-    # no per-iteration Dataset-job startup (the crawl-round dispatch
-    # rule); integer partials are associative so grouping is free
-    edge_block_refs = list(edges.to_arrow_refs())
-    for _ in range(iters):
-        k_ref = ray.put(keys)
-        r_ref = ray.put(ranks)
-        # tree-reduce the per-block partials with plain tasks: a Ray
-        # groupby here would pay its fixed sort/shuffle cost ×iters for
-        # a combiner-sized input (house rule: never shuffle tiny
-        # candidate sets); each merge task handles ≤_FAN tables of
-        # ≤|hosts| rows, Arrow C++ hash-agg inside.
-        part_refs = [
-            contrib.remote(b, k_ref, r_ref) for b in edge_block_refs
-        ]
-        # adaptive reduce: each partial is ≤|hosts| rows, so when
-        # blocks × |hosts| is small the driver merges in one Arrow
-        # hash-agg (2 fewer task rounds per iteration); the task tree
-        # takes over beyond ~5M partial rows
-        if len(part_refs) * max(len(keys), 1) <= 5_000_000:
-            live = [
-                t for t in ray.get(part_refs) if t.num_rows
-            ]
-            merged = _merge_parts(*live) if live else None
-        else:
-            while len(part_refs) > 1:
-                part_refs = [
-                    merge_task.remote(*part_refs[i : i + _FAN])
-                    for i in range(0, len(part_refs), _FAN)
-                ]
-            merged = ray.get(part_refs[0]) if part_refs else None
-        inbound = np.zeros(len(keys), dtype=np.int64)
-        if merged is not None and merged.num_rows:
-            idx = np.searchsorted(
-                keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-            )
-            inbound[idx] = merged["part"].to_numpy(zero_copy_only=False)
-        ranks = base + (damping_pct * inbound) // 100
-
-    # hosts are already aligned with keys — the result IS vertex state
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "rank_micros": pa.array(ranks, pa.int64()),
-        }
-    )
+    seed_h = None if seed_hosts is None else _host_keys(seed_hosts)
+    prog = _pagerank_program(iters, damping_pct, scale, seed_h)
+    return vp.run(edges, prog, driver_max_edges, shard_min_edges)[0]
 
 
 def personalized_pagerank_hosts(edges, seed_hosts, **kw):
@@ -822,233 +406,44 @@ def trustrank_hosts(edges, seed_hosts, **kw) -> pa.Table:
     )
 
 
-def _bfs_seed_h(seed_hosts) -> np.ndarray:
-    """sorted unique u64 hashes of the seed host strings."""
-    return np.sort(
-        np.unique(
-            np.array([_h64(s) for s in set(seed_hosts)], dtype=np.uint64)
-        )
-    )
-
-
-def _bfs_init_dist(
-    keys: np.ndarray, seed_h: np.ndarray, inf: int
-) -> np.ndarray:
-    """dist₀ over a sorted vertex-hash array: 0 on in-graph seeds,
-    ``inf`` (= max_hops+1, the oracle's sentinel) elsewhere."""
-    if not len(keys):
-        return np.zeros(0, np.int64)
-    dist = np.full(len(keys), inf, dtype=np.int64)
-    if len(seed_h):
-        pos = np.searchsorted(seed_h, keys)
-        is_seed = (pos < len(seed_h)) & (
-            seed_h[np.minimum(pos, len(seed_h) - 1)] == keys
-        )
-        dist[is_seed] = 0
-    return dist
-
-
-def _bfs_local(
-    et: pa.Table, seed_h: np.ndarray, max_hops: int
-) -> pa.Table:
-    """Driver-local multi-source BFS over one Arrow edge table —
-    bit-identical to the distributed tiers (same searchsorted vertex
-    index, same capped ``min(dist+1, inf)`` relaxation, min is
-    order-free).  ``max_hops`` synchronous rounds of
-    ``dist[dst] = min(dist[dst], min_{src→dst} min(dist[src]+1, inf))``
-    — exactly the recurrence the DuckDB oracle unrolls."""
+def _bfs_program(seed_h: np.ndarray, max_hops: int) -> vp.VertexProgram:
+    """Multi-source BFS as a vertex program: ``dist₀`` is 0 on in-graph
+    seeds and ``inf = max_hops+1`` (the oracle's sentinel) elsewhere;
+    message ``min(dist[src]+1, inf)``, min, ``dist = min(dist,
+    inbound)``.  Unreached hosts are dropped from the output."""
     inf = max_hops + 1
-    hh = np.concatenate(
-        [
-            et["src_h"].to_numpy(zero_copy_only=False),
-            et["dst_h"].to_numpy(zero_copy_only=False),
-        ]
-    ).astype(np.uint64, copy=False)
-    names = et["src"].to_pylist() + et["dst"].to_pylist()
-    keys, first = np.unique(hh, return_index=True)
-    hosts = [names[i] for i in first]
-    dist = _bfs_init_dist(keys, seed_h, inf)
-    if et.num_rows:
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        # segment-min by destination: one stable argsort up front, an
-        # int64 minimum.reduceat per round (the PageRank layout with
-        # min in place of sum)
-        order = np.argsort(dst_idx, kind="stable")
-        sorted_dst = dst_idx[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_dst, prepend=np.int64(-1))
-        )
-        seg_vert = sorted_dst[starts]
-        for _ in range(max_hops):
-            c = np.minimum(dist[src_idx] + 1, inf)
-            newmin = np.full(len(keys), inf, dtype=np.int64)
-            newmin[seg_vert] = np.minimum.reduceat(c[order], starts)
-            nxt = np.minimum(dist, newmin)
-            if np.array_equal(nxt, dist):
-                break  # min-relaxation fixpoint — further rounds no-op
-            dist = nxt
-    keep = dist <= max_hops
-    return pa.table(
-        {
-            "host": pa.array(
-                [h for h, k in zip(hosts, keep) if k], pa.string()
-            ),
-            "dist": pa.array(dist[keep], pa.int64()),
-        }
-    )
 
+    def init(v: vp.Verts, totals) -> dict:
+        return {"dist": np.where(np.isin(v.keys, seed_h), 0, inf).astype(np.int64)}
 
-def _merge_parts_min(*tables: pa.Table) -> pa.Table:
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return tables[0]
-    agg = pa.concat_tables(live).group_by("dst_h").aggregate(
-        [("part", "min")]
-    )
-    return pa.table({"dst_h": agg["dst_h"], "part": agg["part_min"]})
-
-
-def _bfs_seed_state(state_b: pa.Table, seed_h: np.ndarray, inf: int):
-    """rewrite one state shard's rank column as dist₀ (0 on seeds,
-    ``inf`` elsewhere) — the only broadcast is the seed set itself."""
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    return pa.table(
-        {
-            "host": state_b["host"],
-            "h": state_b["h"],
-            "rank": pa.array(
-                _bfs_init_dist(keys, seed_h, inf), pa.int64()
-            ),
-        }
-    )
-
-
-def _bfs_contrib_sharded(
-    edges_b: pa.Table, state_b: pa.Table, n: int, inf: int
-):
-    """this src bucket's capped dist+1 candidates, pre-min'd by dst_h
-    and routed by the destination's bucket."""
-    empty = pa.table(
-        {"dst_h": pa.array([], pa.uint64()), "part": pa.array([], pa.int64())}
-    )
-    out = [empty] * n
-    if not edges_b.num_rows:
-        return out
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    dist = state_b["rank"].to_numpy(zero_copy_only=False)
-    sh = edges_b["src_h"].to_numpy(zero_copy_only=False)
-    c = np.minimum(dist[np.searchsorted(keys, sh)] + 1, inf)
-    db = edges_b["dst_b"].to_numpy(zero_copy_only=False)
-    t = pa.table(
-        {"dst_h": edges_b["dst_h"], "part": pa.array(c, pa.int64())}
-    )
-    for k in np.unique(db):
-        agg = (
-            t.filter(pa.array(db == k))
-            .group_by("dst_h")
-            .aggregate([("part", "min")])
-        )
-        out[int(k)] = pa.table(
-            {"dst_h": agg["dst_h"], "part": agg["part_min"]}
-        )
-    return out
-
-
-def _bfs_apply_sharded(state_b: pa.Table, *parts: pa.Table) -> pa.Table:
-    live = [t for t in parts if t.num_rows]
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    dist = state_b["rank"].to_numpy(zero_copy_only=False).copy()
-    if live and len(keys):
-        merged = (
-            pa.concat_tables(live)
-            .group_by("dst_h")
-            .aggregate([("part", "min")])
-        )
-        idx = np.searchsorted(
-            keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        dist[idx] = np.minimum(
-            dist[idx], merged["part_min"].to_numpy(zero_copy_only=False)
-        )
-    return pa.table(
-        {
-            "host": state_b["host"],
-            "h": state_b["h"],
-            "rank": pa.array(dist, pa.int64()),
-        }
-    )
-
-
-def _bfs_distributed_sharded(
-    edge_block_refs, seed_h: np.ndarray, max_hops: int,
-    n_buckets: int = 32,
-) -> pa.Table:
-    """Fully bucket-sharded synchronous BFS — NO vertex-sized driver or
-    broadcast structure (the ``_pr_distributed_sharded`` layout with
-    min-relaxation messages in place of rank sums).  Vertex state
-    (host, h, dist) shards by ``h % B``; each round is one routed
-    exchange of per-dst-bucket min candidates.  Fixed ``max_hops``
-    rounds (min-relaxation is a fixpoint, extra rounds are no-ops), so
-    the result is bit-identical to the other tiers."""
-    import ray
-
-    scatter = ray.remote(num_cpus=1)(_pr_scatter)
-    gath_e = ray.remote(num_cpus=1)(_pr_gather_edges)
-    init_s = ray.remote(num_cpus=1)(_pr_init_state)
-    seed_s = ray.remote(num_cpus=1)(_bfs_seed_state)
-    contrib = ray.remote(num_cpus=1)(_bfs_contrib_sharded)
-    apply_s = ray.remote(num_cpus=1)(_bfs_apply_sharded)
-
-    inf = max_hops + 1
-    flats = [
-        scatter.options(num_returns=2 * n_buckets).remote(b, n_buckets)
-        for b in edge_block_refs
-    ]
-    edge_refs = [
-        gath_e.remote(*[f[k] for f in flats]) for k in range(n_buckets)
-    ]
-    s_ref = ray.put(seed_h)
-    state_refs = [
-        seed_s.remote(
-            init_s.remote(inf, *[f[n_buckets + k] for f in flats]),
-            s_ref, inf,
-        )
-        for k in range(n_buckets)
-    ]
-    for _ in range(max_hops):
-        grids = [
-            contrib.options(num_returns=n_buckets).remote(
-                edge_refs[k], state_refs[k], n_buckets, inf
-            )
-            for k in range(n_buckets)
-        ]
-        state_refs = [
-            apply_s.remote(state_refs[k], *[g[k] for g in grids])
-            for k in range(n_buckets)
-        ]
-    parts = [t for t in ray.get(state_refs) if t.num_rows]
-    if not parts:
+    def output(hosts: pa.Array, s: dict) -> pa.Table:
+        keep = s["dist"] <= max_hops
         return pa.table(
             {
-                "host": pa.array([], pa.string()),
-                "dist": pa.array([], pa.int64()),
+                "host": hosts.filter(pa.array(keep)),
+                "dist": pa.array(s["dist"][keep], pa.int64()),
             }
         )
-    out = pa.concat_tables(parts)
-    out = out.filter(pc.less_equal(out["rank"], inf - 1))
-    return pa.table({"host": out["host"], "dist": out["rank"]})
+
+    return vp.VertexProgram(
+        init=init,
+        steps=(
+            vp.Step(
+                "dist",
+                lambda d, deg: np.minimum(d + 1, inf),
+                np.minimum,
+                lambda s, inbound, t: {"dist": np.minimum(s["dist"], inbound)},
+            ),
+        ),
+        rounds=max_hops,
+        output=output,
+    )
 
 
 def bfs_hosts(
     edges,
     seed_hosts,
     max_hops: int = 8,
-    num_buckets: int = 64,
     driver_max_edges: int = 5_000_000,
     shard_min_edges: int = 500_000_000,
 ):
@@ -1068,98 +463,15 @@ def bfs_hosts(
     integers — exact under any message order, so the DuckDB oracle
     unrolls the identical recurrence and must match bit-for-bit.
 
-    Three adaptive tiers, all bit-identical (forced-path test):
-    ≤ ``driver_max_edges`` driver-local numpy (`_bfs_local`); above it
-    a broadcast loop (vertex-sized (keys, dist) via ``ray.put`` per
-    round over the once-materialized edge blocks — the
-    `pagerank_hosts` mid-tier with min in place of sum); past
-    ``shard_min_edges`` the fully bucket-sharded
-    `_bfs_distributed_sharded` path with no vertex-sized state
-    anywhere (10⁹-host framing)."""
-    import ray
-
-    seed_h = _bfs_seed_h(seed_hosts)
-    edges = edges.materialize()  # iterated over `max_hops` times
-    n_edges = edges.count()
-    if n_edges > shard_min_edges:
-        return _bfs_distributed_sharded(
-            list(edges.to_arrow_refs()), seed_h, max_hops
-        )
-    if n_edges <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        et = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "src_h": pa.array([], pa.uint64()),
-                    "dst_h": pa.array([], pa.uint64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
-            )
-        )
-        return _bfs_local(et, seed_h, max_hops)
-    inf = max_hops + 1
-    merge_task = ray.remote(num_cpus=1)(_merge_parts_min)
-    hosts, keys = _collect_verts(edges)
-    dist = _bfs_init_dist(keys, seed_h, inf)
-
-    @ray.remote(num_cpus=1)
-    def contrib(batch: pa.Table, k: np.ndarray, d: np.ndarray) -> pa.Table:
-        if not batch.num_rows:
-            return pa.table(
-                {
-                    "dst_h": pa.array([], pa.uint64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        sh = batch["src_h"].to_numpy(zero_copy_only=False)
-        c = np.minimum(d[np.searchsorted(k, sh)] + 1, inf)
-        t = pa.table(
-            {"dst_h": batch["dst_h"], "part": pa.array(c, pa.int64())}
-        )
-        agg = t.group_by("dst_h").aggregate([("part", "min")])
-        return pa.table({"dst_h": agg["dst_h"], "part": agg["part_min"]})
-
-    edge_block_refs = list(edges.to_arrow_refs())
-    for _ in range(max_hops):
-        k_ref = ray.put(keys)
-        d_ref = ray.put(dist)
-        part_refs = [
-            contrib.remote(b, k_ref, d_ref) for b in edge_block_refs
-        ]
-        if len(part_refs) * max(len(keys), 1) <= 5_000_000:
-            live = [t for t in ray.get(part_refs) if t.num_rows]
-            merged = _merge_parts_min(*live) if live else None
-        else:
-            while len(part_refs) > 1:
-                part_refs = [
-                    merge_task.remote(*part_refs[i : i + _FAN])
-                    for i in range(0, len(part_refs), _FAN)
-                ]
-            merged = ray.get(part_refs[0]) if part_refs else None
-        if merged is not None and merged.num_rows:
-            idx = np.searchsorted(
-                keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-            )
-            nxt = dist.copy()
-            nxt[idx] = np.minimum(
-                nxt[idx], merged["part"].to_numpy(zero_copy_only=False)
-            )
-            if np.array_equal(nxt, dist):
-                break  # fixpoint
-            dist = nxt
-    keep = dist <= max_hops
-    return pa.table(
-        {
-            "host": pa.array(
-                [h for h, k in zip(hosts, keep) if k], pa.string()
-            ),
-            "dist": pa.array(dist[keep], pa.int64()),
-        }
-    )
+    Three adaptive tiers of the vertex-program engine, all
+    bit-identical (forced-path test): ≤ ``driver_max_edges``
+    driver-local numpy; above it the broadcast loop (vertex-sized
+    (keys, dist) via ``ray.put`` per round — the `pagerank_hosts`
+    mid-tier with min in place of sum); past ``shard_min_edges`` the
+    fully bucket-sharded tier with no vertex-sized state anywhere
+    (10⁹-host framing)."""
+    prog = _bfs_program(_host_keys(seed_hosts), max_hops)
+    return vp.run(edges, prog, driver_max_edges, shard_min_edges)[0]
 
 
 def _hits_norm_div(raw: np.ndarray, scale: int) -> int:
@@ -1169,55 +481,6 @@ def _hits_norm_div(raw: np.ndarray, scale: int) -> int:
     exact integers, mirrored verbatim by the oracle."""
     mx = int(raw.max()) if len(raw) else 0
     return mx // scale + 1
-
-
-def _hits_local(et: pa.Table, iters: int, scale: int) -> pa.Table:
-    """Driver-local integer HITS over one Arrow edge table —
-    bit-identical to the distributed loop (same vertex index, same
-    ``//`` truncations, order-free integer sums)."""
-    hh = np.concatenate(
-        [
-            et["src_h"].to_numpy(zero_copy_only=False),
-            et["dst_h"].to_numpy(zero_copy_only=False),
-        ]
-    ).astype(np.uint64, copy=False)
-    names = et["src"].to_pylist() + et["dst"].to_pylist()
-    keys, first = np.unique(hh, return_index=True)
-    hosts = [names[i] for i in first]
-    hub = np.full(len(keys), scale, dtype=np.int64)
-    auth = np.full(len(keys), scale, dtype=np.int64)
-    if et.num_rows:
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        d_ord = np.argsort(dst_idx, kind="stable")
-        d_sorted = dst_idx[d_ord]
-        d_starts = np.flatnonzero(np.diff(d_sorted, prepend=np.int64(-1)))
-        d_vert = d_sorted[d_starts]
-        s_ord = np.argsort(src_idx, kind="stable")
-        s_sorted = src_idx[s_ord]
-        s_starts = np.flatnonzero(np.diff(s_sorted, prepend=np.int64(-1)))
-        s_vert = s_sorted[s_starts]
-        for _ in range(iters):
-            araw = np.zeros(len(keys), dtype=np.int64)
-            araw[d_vert] = np.add.reduceat(hub[src_idx][d_ord], d_starts)
-            auth = araw // _hits_norm_div(araw, scale)
-            hraw = np.zeros(len(keys), dtype=np.int64)
-            hraw[s_vert] = np.add.reduceat(auth[dst_idx][s_ord], s_starts)
-            hub = hraw // _hits_norm_div(hraw, scale)
-    else:
-        zero = np.zeros(len(keys), dtype=np.int64)
-        auth, hub = zero, zero.copy()
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "auth_micros": pa.array(auth, pa.int64()),
-            "hub_micros": pa.array(hub, pa.int64()),
-        }
-    )
 
 
 def hits_hosts(
@@ -1234,99 +497,41 @@ def hits_hosts(
     float L2 norm — exact under any summation order, so the DuckDB
     oracle unrolls the same iterations and must match bit-for-bit).
 
-    Two adaptive tiers (PageRank doctrine, forced-path-test pinned):
-    ≤ ``driver_max_edges`` runs driver-local; above it a broadcast
-    loop — plain Ray tasks over the once-materialized edge blocks,
-    per-block Arrow hash-agg contributions, vertex-sized (keys, vec)
-    broadcast per half-step (the module's declared vertex-state
-    boundary; the ``_pr_distributed_sharded`` routing pattern is the
-    10⁹-host extension if that boundary ever binds)."""
-    import ray
+    A two-step vertex program: the authority half-step sums hubs over
+    the edges, the hub half-step sums authorities over the reversed
+    edges.  The ``max`` renormalisation is a global reduction, so HITS
+    runs on the engine's two driver-resident tiers only (forced-path
+    test pinned): ≤ ``driver_max_edges`` driver-local; above it the
+    broadcast loop over the once-materialized edge blocks."""
 
-    edges = edges.materialize()
-    if edges.count() <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        et = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "src_h": pa.array([], pa.uint64()),
-                    "dst_h": pa.array([], pa.uint64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
-            )
-        )
-        return _hits_local(et, iters, scale)
+    def half(out: str):
+        def apply(s: dict, raw: np.ndarray, t: int) -> dict:
+            return {**s, out: raw // _hits_norm_div(raw, scale)}
 
-    hosts, keys = _collect_verts(edges)
-    hub = np.full(len(keys), scale, dtype=np.int64)
-    auth = np.full(len(keys), scale, dtype=np.int64)
+        return apply
 
-    @ray.remote(num_cpus=1)
-    def contrib(
-        batch: pa.Table, k: np.ndarray, v: np.ndarray,
-        in_col: str, out_col: str,
-    ) -> pa.Table:
-        """per-block Σ v[in_col-endpoint] grouped by out_col-endpoint"""
-        if not batch.num_rows:
-            return pa.table(
-                {
-                    "dst_h": pa.array([], pa.uint64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        src = batch[in_col].to_numpy(zero_copy_only=False)
-        t = pa.table(
+    def init(v: vp.Verts, totals) -> dict:
+        n = len(v.keys)
+        return {"hub": np.full(n, scale, np.int64),
+                "auth": np.full(n, scale, np.int64)}
+
+    prog = vp.VertexProgram(
+        init=init,
+        steps=(
+            vp.Step("hub", lambda h, deg: h, np.add, half("auth")),
+            vp.Step("auth", lambda a, deg: a, np.add, half("hub"),
+                    reverse=True),
+        ),
+        rounds=iters,
+        output=lambda hosts, s: pa.table(
             {
-                "dst_h": batch[out_col],
-                "part": pa.array(v[np.searchsorted(k, src)], pa.int64()),
+                "host": hosts,
+                "auth_micros": pa.array(s["auth"], pa.int64()),
+                "hub_micros": pa.array(s["hub"], pa.int64()),
             }
-        )
-        agg = t.group_by("dst_h").aggregate([("part", "sum")])
-        return pa.table({"dst_h": agg["dst_h"], "part": agg["part_sum"]})
-
-    merge_task = ray.remote(num_cpus=1)(_merge_parts)
-    edge_block_refs = list(edges.to_arrow_refs())
-    k_ref = ray.put(keys)
-
-    def half_step(vec: np.ndarray, in_col: str, out_col: str) -> np.ndarray:
-        v_ref = ray.put(vec)
-        part_refs = [
-            contrib.remote(b, k_ref, v_ref, in_col, out_col)
-            for b in edge_block_refs
-        ]
-        if len(part_refs) * max(len(keys), 1) <= 5_000_000:
-            live = [t for t in ray.get(part_refs) if t.num_rows]
-            merged = _merge_parts(*live) if live else None
-        else:
-            while len(part_refs) > 1:
-                part_refs = [
-                    merge_task.remote(*part_refs[i : i + _FAN])
-                    for i in range(0, len(part_refs), _FAN)
-                ]
-            merged = ray.get(part_refs[0]) if part_refs else None
-        raw = np.zeros(len(keys), dtype=np.int64)
-        if merged is not None and merged.num_rows:
-            idx = np.searchsorted(
-                keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-            )
-            raw[idx] = merged["part"].to_numpy(zero_copy_only=False)
-        return raw // _hits_norm_div(raw, scale)
-
-    for _ in range(iters):
-        auth = half_step(hub, "src_h", "dst_h")
-        hub = half_step(auth, "dst_h", "src_h")
-
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "auth_micros": pa.array(auth, pa.int64()),
-            "hub_micros": pa.array(hub, pa.int64()),
-        }
+        ),
     )
+    return vp.run(edges, prog, driver_max_edges)[0]
 
 
 def _forest(*tables: pa.Table) -> pa.Table:
@@ -1533,7 +738,7 @@ def _cc_jump_apply(labels_b: pa.Table, *lookup_tables: pa.Table):
 
 
 def _cc_distributed_labels(
-    forest_ref, n_buckets: int = 32, max_rounds: int = 64
+    forest_ref, n_buckets: int = vp.N_SHARDS, max_rounds: int = 64
 ) -> pa.Table:
     """Distributed final labeling: hash-min message rounds + pointer
     jumping over bucket-sharded label state — NO vertex-sized driver
@@ -1619,9 +824,7 @@ def _cc_distributed_labels(
     )
 
 
-def connected_components(
-    edges, num_buckets: int = 64, driver_label_max: int = 5_000_000
-):
+def connected_components(edges, driver_label_max: int = 5_000_000):
     """distinct host edges (from ``host_edges``) → (host, component),
     where ``component`` is the lexicographically smallest host in the
     undirected connected component — a canonical label both Python and
@@ -1637,7 +840,7 @@ def connected_components(
     Scale shape — spanning-forest sparsification, the classic
     distributed-connectivity reduction: each edge batch collapses to
     its spanning forest (≤ vertices−1 edges) in one ``map_batches``
-    pass, forests tree-merge ``_FAN`` at a time with plain tasks
+    pass, forests tree-merge ``vertexprog.FAN`` at a time with plain tasks
     (re-sparsifying at every step, so no merge input exceeds
     vertex-state size), and only the final vertex-sized forest is
     labeled driver-side.  The corpus-sized edge set is touched exactly
@@ -1662,8 +865,8 @@ def connected_components(
     ).to_arrow_refs()
     while len(refs) > 1:
         refs = [
-            merge_task.remote(*refs[i : i + _FAN])
-            for i in range(0, len(refs), _FAN)
+            merge_task.remote(*refs[i : i + vp.FAN])
+            for i in range(0, len(refs), vp.FAN)
         ]
     if refs:
         n_forest = ray.get(
@@ -2160,7 +1363,7 @@ def host_triangles(edges, num_buckets: int = 64,
         )
     # above the gate: edge blocks STAY in the object store; degree/rank
     # and the hash→host names are vertex-sized driver state (the module
-    # boundary — the _pr_distributed_sharded routing is the extension)
+    # boundary — the vertexprog sharded tier's routing is the extension)
     names = {}
     deg0: dict[int, int] = {}
 
@@ -3042,7 +2245,7 @@ def lpa_communities(
         for _ in range(iters):
             l_ref = ray.put(labels)
             part_refs = [contrib.remote(nb, l_ref) for nb in nb_refs]
-            if len(part_refs) * max(n, 1) <= 5_000_000:
+            if len(part_refs) * max(n, 1) <= vp.MERGE_ON_DRIVER_MAX:
                 live = [t for t in ray.get(part_refs) if t.num_rows]
                 merged = (
                     ray.get(merge.remote(*live)) if len(live) > 1
@@ -3051,8 +2254,8 @@ def lpa_communities(
             else:
                 while len(part_refs) > 1:
                     part_refs = [
-                        merge.remote(*part_refs[i : i + _FAN])
-                        for i in range(0, len(part_refs), _FAN)
+                        merge.remote(*part_refs[i : i + vp.FAN])
+                        for i in range(0, len(part_refs), vp.FAN)
                     ]
                 merged = ray.get(part_refs[0]) if part_refs else None
             if merged is not None and merged.num_rows:
@@ -3287,7 +2490,8 @@ def _lpa_finish(labels_b: pa.Table, *size_tables: pa.Table) -> pa.Table:
     )
 
 
-def _lpa_distributed_sharded(und_refs, iters: int, n_buckets: int = 32):
+def _lpa_distributed_sharded(und_refs, iters: int,
+                             n_buckets: int = vp.N_SHARDS):
     """Fully sharded LPA tier: labels and edges live bucket-sharded in
     the object store — NO vertex-sized driver or broadcast structure
     anywhere (the 10⁹-host framing, mirroring
@@ -3508,50 +2712,6 @@ def _hb_finish(
     )
 
 
-def _hb_regs_to_arrow(mat: np.ndarray) -> pa.Array:
-    """[n, m] uint8 register matrix → fixed_size_binary(m) column
-    (zero-copy-ish: one contiguous buffer, no per-row Python bytes)."""
-    return pa.Array.from_buffers(
-        pa.binary(_HB_M),
-        len(mat),
-        [None, pa.py_buffer(np.ascontiguousarray(mat).tobytes())],
-    )
-
-
-def _hb_regs_from_arrow(col) -> np.ndarray:
-    """fixed_size_binary(m) column → [n, m] uint8 view (zero-copy)."""
-    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if not len(a):
-        return np.zeros((0, _HB_M), np.uint8)
-    return np.frombuffer(
-        a.buffers()[1], np.uint8,
-        count=len(a) * _HB_M, offset=a.offset * _HB_M,
-    ).reshape(len(a), _HB_M)
-
-
-def _hb_empty() -> pa.Table:
-    z = np.zeros(0, np.int64)
-    return _hb_finish(pa.array([], pa.string()), z, z, z)
-
-
-def _hb_sum_est(state_b: pa.Table) -> int:
-    """one shard's Σ est — the per-bucket partial of the global
-    neighbourhood function N(t) (9 scalars per run; never
-    vertex-sized)."""
-    if not state_b.num_rows:
-        return 0
-    return int(
-        state_b["est"].to_numpy(zero_copy_only=False).sum()
-    )
-
-
-def _nf_fill(nf_out: list, max_t: int) -> None:
-    """pad an early-broken per-radius sum series to ``max_t+1`` entries
-    — registers are a fixpoint after the break, so N(t) is constant."""
-    while len(nf_out) < max_t + 1:
-        nf_out.append(nf_out[-1] if nf_out else 0)
-
-
 def _nf_table(nf) -> pa.Table:
     """per-radius ball-size sums → the public neighbourhood-function
     table (t, nf, growth, ratio_micros, eff_diam_micros): N(t) =
@@ -3593,279 +2753,31 @@ def _nf_table(nf) -> pa.Table:
     )
 
 
-def _hb_local(et: pa.Table, max_t: int, nf_out: list = None) -> pa.Table:
-    """Driver-local HyperBall over one Arrow edge table.  Counter
-    update is the BFS segment layout with register max in place of
-    integer min: one stable dst argsort up front, per round a single
-    ``np.take`` into a REUSED gather buffer (slow-fresh-page rule) and
-    one ``np.maximum.reduceat`` per-destination segment merge."""
-    hh = np.concatenate(
-        [
-            et["src_h"].to_numpy(zero_copy_only=False),
-            et["dst_h"].to_numpy(zero_copy_only=False),
-        ]
-    ).astype(np.uint64, copy=False)
-    names = et["src"].to_pylist() + et["dst"].to_pylist()
-    keys, first = np.unique(hh, return_index=True)
-    hosts = [names[i] for i in first]
-    regs = _hb_singleton_regs(_hb_md5h(hosts))
-    est = _hb_estimate_rows(regs)
-    harm = np.zeros(len(keys), np.int64)
-    sd = np.zeros(len(keys), np.int64)
-    if nf_out is not None:
-        nf_out.append(int(est.sum()))
-    if et.num_rows and len(keys):
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        order = np.argsort(dst_idx, kind="stable")
-        src_sorted = src_idx[order]
-        sorted_dst = dst_idx[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_dst, prepend=np.int64(-1))
-        )
-        seg_vert = sorted_dst[starts]
-        gath = np.empty((len(src_sorted), _HB_M), np.uint8)  # reused
-        for t in range(1, max_t + 1):
-            np.take(regs, src_sorted, axis=0, out=gath)
-            seg = np.maximum.reduceat(gath, starts, axis=0)
-            nxt = regs.copy()
-            nxt[seg_vert] = np.maximum(nxt[seg_vert], seg)
-            if np.array_equal(nxt, regs):
-                break  # ball fixpoint — every later increment is 0
-            regs = nxt
-            est_new = _hb_estimate_rows(regs)
-            hi, si = _hb_incs(est_new, est, t)
-            harm += hi
-            sd += si
-            est = est_new
-            if nf_out is not None:
-                nf_out.append(int(est.sum()))
-    if nf_out is not None:
-        _nf_fill(nf_out, max_t)
-    return _hb_finish(pa.array(hosts, pa.string()), est, harm, sd)
+def _hyperball_program(max_t: int) -> vp.VertexProgram:
+    """HyperBall as a vertex program: singleton HLL registers per host,
+    message = the sender's registers, register-wise max, then the
+    row estimates and the radius-``t`` increments (``_hb_incs``).  The
+    tally is the neighbourhood function ``N(t) = Σ_v est``."""
 
+    def init(v: vp.Verts, totals) -> dict:
+        regs = _hb_singleton_regs(_hb_md5h(v.hosts.to_pylist()))
+        zero = np.zeros(len(v.keys), np.int64)
+        return {"regs": regs, "est": _hb_estimate_rows(regs),
+                "harm": zero, "sd": zero}
 
-def _hb_block_contrib(
-    batch: pa.Table, keys: np.ndarray, regs: np.ndarray
-) -> pa.Table:
-    """One edge block's per-destination register-max partial (the
-    broadcast mid-tier combiner): (dst_h, regs) with one row per
-    distinct dst in the block."""
-    if not batch.num_rows:
-        return pa.table(
-            {
-                "dst_h": pa.array([], pa.uint64()),
-                "regs": pa.array([], pa.binary(_HB_M)),
-            }
-        )
-    si = np.searchsorted(
-        keys, batch["src_h"].to_numpy(zero_copy_only=False)
-    )
-    dh = batch["dst_h"].to_numpy(zero_copy_only=False)
-    order = np.argsort(dh, kind="stable")
-    g = regs[si[order]]
-    sorted_dst = dh[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_dst[1:] != sorted_dst[:-1]])
-    )
-    seg = np.maximum.reduceat(g, starts, axis=0)
-    return pa.table(
-        {
-            "dst_h": pa.array(sorted_dst[starts], pa.uint64()),
-            "regs": _hb_regs_to_arrow(seg),
-        }
-    )
+    def apply(s: dict, inbound: np.ndarray, t: int) -> dict:
+        regs = np.maximum(s["regs"], inbound)
+        est = _hb_estimate_rows(regs)
+        hi, si = _hb_incs(est, s["est"], t)
+        return {"regs": regs, "est": est,
+                "harm": s["harm"] + hi, "sd": s["sd"] + si}
 
-
-def _hb_merge_partials(tables) -> tuple:
-    """partial (dst_h, regs) tables → (sorted unique dst_h, max regs)."""
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return np.zeros(0, np.uint64), np.zeros((0, _HB_M), np.uint8)
-    dh = np.concatenate(
-        [t["dst_h"].to_numpy(zero_copy_only=False) for t in live]
-    )
-    mats = np.concatenate([_hb_regs_from_arrow(t["regs"]) for t in live])
-    order = np.argsort(dh, kind="stable")
-    sd = dh[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sd[1:] != sd[:-1]])
-    )
-    return sd[starts], np.maximum.reduceat(mats[order], starts, axis=0)
-
-
-def _hb_state_empty() -> pa.Table:
-    return pa.table(
-        {
-            "host": pa.array([], pa.string()),
-            "h": pa.array([], pa.uint64()),
-            "regs": pa.array([], pa.binary(_HB_M)),
-            "est": pa.array([], pa.int64()),
-            "harm": pa.array([], pa.int64()),
-            "sd": pa.array([], pa.int64()),
-        }
-    )
-
-
-def _hb_init_state(*slices: pa.Table) -> pa.Table:
-    """unique-merge one bucket's (host, h) pairs → h-sorted state shard
-    with the singleton registers, their radius-0 estimate, and harm=0.
-    The md5 register hashes are computed HERE, per shard, from the
-    shard's own host strings — never a vertex-sized driver pass."""
-    live = [t for t in slices if t.num_rows]
-    if not live:
-        return _hb_state_empty()
-    cat = pa.concat_tables(live)
-    hh = cat["h"].to_numpy(zero_copy_only=False)
-    keys, first = np.unique(hh, return_index=True)
-    hosts = cat["host"].take(pa.array(first)).to_pylist()
-    regs = _hb_singleton_regs(_hb_md5h(hosts))
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "h": pa.array(keys, pa.uint64()),
-            "regs": _hb_regs_to_arrow(regs),
-            "est": pa.array(_hb_estimate_rows(regs), pa.int64()),
-            "harm": pa.array(np.zeros(len(keys), np.int64), pa.int64()),
-            "sd": pa.array(np.zeros(len(keys), np.int64), pa.int64()),
-        }
-    )
-
-
-def _hb_contrib_sharded(edges_b: pa.Table, state_b: pa.Table, n: int):
-    """this src bucket's per-destination register-max partials, routed
-    by the destination's bucket (the ``_pr_contrib_sharded`` layout
-    with register max in place of rank sums)."""
-    empty = pa.table(
-        {
-            "dst_h": pa.array([], pa.uint64()),
-            "regs": pa.array([], pa.binary(_HB_M)),
-        }
-    )
-    out = [empty] * n
-    if not edges_b.num_rows:
-        return out
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    regs = _hb_regs_from_arrow(state_b["regs"])
-    si = np.searchsorted(
-        keys, edges_b["src_h"].to_numpy(zero_copy_only=False)
-    )
-    dh = edges_b["dst_h"].to_numpy(zero_copy_only=False)
-    db = edges_b["dst_b"].to_numpy(zero_copy_only=False)
-    for k in np.unique(db):
-        m = db == k
-        d = dh[m]
-        order = np.argsort(d, kind="stable")
-        g = regs[si[m][order]]
-        sd = d[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], sd[1:] != sd[:-1]])
-        )
-        out[int(k)] = pa.table(
-            {
-                "dst_h": pa.array(sd[starts], pa.uint64()),
-                "regs": _hb_regs_to_arrow(
-                    np.maximum.reduceat(g, starts, axis=0)
-                ),
-            }
-        )
-    return out
-
-
-def _hb_apply_sharded(state_b: pa.Table, t: int, *parts: pa.Table):
-    """merge inbound register partials into one state shard, then
-    recompute the shard's estimates and add the radius-``t`` harmonic
-    increments — registers only grow (max), so after the global
-    fixpoint every further round adds exactly 0 and the fixed-round
-    schedule stays bit-identical to the early-breaking tiers."""
-    keys = state_b["h"].to_numpy(zero_copy_only=False)
-    regs = _hb_regs_from_arrow(state_b["regs"]).copy()
-    dh, mats = _hb_merge_partials(list(parts))
-    if len(dh) and len(keys):
-        idx = np.searchsorted(keys, dh)
-        regs[idx] = np.maximum(regs[idx], mats)
-    est_prev = state_b["est"].to_numpy(zero_copy_only=False)
-    est = _hb_estimate_rows(regs)
-    hi, si = _hb_incs(est, est_prev, t)
-    harm = state_b["harm"].to_numpy(zero_copy_only=False) + hi
-    sd = state_b["sd"].to_numpy(zero_copy_only=False) + si
-    return pa.table(
-        {
-            "host": state_b["host"],
-            "h": state_b["h"],
-            "regs": _hb_regs_to_arrow(regs),
-            "est": pa.array(est, pa.int64()),
-            "harm": pa.array(harm, pa.int64()),
-            "sd": pa.array(sd, pa.int64()),
-        }
-    )
-
-
-def _hb_distributed_sharded(
-    edge_block_refs, max_t: int, n_buckets: int = 32, nf_out: list = None
-) -> pa.Table:
-    """Fully bucket-sharded HyperBall — NO vertex-sized driver or
-    broadcast structure; this is the out-of-core framing of the paper
-    itself (Boldi & Vigna run HyperBall with the counter array on
-    disk).  Vertex state (host, h, 64-byte registers, est, harm)
-    shards by ``h % B``; each round is one routed exchange of
-    per-dst-bucket register-max partials.  Fixed ``max_t`` rounds
-    (register max is a fixpoint — extra rounds add 0), bit-identical
-    to the other tiers (forced-path test)."""
-    import ray
-
-    scatter = ray.remote(num_cpus=1)(_pr_scatter)
-    gath_e = ray.remote(num_cpus=1)(_pr_gather_edges)
-    init_s = ray.remote(num_cpus=1)(_hb_init_state)
-    contrib = ray.remote(num_cpus=1)(_hb_contrib_sharded)
-    apply_s = ray.remote(num_cpus=1)(_hb_apply_sharded)
-
-    flats = [
-        scatter.options(num_returns=2 * n_buckets).remote(b, n_buckets)
-        for b in edge_block_refs
-    ]
-    edge_refs = [
-        gath_e.remote(*[f[k] for f in flats]) for k in range(n_buckets)
-    ]
-    state_refs = [
-        init_s.remote(*[f[n_buckets + k] for f in flats])
-        for k in range(n_buckets)
-    ]
-    sum_est = ray.remote(num_cpus=1)(_hb_sum_est)
-    # per-round N(t) partials: one scalar per bucket per round, fetched
-    # once at the end — never vertex-sized, never a per-round barrier
-    nf_grid = (
-        [[sum_est.remote(s) for s in state_refs]] if nf_out is not None
-        else None
-    )
-    for t in range(1, max_t + 1):
-        grids = [
-            contrib.options(num_returns=n_buckets).remote(
-                edge_refs[k], state_refs[k], n_buckets
-            )
-            for k in range(n_buckets)
-        ]
-        state_refs = [
-            apply_s.remote(state_refs[k], t, *[g[k] for g in grids])
-            for k in range(n_buckets)
-        ]
-        if nf_grid is not None:
-            nf_grid.append([sum_est.remote(s) for s in state_refs])
-    if nf_grid is not None:
-        nf_out.extend(sum(ray.get(row)) for row in nf_grid)
-    parts = [t for t in ray.get(state_refs) if t.num_rows]
-    if not parts:
-        return _hb_empty()
-    out = pa.concat_tables(parts)
-    return _hb_finish(
-        out["host"],
-        out["est"].to_numpy(zero_copy_only=False),
-        out["harm"].to_numpy(zero_copy_only=False),
-        out["sd"].to_numpy(zero_copy_only=False),
+    return vp.VertexProgram(
+        init=init,
+        steps=(vp.Step("regs", lambda r, deg: r, np.maximum, apply),),
+        rounds=max_t,
+        output=lambda hosts, s: _hb_finish(hosts, s["est"], s["harm"], s["sd"]),
+        tally=lambda s: int(s["est"].sum()),
     )
 
 
@@ -3893,71 +2805,20 @@ def harmonic_hosts(
     ``_hb_estimate_rows``, so the DuckDB oracle unrolls the identical
     ``max_t`` rounds from the host strings and matches bit-for-bit.
 
-    Three adaptive tiers, bit-identical (forced-path test):
-    ≤ ``driver_max_edges`` driver-local (segment-layout reduceat);
-    above it the broadcast loop (the PageRank layout — (keys, regs)
-    via ``ray.put`` per round, 64 B/host ⇒ fine to ~10⁷–10⁸ hosts);
-    past ``shard_min_edges`` the fully sharded tier holding no
-    vertex-sized state anywhere (the paper's own out-of-core
-    framing)."""
-    import ray
-
-    edges = edges.materialize()  # iterated over max_t times
-    n_edges = edges.count()
-    if n_edges > shard_min_edges:
-        return _hb_distributed_sharded(
-            list(edges.to_arrow_refs()), max_t, nf_out=nf_out
-        )
-    if n_edges <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        et = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "src_h": pa.array([], pa.uint64()),
-                    "dst_h": pa.array([], pa.uint64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
-            )
-        )
-        return _hb_local(et, max_t, nf_out=nf_out)
-
-    contrib = ray.remote(num_cpus=1)(_hb_block_contrib)
-    hosts, keys = _collect_verts(edges)
-    regs = _hb_singleton_regs(_hb_md5h(hosts))
-    est = _hb_estimate_rows(regs)
-    harm = np.zeros(len(keys), np.int64)
-    sd = np.zeros(len(keys), np.int64)
+    Three adaptive tiers of the vertex-program engine, bit-identical
+    (forced-path test): ≤ ``driver_max_edges`` driver-local
+    (segment-layout reduceat); above it the broadcast loop (the
+    PageRank layout — (keys, regs) via ``ray.put`` per round, 64 B/host
+    ⇒ fine to ~10⁷–10⁸ hosts); past ``shard_min_edges`` the fully
+    sharded tier holding no vertex-sized state anywhere (the paper's
+    own out-of-core framing).  ``nf_out``, when given, receives
+    ``N(t) = Σ_v ball_est`` for t = 0..max_t."""
+    tbl, nf = vp.run(
+        edges, _hyperball_program(max_t), driver_max_edges, shard_min_edges
+    )
     if nf_out is not None:
-        nf_out.append(int(est.sum()))
-    edge_block_refs = list(edges.to_arrow_refs())
-    k_ref = ray.put(keys)
-    for t in range(1, max_t + 1):
-        r_ref = ray.put(regs)
-        parts = ray.get(
-            [contrib.remote(b, k_ref, r_ref) for b in edge_block_refs]
-        )
-        dh, mats = _hb_merge_partials(parts)
-        nxt = regs.copy()
-        if len(dh):
-            idx = np.searchsorted(keys, dh)
-            nxt[idx] = np.maximum(nxt[idx], mats)
-        if np.array_equal(nxt, regs):
-            break  # register fixpoint — every later increment is 0
-        regs = nxt
-        est_new = _hb_estimate_rows(regs)
-        hi, si = _hb_incs(est_new, est, t)
-        harm += hi
-        sd += si
-        est = est_new
-        if nf_out is not None:
-            nf_out.append(int(est.sum()))
-    if nf_out is not None:
-        _nf_fill(nf_out, max_t)
-    return _hb_finish(pa.array(hosts, pa.string()), est, harm, sd)
+        nf_out.extend(nf)
+    return tbl
 
 
 def neighborhood_function(edges, max_t: int = 8, **kw) -> pa.Table:
@@ -4270,27 +3131,6 @@ def assortativity_hosts(
 # ---------------------------------------------------------------------------
 
 
-def _opic_finish(hosts, hist: np.ndarray, cash: np.ndarray) -> pa.Table:
-    return pa.table(
-        {
-            "host": hosts,
-            "hist_micros": pa.array(hist, pa.int64()),
-            "cash_micros": pa.array(cash, pa.int64()),
-            "opic_micros": pa.array(hist + cash, pa.int64()),
-        }
-    )
-
-
-def _opic_src_mask(keys: np.ndarray, src_blocks) -> np.ndarray:
-    """True where a vertex appears as a src (has out-edges); dangling
-    cash (the rest) routes through the virtual page each round."""
-    present = np.zeros(len(keys), bool)
-    for sh in src_blocks:
-        if len(sh):
-            present[np.searchsorted(keys, sh)] = True
-    return present
-
-
 def opic_hosts(
     edges,
     iters: int = 5,
@@ -4314,119 +3154,42 @@ def opic_hosts(
     (integer-division dust from the per-edge and virtual splits is
     dropped, both sides identically), so the DuckDB oracle unrolls the
     identical ``iters`` rounds — cash, dangling sum, and history CTEs
-    — and matches bit-for-bit.  Two adaptive tiers (forced-path test):
-    ≤ ``driver_max_edges`` driver-local; above it the PageRank
-    broadcast-loop layout (per-block ``cash[src] // outdeg`` partials,
-    tree-merged; the (keys, cash, hist) vectors are the module's
-    declared vertex-state boundary — the fully sharded extension
-    follows ``_pr_distributed_sharded``'s layout)."""
-    import ray
+    — and matches bit-for-bit.  A vertex program (message
+    ``cash[src] // outdeg``, summed); the virtual-page sum is a global
+    reduction, so OPIC runs on the engine's two driver-resident tiers
+    (forced-path test): ≤ ``driver_max_edges`` driver-local; above it
+    the broadcast loop — the (keys, cash, hist) vectors are the
+    module's declared vertex-state boundary."""
 
-    edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return _opic_finish(
-                pa.array([], pa.string()),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-            )
-        et = pa.concat_tables(blocks)
-        hh = np.concatenate(
-            [
-                et["src_h"].to_numpy(zero_copy_only=False),
-                et["dst_h"].to_numpy(zero_copy_only=False),
-            ]
-        ).astype(np.uint64, copy=False)
-        names = et["src"].to_pylist() + et["dst"].to_pylist()
-        keys, first = np.unique(hh, return_index=True)
-        hosts = [names[i] for i in first]
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        deg_e = et["outdeg"].to_numpy(zero_copy_only=False)
-        present = np.zeros(len(keys), bool)
-        present[src_idx] = True
-        n = len(keys)
-        cash = np.full(n, scale, np.int64)
-        hist = np.zeros(n, np.int64)
-        for _ in range(iters):
-            share = cash[src_idx] // deg_e
-            inflow = np.zeros(n, np.int64)
-            np.add.at(inflow, dst_idx, share)
-            virtual = int(cash[~present].sum())
-            hist += cash
-            cash = inflow + virtual // n
-        return _opic_finish(pa.array(hosts, pa.string()), hist, cash)
+    def init(v: vp.Verts, totals) -> dict:
+        n = len(v.keys)
+        return {"cash": np.full(n, scale, np.int64),
+                "hist": np.zeros(n, np.int64),
+                "dangling": v.outdeg == 0}
 
-    # broadcast tier: the PageRank loop layout — per-block
-    # cash[src]//outdeg partials (the `contrib` kernel shape), merged
-    # driver-side; virtual cash is one masked sum over the vector.
-    hosts, keys = _collect_verts(edges)
-    n = len(keys)
-    edge_block_refs = list(edges.to_arrow_refs())
+    def apply(s: dict, inflow: np.ndarray, t: int) -> dict:
+        virtual = int(s["cash"][s["dangling"]].sum())
+        return {"cash": inflow + virtual // max(len(inflow), 1),
+                "hist": s["hist"] + s["cash"],
+                "dangling": s["dangling"]}
 
-    def srcs_of(batch: pa.Table) -> np.ndarray:
-        if not batch.num_rows:
-            return np.zeros(0, np.uint64)
-        return np.unique(
-            batch["src_h"].to_numpy(zero_copy_only=False)
-        )
-
-    src_task = ray.remote(num_cpus=1)(srcs_of)
-    present = _opic_src_mask(
-        keys, ray.get([src_task.remote(b) for b in edge_block_refs])
-    )
-
-    @ray.remote(num_cpus=1)
-    def contrib(batch: pa.Table, k: np.ndarray, c: np.ndarray) -> pa.Table:
-        if not batch.num_rows:
-            return pa.table(
-                {
-                    "dst_h": pa.array([], pa.uint64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        sh = batch["src_h"].to_numpy(zero_copy_only=False)
-        dh = batch["dst_h"].to_numpy(zero_copy_only=False)
-        deg = batch["outdeg"].to_numpy(zero_copy_only=False)
-        share = c[np.searchsorted(k, sh)] // deg
-        t = pa.table(
+    def output(hosts: pa.Array, s: dict) -> pa.Table:
+        return pa.table(
             {
-                "dst_h": pa.array(dh, pa.uint64()),
-                "part": pa.array(share, pa.int64()),
+                "host": hosts,
+                "hist_micros": pa.array(s["hist"], pa.int64()),
+                "cash_micros": pa.array(s["cash"], pa.int64()),
+                "opic_micros": pa.array(s["hist"] + s["cash"], pa.int64()),
             }
         )
-        agg = t.group_by("dst_h").aggregate([("part", "sum")])
-        return pa.table({"dst_h": agg["dst_h"], "part": agg["part_sum"]})
 
-    cash = np.full(n, scale, np.int64)
-    hist = np.zeros(n, np.int64)
-    k_ref = ray.put(keys)
-    for _ in range(iters):
-        c_ref = ray.put(cash)
-        parts = [
-            t
-            for t in ray.get(
-                [contrib.remote(b, k_ref, c_ref) for b in edge_block_refs]
-            )
-            if t.num_rows
-        ]
-        inflow = np.zeros(n, np.int64)
-        if parts:
-            merged = _merge_parts(*parts)
-            idx = np.searchsorted(
-                keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-            )
-            inflow[idx] = merged["part"].to_numpy(zero_copy_only=False)
-        virtual = int(cash[~present].sum())
-        hist += cash
-        cash = inflow + virtual // max(n, 1)
-    return _opic_finish(pa.array(hosts, pa.string()), hist, cash)
+    prog = vp.VertexProgram(
+        init=init,
+        steps=(vp.Step("cash", lambda c, deg: c // deg, np.add, apply),),
+        rounds=iters,
+        output=output,
+    )
+    return vp.run(edges, prog, driver_max_edges)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -4487,10 +3250,7 @@ def salsa_hosts(edges, num_buckets: int = 64) -> pa.Table:
             }
         )
 
-    comp = connected_components(
-        edges.map_batches(bip, batch_format="pyarrow"),
-        num_buckets=num_buckets,
-    )
+    comp = connected_components(edges.map_batches(bip, batch_format="pyarrow"))
     deg_blocks = [
         t
         for t in ray.get(host_degrees(edges, num_buckets).to_arrow_refs())
@@ -4829,7 +3589,7 @@ def betweenness_hosts(
     each σ/δ round is the `bfs_hosts` broadcast-contrib shape (per-
     block segment sums by dst/src with the level vectors ``ray.put``
     — the module's declared vertex-state mid-tier; the fully sharded
-    extension follows `_bfs_distributed_sharded`'s layout)."""
+    extension follows the vertexprog sharded tier's layout)."""
     import ray
 
     edges = edges.materialize()
@@ -5005,47 +3765,6 @@ def _betweenness_broadcast(edges, sources, max_hops: int) -> pa.Table:
 # Katz centrality (truncated, integer fixed-point)
 # ---------------------------------------------------------------------------
 
-def _katz_local(
-    et: pa.Table, iters: int, alpha_ppm: int, scale: int
-) -> pa.Table:
-    """Driver-local integer truncated Katz over one Arrow edge table —
-    bit-identical to the distributed loop (same vertex index, same
-    ``//`` truncations, order-free integer sums)."""
-    hh = np.concatenate(
-        [
-            et["src_h"].to_numpy(zero_copy_only=False),
-            et["dst_h"].to_numpy(zero_copy_only=False),
-        ]
-    ).astype(np.uint64, copy=False)
-    names = et["src"].to_pylist() + et["dst"].to_pylist()
-    keys, first = np.unique(hh, return_index=True)
-    hosts = [names[i] for i in first]
-    katz = np.zeros(len(keys), dtype=np.int64)
-    if et.num_rows:
-        src_idx = np.searchsorted(
-            keys, et["src_h"].to_numpy(zero_copy_only=False)
-        )
-        dst_idx = np.searchsorted(
-            keys, et["dst_h"].to_numpy(zero_copy_only=False)
-        )
-        d_ord = np.argsort(dst_idx, kind="stable")
-        d_sorted = dst_idx[d_ord]
-        d_starts = np.flatnonzero(np.diff(d_sorted, prepend=np.int64(-1)))
-        d_vert = d_sorted[d_starts]
-        for _ in range(iters):
-            raw = np.zeros(len(keys), dtype=np.int64)
-            raw[d_vert] = np.add.reduceat(
-                (scale + katz)[src_idx][d_ord], d_starts
-            )
-            katz = alpha_ppm * raw // 1_000_000
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "katz_micros": pa.array(katz, pa.int64()),
-        }
-    )
-
-
 def katz_hosts(
     edges,
     iters: int = 4,
@@ -5060,78 +3779,35 @@ def katz_hosts(
     // 1e6`` — all-int, exact under any summation order, so the DuckDB
     oracle unrolls the same iterations bit-for-bit.  α = 0.2 is far
     under 1/λ_max for host graphs at these densities, and truncation
-    makes the value well-defined regardless.
+    makes the value well-defined regardless.  The recurrence is kept in
+    int64: an in-sum above ``(2**63-1) // alpha_ppm`` (where the DuckDB
+    oracle would promote to HUGEINT) raises ``OverflowError`` instead
+    of wrapping.
 
-    Two adaptive tiers (PageRank doctrine, forced-path pinned):
-    ≤ ``driver_max_edges`` driver-local; above it the broadcast loop —
-    per-block Arrow hash-agg contributions over once-materialized edge
-    blocks, vertex-sized (keys, vec) broadcast per step (the module's
-    declared vertex-state boundary; `_pr_distributed_sharded` is the
-    10⁹-host routing extension if it ever binds)."""
-    import ray
+    A vertex program on the engine's two driver-resident tiers
+    (forced-path pinned): ≤ ``driver_max_edges`` driver-local; above
+    it the broadcast loop — per-block partial sums over the
+    once-materialized edge blocks, the vertex-sized katz vector
+    broadcast per step (the module's declared vertex-state
+    boundary)."""
+    bound = (2**63 - 1) // max(alpha_ppm, 1)
 
-    edges = edges.materialize()
-    if edges.count() <= driver_max_edges:
-        blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-        et = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table(
-                {
-                    "src": pa.array([], pa.string()),
-                    "dst": pa.array([], pa.string()),
-                    "src_h": pa.array([], pa.uint64()),
-                    "dst_h": pa.array([], pa.uint64()),
-                    "outdeg": pa.array([], pa.int64()),
-                }
+    def apply(s: dict, raw: np.ndarray, t: int) -> dict:
+        # all messages are ≥ 0, so a negative sum is a wrapped one
+        if len(raw) and (raw.min() < 0 or raw.max() > bound):
+            raise OverflowError(
+                f"truncated Katz iteration {t}: an in-sum exceeds "
+                f"(2**63-1) // alpha_ppm = {bound}, so alpha_ppm * sum "
+                "would overflow int64"
             )
-        )
-        return _katz_local(et, iters, alpha_ppm, scale)
+        return {"katz": alpha_ppm * raw // 1_000_000}
 
-    hosts, keys = _collect_verts(edges)
-    katz = np.zeros(len(keys), dtype=np.int64)
-
-    @ray.remote(num_cpus=1)
-    def contrib(batch: pa.Table, k: np.ndarray, v: np.ndarray) -> pa.Table:
-        if not batch.num_rows:
-            return pa.table(
-                {
-                    "dst_h": pa.array([], pa.uint64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        src = batch["src_h"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "dst_h": batch["dst_h"],
-                "part": pa.array(v[np.searchsorted(k, src)], pa.int64()),
-            }
-        )
-        agg = t.group_by("dst_h").aggregate([("part", "sum")])
-        return pa.table({"dst_h": agg["dst_h"], "part": agg["part_sum"]})
-
-    edge_block_refs = list(edges.to_arrow_refs())
-    k_ref = ray.put(keys)
-    for _ in range(iters):
-        v_ref = ray.put(scale + katz)
-        live = [
-            t
-            for t in ray.get(
-                [contrib.remote(b, k_ref, v_ref) for b in edge_block_refs]
-            )
-            if t.num_rows
-        ]
-        raw = np.zeros(len(keys), dtype=np.int64)
-        if live:
-            merged = _merge_parts(*live)
-            idx = np.searchsorted(
-                keys, merged["dst_h"].to_numpy(zero_copy_only=False)
-            )
-            raw[idx] = merged["part"].to_numpy(zero_copy_only=False)
-        katz = alpha_ppm * raw // 1_000_000
-    return pa.table(
-        {
-            "host": pa.array(hosts, pa.string()),
-            "katz_micros": pa.array(katz, pa.int64()),
-        }
+    prog = vp.VertexProgram(
+        init=lambda v, totals: {"katz": np.zeros(len(v.keys), np.int64)},
+        steps=(vp.Step("katz", lambda k, deg: k + scale, np.add, apply),),
+        rounds=iters,
+        output=lambda hosts, s: pa.table(
+            {"host": hosts, "katz_micros": pa.array(s["katz"], pa.int64())}
+        ),
     )
+    return vp.run(edges, prog, driver_max_edges)[0]

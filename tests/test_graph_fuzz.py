@@ -13,15 +13,26 @@ from hypothesis import given, settings, strategies as st
 
 _HOSTS = [f"h{i}.com" for i in range(12)]
 
+# graph-kernel tiers: keyword arguments that force each one.  Every
+# graph has far fewer hosts than the sharded tier's 32 shards, so most
+# shards are empty there.
+_TIERS = {
+    "local": {},
+    "broadcast": {"driver_max_edges": 0},
+    "sharded": {"driver_max_edges": 0, "shard_min_edges": 0},
+}
+
 
 @st.composite
 def _graph_pages(draw):
+    # a small host pool makes one-edge and two-host graphs common
+    pool = _HOSTS[: draw(st.integers(2, len(_HOSTS)))]
     n = draw(st.integers(1, 10))
     rows = []
     for _ in range(n):
-        src = draw(st.sampled_from(_HOSTS))
+        src = draw(st.sampled_from(pool))
         links = [
-            f"https://{draw(st.sampled_from(_HOSTS))}/p{draw(st.integers(0, 3))}"
+            f"https://{draw(st.sampled_from(pool))}/p{draw(st.integers(0, 3))}"
             for _ in range(draw(st.integers(0, 5)))
         ]
         rows.append((src, links))
@@ -87,8 +98,8 @@ def test_components_match_bfs(ray_session, rows):
 
 
 @settings(max_examples=10, deadline=None)
-@given(_graph_pages(), st.integers(1, 3))
-def test_pagerank_matches_dense_reference(ray_session, rows, iters):
+@given(_graph_pages(), st.integers(1, 3), st.sampled_from(sorted(_TIERS)))
+def test_pagerank_matches_dense_reference(ray_session, rows, iters, tier):
     import ray.data
 
     from crawler_ai_ray.stages.linkgraph import host_edges, pagerank_hosts
@@ -118,7 +129,7 @@ def test_pagerank_matches_dense_reference(ray_session, rows, iters):
     got = pagerank_hosts(
         host_edges(ray.data.from_arrow(tbl), num_buckets=4),
         iters=iters,
-        num_buckets=4,
+        **_TIERS[tier],
     ).to_pydict()
     assert dict(zip(got["host"], got["rank_micros"])) == rank
 
@@ -358,8 +369,8 @@ def test_knn_graph_matches_naive_with_ties(ray_session, vals, k):
 
 
 @settings(max_examples=10, deadline=None)
-@given(_graph_pages(), st.integers(1, 3))
-def test_hits_matches_dense_reference(ray_session, rows, iters):
+@given(_graph_pages(), st.integers(1, 3), st.sampled_from(["local", "broadcast"]))
+def test_hits_matches_dense_reference(ray_session, rows, iters, tier):
     import ray.data
 
     from crawler_ai_ray.stages.linkgraph import hits_hosts, host_edges
@@ -392,7 +403,9 @@ def test_hits_matches_dense_reference(ray_session, rows, iters):
         }
     )
     got = hits_hosts(
-        host_edges(ray.data.from_arrow(tbl), num_buckets=4), iters=iters
+        host_edges(ray.data.from_arrow(tbl), num_buckets=4),
+        iters=iters,
+        **_TIERS[tier],
     ).to_pydict()
     assert dict(zip(got["host"], got["auth_micros"])) == auth
     assert dict(zip(got["host"], got["hub_micros"])) == hub
@@ -698,10 +711,10 @@ def test_cms_matches_sequential_sketch(ray_session, uids, probe_mod):
 
 
 @settings(max_examples=10, deadline=None)
-@given(_graph_pages(), st.integers(1, 3), st.booleans())
-def test_opic_matches_dict_reference(ray_session, rows, iters, force):
+@given(_graph_pages(), st.integers(1, 3), st.sampled_from(["local", "broadcast"]))
+def test_opic_matches_dict_reference(ray_session, rows, iters, tier):
     """OPIC (cash exchange + virtual-page recycle + history) vs a
-    sequential dict reference; forced broadcast tier included."""
+    sequential dict reference, on both of its tiers."""
     import ray.data
 
     from crawler_ai_ray.stages.linkgraph import host_edges, opic_hosts
@@ -736,15 +749,15 @@ def test_opic_matches_dict_reference(ray_session, rows, iters, force):
     got = opic_hosts(
         host_edges(ray.data.from_arrow(tbl), num_buckets=4),
         iters=iters,
-        driver_max_edges=0 if force else 5_000_000,
+        **_TIERS[tier],
     ).to_pydict()
     assert dict(zip(got["host"], got["hist_micros"])) == hist
     assert dict(zip(got["host"], got["cash_micros"])) == cash
 
 
 @settings(max_examples=10, deadline=None)
-@given(_graph_pages(), st.integers(0, 11))
-def test_trustrank_matches_dict_reference(ray_session, rows, seed_i):
+@given(_graph_pages(), st.integers(0, 11), st.sampled_from(sorted(_TIERS)))
+def test_trustrank_matches_dict_reference(ray_session, rows, seed_i, tier):
     """TrustRank/spam-mass: trust equals the PPR dict recurrence,
     spam mass is the clamped division, out-of-graph seeds ignored."""
     import ray.data
@@ -788,7 +801,9 @@ def test_trustrank_matches_dict_reference(ray_session, rows, seed_i):
         }
     )
     got = trustrank_hosts(
-        host_edges(ray.data.from_arrow(tbl), num_buckets=4), seeds
+        host_edges(ray.data.from_arrow(tbl), num_buckets=4),
+        seeds,
+        **_TIERS[tier],
     ).to_pydict()
     for i, h in enumerate(got["host"]):
         assert got["rank_micros"][i] == g[h]
@@ -797,6 +812,50 @@ def test_trustrank_matches_dict_reference(ray_session, rows, seed_i):
             got["spam_mass_micros"][i]
             == max(g[h] - t[h], 0) * 10**6 // g[h]
         )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _graph_pages(),
+    st.integers(0, 11),
+    st.integers(1, 4),
+    st.sampled_from(sorted(_TIERS)),
+)
+def test_bfs_matches_dict_reference(ray_session, rows, seed_i, max_hops, tier):
+    """Multi-source BFS vs a breadth-first dict reference on every
+    tier: unreached hosts (a non-seed host with no in-edges among
+    them) and hosts past the hop cap are dropped, out-of-graph seeds
+    ignored."""
+    import ray.data
+
+    from crawler_ai_ray.stages.linkgraph import bfs_hosts, host_edges
+
+    es = sorted(_edges_ref(rows))
+    if not es:
+        return
+    hosts = {a for a, _ in es} | {b for _, b in es}
+    seeds = [_HOSTS[seed_i], "zz-out-of-graph.net"]
+    want = {h: 0 for h in seeds if h in hosts}
+    frontier = set(want)
+    for d in range(1, max_hops + 1):
+        frontier = {b for a, b in es if a in frontier and b not in want}
+        want.update(dict.fromkeys(frontier, d))
+
+    tbl = pa.table(
+        {
+            "host": pa.array([r[0] for r in rows], pa.string()),
+            "out_links": pa.array(
+                [r[1] for r in rows], pa.list_(pa.string())
+            ),
+        }
+    )
+    got = bfs_hosts(
+        host_edges(ray.data.from_arrow(tbl), num_buckets=4),
+        seeds,
+        max_hops=max_hops,
+        **_TIERS[tier],
+    ).to_pydict()
+    assert dict(zip(got["host"], got["dist"])) == want
 
 
 @settings(max_examples=12, deadline=None)

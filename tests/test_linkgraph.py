@@ -115,9 +115,7 @@ def test_components_partition_invariant(ray_session):
         .sort_values("host", ignore_index=True)
     )
     b = (
-        connected_components(
-            host_edges(ex.repartition(7), num_buckets=16), num_buckets=8
-        )
+        connected_components(host_edges(ex.repartition(7), num_buckets=16))
         .to_pandas()
         .sort_values("host", ignore_index=True)
     )
@@ -150,7 +148,6 @@ def test_pagerank_partition_and_bucket_invariant(ray_session):
         pagerank_hosts(
             host_edges(ex.repartition(5), num_buckets=16),
             iters=3,
-            num_buckets=8,
         )
         .to_pandas()
         .sort_values("host", ignore_index=True)
@@ -1570,3 +1567,48 @@ def test_katz_hand_computed_and_path_agreement(ray_session):
             "b.com": 240_000,
             "c.com": 480_000,
         }, dmax
+
+
+def test_katz_int64_bound_raises_and_just_under_matches(ray_session):
+    """The complete 20-host graph grows truncated Katz by ~19× per
+    iteration.  With α_ppm = 10⁶ the iteration-6 in-sum already exceeds
+    (2**63-1) // α_ppm, where ``α_ppm · sum`` would wrap int64 (the
+    DuckDB oracle promotes to HUGEINT instead): both tiers must raise.
+    α_ppm = 753 038 keeps the iteration-6 in-sum 1e-7 under that bound;
+    both tiers must then match an unbounded Python-int reference."""
+    import pytest
+    import ray.data
+
+    from crawler_ai_ray.stages.linkgraph import host_edges, katz_hosts
+
+    hosts = [f"k{i}.com" for i in range(20)]
+    edges = host_edges(
+        ray.data.from_arrow(
+            pa.table(
+                {
+                    "host": pa.array(hosts, pa.string()),
+                    "out_links": pa.array(
+                        [[f"https://{d}/" for d in hosts if d != h] for h in hosts],
+                        pa.list_(pa.string()),
+                    ),
+                }
+            )
+        )
+    ).materialize()
+
+    def ref(alpha_ppm, iters, scale=1_000_000):
+        k = dict.fromkeys(hosts, 0)
+        for _ in range(iters):
+            raw = {v: sum(scale + k[u] for u in hosts if u != v) for v in hosts}
+            k = {v: alpha_ppm * raw[v] // 1_000_000 for v in hosts}
+        return k
+
+    bound = (2**63 - 1) // 753_038
+    assert bound > 19 * (1_000_000 + ref(753_038, 5)["k0.com"]) > bound * 0.999
+    for dmax in (5_000_000, 0):
+        with pytest.raises(OverflowError, match=str((2**63 - 1) // 1_000_000)):
+            katz_hosts(edges, iters=8, alpha_ppm=1_000_000, driver_max_edges=dmax)
+        got = katz_hosts(
+            edges, iters=6, alpha_ppm=753_038, driver_max_edges=dmax
+        ).to_pydict()
+        assert dict(zip(got["host"], got["katz_micros"])) == ref(753_038, 6), dmax

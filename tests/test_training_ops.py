@@ -4511,3 +4511,45 @@ def test_late_arrivals_fuzz_vs_duckdb(ray_session):
     )
     assert got == want
     assert any(got["late"])  # fuzz actually produced late events
+
+
+def test_late_arrivals_statsless_reordered_parquet(ray_session, tmp_path):
+    """events.parquet with ``ts`` as the first column, once with and
+    once without row-group statistics: the id column is found by name
+    (its max from the footer, or from one read when statistics are
+    missing), so each run equals the normal one and the range buckets
+    stay within ``num_buckets``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq_
+    import ray
+
+    from crawler_ai_ray.pipelines.relational import (
+        _event_id_span,
+        events_late_arrivals,
+    )
+
+    sf = SF
+    tbl = pq_.read_table(f"{sf}/events.parquet")
+    cols = ["ts"] + [c for c in tbl.column_names if c != "ts"]
+
+    def run(d):
+        out = events_late_arrivals(d, num_buckets=32)
+        return pa.concat_tables(
+            [b for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+        ).sort_by([("event_id", "ascending")])
+
+    want = run(sf)
+    span = _event_id_span(f"{sf}/events.parquet", 32)
+    assert pa.compute.max(tbl["event_id"]).as_py() // span < 32
+    for stats in (False, True):
+        d = tmp_path / f"stats_{stats}"
+        d.mkdir()
+        pq_.write_table(
+            tbl.select(cols), d / "events.parquet",
+            write_statistics=stats, row_group_size=256,
+        )
+        meta = pq_.ParquetFile(d / "events.parquet").metadata
+        assert meta.num_row_groups > 1
+        assert (meta.row_group(0).column(0).statistics is None) != stats
+        assert _event_id_span(str(d / "events.parquet"), 32) == span
+        assert run(str(d)).equals(want)
