@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import exchange
+
 __all__ = [
     "q1_pricing_summary",
     "top_customers",
@@ -221,8 +223,7 @@ def q1_pricing_summary(sf_dir: str, cutoff: str = "2001-09-01"):
 # top-k customers by revenue: pre-aggregate → broadcast join → sort/limit
 # ---------------------------------------------------------------------------
 
-def top_customers(sf_dir: str, k: int = 10, num_buckets: int = 32,
-                  driver_finish_max: int = 2_000_000):
+def top_customers(sf_dir: str, k: int = 10, num_buckets: int = 32):
     """→ (c_custkey, c_name, c_mktsegment, n_orders, revenue_cents),
     top-k by revenue.
 
@@ -242,7 +243,6 @@ def top_customers(sf_dir: str, k: int = 10, num_buckets: int = 32,
     import ray.data
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    pow2 = num_buckets & (num_buckets - 1) == 0
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -254,18 +254,9 @@ def top_customers(sf_dir: str, k: int = 10, num_buckets: int = 32,
         agg = t.group_by("o_custkey").aggregate(
             [("price_cents", "sum"), ("price_cents", "count")]
         )
-        ck = pc.cast(agg["o_custkey"], pa.uint64())
-        bucket = pc.cast(
-            pc.bit_wise_and(ck, num_buckets - 1)
-            if pow2
-            else pc.subtract(
-                ck, pc.multiply(pc.divide(ck, num_buckets), num_buckets)
-            ),
-            pa.int64(),
-        )
         return pa.table(
             {
-                "bucket": bucket,
+                "bucket": exchange.bucket_of(agg["o_custkey"], num_buckets),
                 "o_custkey": agg["o_custkey"],
                 "revenue_cents": agg["price_cents_sum"],
                 "n_orders": agg["price_cents_count"],
@@ -287,50 +278,27 @@ def top_customers(sf_dir: str, k: int = 10, num_buckets: int = 32,
             }
         )
 
-    pre = orders.map_batches(partial, batch_format="pyarrow").materialize()
-    # adaptive finish: the partials are per-block per-custkey rows —
-    # below ~2M of them one driver Arrow hash-agg + sort replaces the
-    # bucket shuffle (same exact result; a custkey's partials all
-    # reach the same hash-agg either way); above, the bucketed
-    # shuffle + per-bucket exact top-k path bounds driver memory
-    if pre.count() <= driver_finish_max:
-        parts = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        merged = pa.concat_tables(parts) if parts else partial(
-            pa.table(
-                {
-                    "o_custkey": pa.array([], pa.int64()),
-                    "o_totalprice": pa.array([], pa.float64()),
-                }
-            )
-        )
-        agg = merged.group_by("o_custkey").aggregate(
-            [("revenue_cents", "sum"), ("n_orders", "sum")]
-        )
-        cand_blocks = [
-            pa.table(
-                {
-                    "c_custkey": agg["o_custkey"],
-                    "n_orders": agg["n_orders_sum"],
-                    "revenue_cents": agg["revenue_cents_sum"],
-                }
-            )
-        ]
-    else:
-        cand_blocks = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(bucket_topk, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
+    # adaptive finish (exchange.bucket_finish): the partials are
+    # per-block per-custkey rows — few enough, one driver Arrow
+    # hash-agg + top-k replaces the bucket shuffle (same exact result;
+    # a custkey's partials all reach the same hash-agg either way);
+    # above, the per-bucket exact top-k path bounds driver memory
+    cands = exchange.bucket_finish(
+        orders.map_batches(partial, batch_format="pyarrow"),
+        bucket_topk,
+        pa.schema(
+            [
+                ("c_custkey", pa.int64()),
+                ("n_orders", pa.int64()),
+                ("revenue_cents", pa.int64()),
+            ]
+        ),
+    )
     # ≤ num_buckets × k candidate rows by construction — the global
     # top-k is a driver-side Arrow sort (a Ray Dataset.sort here pays
     # ~3.5 s of sample/shuffle fixed cost to order 320 rows)
     winners = (
-        pa.concat_tables(cand_blocks)
-        .sort_by(
+        cands.sort_by(
             [("revenue_cents", "descending"), ("c_custkey", "ascending")]
         )
         .slice(0, k)
@@ -549,17 +517,8 @@ def hash_bucket_join(left, right, on: str, num_buckets: int = 32,
 
     def tag(side_flag, own_cols):
         def fn(batch: pa.Table) -> pa.Table:
-            key = pc.cast(batch[on], pa.uint64())
             cols = {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(key, num_buckets - 1)
-                    if num_buckets & (num_buckets - 1) == 0
-                    else pc.subtract(
-                        key,
-                        pc.multiply(pc.divide(key, num_buckets), num_buckets),
-                    ),
-                    pa.int64(),
-                ),
+                "bucket": exchange.bucket_of(batch[on], num_buckets),
                 on: batch[on],
                 "side": pa.array([side_flag] * batch.num_rows, pa.int8()),
             }
@@ -1371,7 +1330,6 @@ def q18_big_orders(
     sf_dir: str,
     threshold_centi: int = 30_000,
     num_buckets: int = 32,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q18 shape — "large volume" orders: every order whose total
     lineitem quantity exceeds the threshold, with its customer name
@@ -1424,21 +1382,11 @@ def q18_big_orders(
     # adaptive finish: partials are per-batch-distinct orderkeys — when
     # that measures small (free block-metadata count) the HAVING sweep
     # is one driver Arrow pass; the bucketed shuffle is the big branch
-    pre = li.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        big = [bucket_having(pa.concat_tables(blocks))] if blocks else []
-        big = [t for t in big if t.num_rows]
-    else:
-        big = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(bucket_having, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
+    big_tbl = exchange.bucket_finish(
+        li.map_batches(partials, batch_format="pyarrow"),
+        bucket_having,
+        pa.schema([("o_orderkey", pa.int64()), ("sum_qty_centi", pa.int64())]),
+    )
     empty = pa.table(
         {
             "c_name": pa.array([], pa.string()),
@@ -1449,9 +1397,8 @@ def q18_big_orders(
             "sum_qty_centi": pa.array([], pa.int64()),
         }
     )
-    if not big:
+    if big_tbl.num_rows == 0:
         return empty
-    big_tbl = pa.concat_tables(big)
     okeys = np.sort(big_tbl["o_orderkey"].to_numpy(zero_copy_only=False))
     ok_ref = ray.put(okeys)
 
@@ -1556,7 +1503,6 @@ def q13_customer_distribution(
     sf_dir: str,
     priority: str = "1-URGENT",
     num_buckets: int = 32,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q13 shape — customer order-count distribution:
     → (c_count, custdist) where ``c_count`` = number of *matching*
@@ -1574,16 +1520,15 @@ def q13_customer_distribution(
 
     1. orders → per-batch filter + partial counts per custkey
        (distributive combiner: repeats collapse before any exchange);
-    2. adaptive finish (see `events_daily_active`): below ~2M partial
-       rows ONE driver Arrow hash-agg; above, a ``custkey %
-       num_buckets`` shuffle where each bucket emits its HISTOGRAM
-       partials (≤ max_count rows per bucket — the second groupby
-       never re-shuffles at customer width);
+    2. adaptive finish (``exchange.bucket_finish``): up to
+       ``exchange.DRIVER_FINISH_MAX`` partial rows ONE driver Arrow
+       hash-agg; above, a ``custkey % num_buckets`` shuffle where each
+       bucket emits its HISTOGRAM partials (≤ max_count rows per
+       bucket — the second groupby never re-shuffles at customer
+       width);
     3. histogram partials merge driver-side; the 0-bucket is appended
        arithmetically.
     """
-    import ray
-
     import pyarrow.parquet as pq
 
     total_customers = pq.read_metadata(
@@ -1617,34 +1562,13 @@ def q13_customer_distribution(
             }
         )
 
-    pre = ords.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        parts = [hist_of(pa.concat_tables(blocks))] if blocks else []
-    else:
-        parts = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(
-                    lambda g: hist_of(g.select(["o_custkey", "n"])),
-                    batch_format="pyarrow",
-                )
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    if parts:
-        h = (
-            pa.concat_tables(parts)
-            .group_by("c_count")
-            .aggregate([("custdist", "sum")])
-        )
-        c_count = h["c_count"].to_numpy(zero_copy_only=False)
-        custdist = h["custdist_sum"].to_numpy(zero_copy_only=False)
-    else:
-        c_count = np.array([], dtype=np.int64)
-        custdist = np.array([], dtype=np.int64)
+    h = exchange.bucket_finish(
+        ords.map_batches(partials, batch_format="pyarrow"),
+        hist_of,
+        pa.schema([("c_count", pa.int64()), ("custdist", pa.int64())]),
+    ).group_by("c_count").aggregate([("custdist", "sum")])
+    c_count = h["c_count"].to_numpy(zero_copy_only=False)
+    custdist = h["custdist_sum"].to_numpy(zero_copy_only=False)
     n_zero = total_customers - int(custdist.sum())
     if n_zero > 0:
         c_count = np.append(c_count, 0)
@@ -1803,15 +1727,15 @@ def q15_top_supplier(
     date_lo: str = "1997-01-01",
     date_hi: str = "1997-04-01",
     num_buckets: int = 32,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q15 shape — top supplier(s) by quarterly revenue: the
     ARGMAX-WITH-TIES composition (a correlated ``= (SELECT max(...))``
     subquery in SQL) → (s_suppkey, s_name, total_revenue_cents).
 
     Max-selection distributes without a second pass: per-batch revenue
-    partials per suppkey (combiner), then either the driver finish
-    (below ~2M partial rows: one Arrow hash-agg + max scan) or a
+    partials per suppkey (combiner), then either the driver finish (up
+    to ``exchange.DRIVER_FINISH_MAX`` partial rows: one Arrow hash-agg
+    + max scan) or a
     suppkey-bucketed shuffle where each bucket — holding its suppliers'
     EXACT totals — emits only rows equal to its LOCAL max: the global
     max is the max of bucket maxima, so winners are guaranteed to be
@@ -1874,28 +1798,15 @@ def q15_top_supplier(
             "total_revenue_cents": pa.array([], pa.int64()),
         }
     )
-    pre = li.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        cand = (
-            [bucket_max_rows(pa.concat_tables(blocks))] if blocks else []
-        )
-    else:
-        cand = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(
-                    lambda g: bucket_max_rows(g.select(["s_suppkey", "rc"])),
-                    batch_format="pyarrow",
-                )
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    if not cand:
+    cand_tbl = exchange.bucket_finish(
+        li.map_batches(partials, batch_format="pyarrow"),
+        bucket_max_rows,
+        pa.schema(
+            [("s_suppkey", pa.int64()), ("total_revenue_cents", pa.int64())]
+        ),
+    )
+    if cand_tbl.num_rows == 0:
         return empty
-    cand_tbl = pa.concat_tables(cand)
     gmax = pc.max(cand_tbl["total_revenue_cents"])
     winners = cand_tbl.filter(
         pc.equal(cand_tbl["total_revenue_cents"], gmax)
@@ -2146,9 +2057,10 @@ def events_hourly(sf_dir: str):
 
     pre = ev.map_batches(partial, batch_format="pyarrow").materialize()
     # adaptive finish: partial volume is blocks × (windows × types) —
-    # combiner-sized for any realistic span; driver Arrow hash-agg
-    # under ~2M partial rows, the Ray groupby shuffle beyond
-    if pre.count() <= 2_000_000:
+    # combiner-sized for any realistic span; driver Arrow hash-agg up
+    # to exchange.DRIVER_FINISH_MAX partial rows, the Ray groupby
+    # shuffle beyond
+    if pre.count() <= exchange.DRIVER_FINISH_MAX:
         parts = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
         if not parts:
             return pa.table(
@@ -2189,7 +2101,6 @@ def events_hourly(sf_dir: str):
 def events_daily_active(
     sf_dir: str,
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """→ (day, n_active): EXACT daily count-distinct users — the
     canonical big-data distinct aggregation, done as two-level
@@ -2201,13 +2112,12 @@ def events_daily_active(
        exact), each bucket emitting per-day partial counts;
     3. ≤ buckets × days partial rows roll up driver-side.
 
-    Adaptive finish: the shuffled volume is DISTINCT (day, user) pairs
-    — users × active-days, far below raw events for any realistic
-    corpus.  When the materialized pre-distinct measures ≤ ~2M rows
-    (block-metadata count, free), one driver-side Arrow hash-distinct
-    replaces the bucketed shuffle; the bucketed path stays as the
-    above-threshold branch."""
-    import ray
+    Adaptive finish (``exchange.bucket_finish``): the shuffled volume
+    is DISTINCT (day, user) pairs — users × active-days, far below raw
+    events for any realistic corpus.  When the materialized
+    pre-distinct measures ≤ ``exchange.DRIVER_FINISH_MAX`` rows
+    (block-metadata count, free), one driver-side pass of the same
+    per-bucket kernel replaces the bucketed shuffle."""
 
     ev = _read(sf_dir, "events", columns=["ts", "user_id"])
 
@@ -2232,41 +2142,12 @@ def events_daily_active(
             {"day": agg["day"], "n_part": agg["user_id_count"]}
         )
 
-    pre = ev.map_batches(pairs, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        pair_blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not pair_blocks:
-            parts = []
-        else:
-            g = (
-                pa.concat_tables(pair_blocks)
-                .group_by(["day", "user_id"])
-                .aggregate([])
-            )
-            agg = g.group_by("day").aggregate([("user_id", "count")])
-            parts = [
-                pa.table({"day": agg["day"], "n_part": agg["user_id_count"]})
-            ]
-    else:
-        parts = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(bucket_counts, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    if not parts:
-        return pa.table(
-            {
-                "day": pa.array([], pa.timestamp("us")),
-                "n_active": pa.array([], pa.int64()),
-            }
-        )
-    agg = (
-        pa.concat_tables(parts).group_by("day").aggregate([("n_part", "sum")])
+    parts = exchange.bucket_finish(
+        ev.map_batches(pairs, batch_format="pyarrow"),
+        bucket_counts,
+        pa.schema([("day", pa.timestamp("us")), ("n_part", pa.int64())]),
     )
+    agg = parts.group_by("day").aggregate([("n_part", "sum")])
     return pa.table(
         {
             "day": pc.cast(agg["day"], pa.timestamp("us")),
@@ -2340,7 +2221,6 @@ def events_no_purchase_users(sf_dir: str, num_buckets: int = 32):
 def events_retention(
     sf_dir: str,
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """→ (cohort_day, day_offset, n_users): classic cohort retention —
     each user is cohorted by their FIRST active day, then counted once
@@ -2359,11 +2239,10 @@ def events_retention(
        partition across buckets, so partial counts SUM;
     3. ≤ buckets × cohorts × offsets partial rows roll up driver-side.
 
-    Adaptive finish: when the materialized pre-distinct measures
-    ≤ ~2M rows (block-metadata count, free), one driver-side Arrow
-    pass replaces the bucketed shuffle; the bucketed path stays as
-    the above-threshold branch."""
-    import ray
+    Adaptive finish (``exchange.bucket_finish``): when the
+    materialized pre-distinct measures ≤ ``exchange.DRIVER_FINISH_MAX``
+    rows (block-metadata count, free), one driver-side Arrow pass
+    replaces the bucketed shuffle."""
 
     ev = _read(sf_dir, "events", columns=["ts", "user_id"])
 
@@ -2396,33 +2275,17 @@ def events_retention(
         )
         return agg.rename_columns(["cohort_day", "day_offset", "n_part"])
 
-    pre = ev.map_batches(pairs, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        parts = [cohort_counts(pa.concat_tables(blocks))] if blocks else []
-    else:
-        parts = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(cohort_counts, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    if not parts:
-        return pa.table(
-            {
-                "cohort_day": pa.array([], pa.timestamp("us")),
-                "day_offset": pa.array([], pa.int64()),
-                "n_users": pa.array([], pa.int64()),
-            }
-        )
-    agg = (
-        pa.concat_tables(parts)
-        .group_by(["cohort_day", "day_offset"])
-        .aggregate([("n_part", "sum")])
-    )
+    agg = exchange.bucket_finish(
+        ev.map_batches(pairs, batch_format="pyarrow"),
+        cohort_counts,
+        pa.schema(
+            [
+                ("cohort_day", pa.int64()),
+                ("day_offset", pa.int64()),
+                ("n_part", pa.int64()),
+            ]
+        ),
+    ).group_by(["cohort_day", "day_offset"]).aggregate([("n_part", "sum")])
     return pa.table(
         {
             "cohort_day": pc.cast(
@@ -2588,8 +2451,9 @@ def events_hopping(sf_dir: str, size_minutes: int = 60,
 
     pre = ev.map_batches(window, batch_format="pyarrow").materialize()
     # adaptive finish (same rule as events_hourly): combiner partials
-    # finish driver-side under ~2M rows, Ray groupby beyond
-    if pre.count() <= 2_000_000:
+    # finish driver-side up to exchange.DRIVER_FINISH_MAX rows, Ray
+    # groupby beyond
+    if pre.count() <= exchange.DRIVER_FINISH_MAX:
         parts = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
         if not parts:
             return pa.table(
@@ -2700,7 +2564,6 @@ def events_top_user_per_day(sf_dir: str, num_buckets: int = 64):
     import ray
 
     ev = _read(sf_dir, "events", columns=["ts", "user_id", "value"])
-    pow2 = num_buckets & (num_buckets - 1) == 0
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -2713,20 +2576,12 @@ def events_top_user_per_day(sf_dir: str, num_buckets: int = 64):
             }
         )
         agg = t.group_by(["day_us", "user_id"]).aggregate([("v", "sum")])
-        uid = pc.cast(agg["user_id"], pa.uint64())
-        bucket = (
-            pc.bit_wise_and(uid, num_buckets - 1)
-            if pow2
-            else pc.subtract(
-                uid, pc.multiply(pc.divide(uid, num_buckets), num_buckets)
-            )
-        )
         return pa.table(
             {
                 "day_us": agg["day_us"],
                 "user_id": agg["user_id"],
                 "v": agg["v_sum"],
-                "bucket": pc.cast(bucket, pa.int64()),
+                "bucket": exchange.bucket_of(agg["user_id"], num_buckets),
             }
         )
 
@@ -2806,10 +2661,8 @@ def events_funnel(sf_dir: str, num_buckets: int = 64):
     bucket one vectorized sweep per stage computes first-view,
     first-click-after, first-purchase-after; three integers per
     bucket roll up driver-side."""
-    import ray
 
     ev = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-    pow2 = num_buckets & (num_buckets - 1) == 0
 
     def prep(batch: pa.Table) -> pa.Table:
         rows = []
@@ -2842,15 +2695,9 @@ def events_funnel(sf_dir: str, num_buckets: int = 64):
         # depends on earlier stages' global mins, so local mins could
         # discard the true earliest-after candidate — all funnel-typed
         # rows ship (already a skinny 3-ints/event projection)
-        uid = pc.cast(t["user_id"], pa.uint64())
-        bucket = (
-            pc.bit_wise_and(uid, num_buckets - 1)
-            if pow2
-            else pc.subtract(
-                uid, pc.multiply(pc.divide(uid, num_buckets), num_buckets)
-            )
+        return t.append_column(
+            "bucket", exchange.bucket_of(t["user_id"], num_buckets)
         )
-        return t.append_column("bucket", pc.cast(bucket, pa.int64()))
 
     def bucket_funnel(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2884,34 +2731,20 @@ def events_funnel(sf_dir: str, num_buckets: int = 64):
             }
         )
 
-    pre = ev.map_batches(prep, batch_format="pyarrow").materialize()
-    # adaptive finish (exact either way): below ~2M projected rows a
-    # bucketed Ray shuffle moves a tiny candidate set — sweep driver-
-    # side in one call instead (same house rule as host_edges)
-    if pre.count() <= 2_000_000:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        parts = (
-            [bucket_funnel(pa.concat_tables(blocks))] if blocks else []
-        )
-    else:
-        parts = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(bucket_funnel, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    if not parts:
-        return pa.table(
-            {
-                "n_view": pa.array([0], pa.int64()),
-                "n_view_click": pa.array([0], pa.int64()),
-                "n_view_click_purchase": pa.array([0], pa.int64()),
-            }
-        )
-    cat = pa.concat_tables(parts)
+    # adaptive finish (exact either way): a small projected-row set
+    # sweeps driver-side in one call instead of a bucketed shuffle
+    # (same house rule as host_edges)
+    cat = exchange.bucket_finish(
+        ev.map_batches(prep, batch_format="pyarrow"),
+        bucket_funnel,
+        pa.schema(
+            [
+                ("n_view", pa.int64()),
+                ("n_view_click", pa.int64()),
+                ("n_view_click_purchase", pa.int64()),
+            ]
+        ),
+    )
     return pa.table(
         {
             "n_view": pa.array(
@@ -2941,22 +2774,8 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30,
     starts where the user changes OR the gap exceeds the threshold;
     ``np.flatnonzero`` turns the boundary mask into per-session slice
     indices (no per-session masking loop)."""
-    import ray.data
-
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = gap_minutes * 60 * 1_000_000
-
-    def tag(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.uint64())
-        if num_buckets & (num_buckets - 1) == 0:
-            bucket = pc.bit_wise_and(uid, num_buckets - 1)
-        else:
-            bucket = pc.subtract(
-                uid, pc.multiply(pc.divide(uid, num_buckets), num_buckets)
-            )
-        return batch.append_column(
-            "bucket", pc.cast(bucket, pa.int64())
-        )
 
     def sessions_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2997,10 +2816,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30,
             }
         )
 
-    return (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessions_bucket, batch_format="pyarrow")
+    return exchange.bucketed_agg(
+        ev,
+        "user_id",
+        sessions_bucket,
+        pa.schema([("user_id", pa.int64()), ("ts", pa.timestamp("us"))]),
+        num_buckets=num_buckets,
     )
 
 
@@ -3023,18 +2844,9 @@ def _events_sides(sf_dir: str, left_type: str, right_type: str,
         batch = batch.filter(
             pc.is_in(batch["event_type"], pa.array([left_type, right_type]))
         )
-        uid = pc.cast(batch["user_id"], pa.uint64())
-        bucket = pc.cast(
-            pc.bit_wise_and(uid, num_buckets - 1)
-            if num_buckets & (num_buckets - 1) == 0
-            else pc.subtract(
-                uid, pc.multiply(pc.divide(uid, num_buckets), num_buckets)
-            ),
-            pa.int64(),
-        )
         return pa.table(
             {
-                "bucket": bucket,
+                "bucket": exchange.bucket_of(batch["user_id"], num_buckets),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts": batch["ts"],
@@ -3210,7 +3022,6 @@ def events_range_join(sf_dir: str, window_minutes: int = 60,
 def events_rollup(
     sf_dir: str,
     num_buckets: int = 32,
-    driver_finish_max: int = 2_000_000,
 ):
     """GROUP BY ROLLUP(event_type, day) — the grouping-sets aggregate:
     one result with THREE granularities (per type-day, per type, grand
@@ -3225,7 +3036,6 @@ def events_rollup(
     follows `events_daily_active` (the shuffle is keyed on the
     type-day pair's hash so a hot type still spreads across days).
     """
-    import ray
 
     ev = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
@@ -3278,52 +3088,20 @@ def events_rollup(
             }
         )
 
-    pre = ev.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        fine = (
-            finest_of(pa.concat_tables(blocks))
-            if blocks
-            else pa.table(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "day": pa.array([], pa.timestamp("us")),
-                    "vc": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        )
-    else:
-        parts = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(
-                    lambda g: finest_of(
-                        g.select(["event_type", "day", "vc", "n"])
-                    ),
-                    batch_format="pyarrow",
-                )
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        # bucket key == group key pair, so partials are already final;
-        # concat (not re-agg) is exact
-        fine = (
-            pa.concat_tables(parts)
-            if parts
-            else finest_of(
-                pa.table(
-                    {
-                        "event_type": pa.array([], pa.string()),
-                        "day": pa.array([], pa.timestamp("us")),
-                        "vc": pa.array([], pa.int64()),
-                        "n": pa.array([], pa.int64()),
-                    }
-                )
-            )
-        )
+    # bucket key == group key pair, so per-bucket outputs are already
+    # final; concat (not re-agg) is exact
+    fine = exchange.bucket_finish(
+        ev.map_batches(partials, batch_format="pyarrow"),
+        finest_of,
+        pa.schema(
+            [
+                ("event_type", pa.string()),
+                ("day", pa.timestamp("us")),
+                ("vc", pa.int64()),
+                ("n", pa.int64()),
+            ]
+        ),
+    )
 
     by_type = fine.group_by("event_type").aggregate(
         [("vc", "sum"), ("n", "sum")]
@@ -3778,7 +3556,6 @@ def events_transitions(sf_dir: str, num_buckets: int = 64):
 def q16_supplier_variety(
     sf_dir: str,
     num_buckets: int = 32,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q16 shape — parts/supplier relationship variety: how many
     DISTINCT (non-blacklisted) suppliers ship each (brand, type, size)
@@ -3799,7 +3576,8 @@ def q16_supplier_variety(
        by SUPPKEY (the `events_daily_active` pattern: a supplier's
        rows co-locate, so per-bucket distinct is globally exact and
        per-class bucket counts SUM exactly because a (class, supp)
-       pair lives in one bucket); driver finish below ~2M rows.
+       pair lives in one bucket); driver finish up to
+       ``exchange.DRIVER_FINISH_MAX`` rows.
     """
     import ray
 
@@ -3877,53 +3655,34 @@ def q16_supplier_variety(
             }
         )
 
-    pre = li.map_batches(pairs, batch_format="pyarrow").materialize()
-    empty = pa.table(
+    # suppkey-bucketed: per-bucket distinct (class, suppkey) is
+    # globally exact (a supplier lives in one bucket) and the per-class
+    # partial counts SUM exactly across buckets
+    parts = exchange.bucket_finish(
+        li.map_batches(pairs, batch_format="pyarrow"),
+        finish,
+        pa.schema(
+            [
+                ("p_brand", pa.string()),
+                ("p_type", pa.string()),
+                ("p_size", pa.int32()),
+                ("supplier_cnt", pa.int64()),
+            ]
+        ),
+    )
+    if parts.num_rows == 0:
+        return parts
+    agg = parts.group_by(["p_brand", "p_type", "p_size"]).aggregate(
+        [("supplier_cnt", "sum")]
+    )
+    out = pa.table(
         {
-            "p_brand": pa.array([], pa.string()),
-            "p_type": pa.array([], pa.string()),
-            "p_size": pa.array([], pa.int32()),
-            "supplier_cnt": pa.array([], pa.int64()),
+            "p_brand": agg["p_brand"],
+            "p_type": agg["p_type"],
+            "p_size": agg["p_size"],
+            "supplier_cnt": pc.cast(agg["supplier_cnt_sum"], pa.int64()),
         }
     )
-    if pre.count() <= driver_finish_max:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return empty
-        out = finish(pa.concat_tables(blocks))
-    else:
-        # suppkey-bucketed: per-bucket distinct (class, suppkey) is
-        # globally exact (a supplier lives in one bucket) and the
-        # per-class partial counts SUM exactly across buckets
-        parts_out = [
-            t
-            for t in ray.get(
-                pre.groupby("bucket")
-                .map_groups(
-                    lambda g: finish(g.drop_columns(["bucket"])),
-                    batch_format="pyarrow",
-                )
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        if not parts_out:
-            return empty
-        agg = (
-            pa.concat_tables(parts_out)
-            .group_by(["p_brand", "p_type", "p_size"])
-            .aggregate([("supplier_cnt", "sum")])
-        )
-        out = pa.table(
-            {
-                "p_brand": agg["p_brand"],
-                "p_type": agg["p_type"],
-                "p_size": agg["p_size"],
-                "supplier_cnt": pc.cast(
-                    agg["supplier_cnt_sum"], pa.int64()
-                ),
-            }
-        )
     out = out.take(
         pc.sort_indices(
             out,

@@ -7,9 +7,10 @@ the same Ray-Data plan shapes as ``relational.py``:
 * broadcast-vs-bucketed join hybrids decided from parquet metadata /
   materialized counts, with a forced-bucketed kwarg for path-agreement
   tests (``broadcast_max_keys=0``);
-* one ``hash_bucket_join`` / ``bucketed_agg`` shuffle where a real
-  all-to-all is unavoidable, with the rollup folded INTO the bucket
-  task so only partial rows leave the exchange;
+* one ``hash_bucket_join`` / ``exchange.bucket_finish`` shuffle where
+  a real all-to-all is unavoidable, with the rollup folded INTO the
+  bucket task so only partial rows leave the exchange (the finish runs
+  on the driver when the partials are few);
 * money as integer cents (``relational.cents``: floor(x*100+0.5),
   bit-identical to the DuckDB oracle), ratios as one final division.
 
@@ -38,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..stages.exchange import blocks, bucket_finish, bucket_of
 from .relational import _read, cents, hash_bucket_join
 
 HIGH_PRIO = ("1-URGENT", "2-HIGH")
@@ -106,44 +108,6 @@ def _lookup(keys: np.ndarray, q: np.ndarray):
     return keys[idc] == q, idc
 
 
-def _blocks(ds) -> list[pa.Table]:
-    import ray
-
-    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-
-
-def bucketed_agg(ds, key: str, local_fn, schema: pa.Schema,
-                 num_buckets: int = 64):
-    """Distributed groupby on an int64 key as ONE bucket shuffle:
-    ``bucket = key % num_buckets`` tag → ``groupby(bucket).map_groups``
-    with ``local_fn`` running on the complete co-located key set (the
-    high-cardinality-groupby house rule: never
-    ``groupby(key).aggregate`` at millions of groups — bucket the key
-    and sweep each bucket with Arrow locally).  ``schema`` is required
-    (static — avoids the lazy schema() limit-1 probe) and doubles as
-    the typed-empty guard for Ray's schema-less empty blocks."""
-    nb = num_buckets
-
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            b = schema.empty_table()
-        k = pc.cast(b[key], pa.uint64())
-        bucket = pc.cast(
-            pc.bit_wise_and(k, nb - 1)
-            if nb & (nb - 1) == 0
-            else pc.subtract(k, pc.multiply(pc.divide(k, nb), nb)),
-            pa.int64(),
-        )
-        return b.append_column("bucket", bucket)
-
-    def run(g: pa.Table) -> pa.Table:
-        return local_fn(g.drop_columns(["bucket"]))
-
-    return ds.map_batches(tag, batch_format="pyarrow").groupby(
-        "bucket"
-    ).map_groups(run, batch_format="pyarrow")
-
-
 def _orders_cust_nation(
     sf_dir: str,
     nat_keys: np.ndarray,
@@ -197,7 +161,7 @@ def _orders_cust_nation(
     ).num_rows
     if n_cust <= broadcast_max_keys:
         ks, vs = [], []
-        for t in _blocks(cust):
+        for t in blocks(cust):
             ks.append(
                 t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
             )
@@ -381,7 +345,7 @@ def q7_volume_shipping(
         )
 
     if tagged.count() <= broadcast_max_keys:
-        tb = _blocks(tagged)
+        tb = blocks(tagged)
         if not tb:
             parts = []
         else:
@@ -403,11 +367,11 @@ def q7_volume_shipping(
                     )
                 )
 
-            parts = _blocks(
+            parts = blocks(
                 li.map_batches(tag_cust, batch_format="pyarrow")
             )
     else:
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li,
                 tagged,
@@ -566,7 +530,7 @@ def q8_market_share(
         )
 
     if tagged.count() <= broadcast_max_keys:
-        tb = _blocks(tagged)
+        tb = blocks(tagged)
         if not tb:
             parts = []
         else:
@@ -588,11 +552,11 @@ def q8_market_share(
                     )
                 )
 
-            parts = _blocks(
+            parts = blocks(
                 li.map_batches(tag_year, batch_format="pyarrow")
             )
     else:
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li,
                 tagged.map_batches(
@@ -735,7 +699,7 @@ def q9_product_profit(
             )
             return profit_partial(kept)
 
-        parts = _blocks(li.map_batches(map_profit, batch_format="pyarrow"))
+        parts = blocks(li.map_batches(map_profit, batch_format="pyarrow"))
     else:
         import ray.data
 
@@ -750,7 +714,7 @@ def q9_product_profit(
             ),
             batch_format="pyarrow",
         )
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li.map_batches(
                     lambda b: b.select(
@@ -823,7 +787,6 @@ def q10_returned_items(
     k: int = 20,
     num_buckets: int = 32,
     broadcast_max_keys: int = 5_000_000,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q10 shape — customers ranked by revenue from lineitems
     they returned ('R') on orders placed in one quarter; top-k with
@@ -832,8 +795,8 @@ def q10_returned_items(
     Plan: quarter orders collapse to (orderkey, custkey) — broadcast
     under budget, else orderkey-bucketed join; lineitem pre-aggregates
     returned revenue per orderkey per batch; the per-customer rollup
-    is a custkey ``bucketed_agg`` whose bucket task finishes the agg
-    AND cuts to its local top-k (full agg before any cut — the
+    is a custkey-bucketed ``bucket_finish`` whose kernel finishes the
+    agg AND cuts to its local top-k (full agg before any cut — the
     broadcast-path top-k rule), so the driver merges ≤ buckets×k
     candidate rows; names attach via a predicate-pushdown read of only
     the ≤k winning keys (``top_customers`` pattern).  Tie-break:
@@ -877,15 +840,18 @@ def q10_returned_items(
     ).map_batches(li_prep, batch_format="pyarrow")
 
     def cust_partial(joined: pa.Table) -> pa.Table:
-        return (
+        agg = (
             joined.select(["o_custkey", "revenue_cents"])
             .group_by("o_custkey")
             .aggregate([("revenue_cents", "sum")])
             .rename_columns(["o_custkey", "revenue_cents"])
         )
+        return agg.append_column(
+            "bucket", bucket_of(agg["o_custkey"], num_buckets)
+        )
 
     if ords.count() <= broadcast_max_keys:
-        ob = _blocks(ords)
+        ob = blocks(ords)
         if not ob:
             per_order = None
         else:
@@ -935,10 +901,6 @@ def q10_returned_items(
     if per_order is None:
         return empty
 
-    part_schema = pa.schema(
-        [("o_custkey", pa.int64()), ("revenue_cents", pa.int64())]
-    )
-
     def topk_bucket(g: pa.Table) -> pa.Table:
         agg = (
             g.group_by("o_custkey")
@@ -960,21 +922,14 @@ def q10_returned_items(
     # already custkey-aggregated — when the materialized partial count
     # is tiny, one driver-side Arrow hash-agg beats the ~1.5-3.5 s
     # fixed cost of a Ray groupby shuffle; above the gate, the custkey
-    # bucketed_agg finishes distributed with per-bucket top-k cuts.
-    per_order = per_order.materialize()
-    if per_order.count() <= driver_finish_max:
-        blocks = _blocks(per_order)
-        cands = [topk_bucket(pa.concat_tables(blocks))] if blocks else []
-    else:
-        cands = _blocks(
-            bucketed_agg(
-                per_order, "o_custkey", topk_bucket, part_schema,
-                num_buckets=num_buckets,
-            )
-        )
-    if not cands:
+    # buckets finish distributed with per-bucket top-k cuts.
+    allc = bucket_finish(
+        per_order,
+        topk_bucket,
+        pa.schema([("o_custkey", pa.int64()), ("revenue_cents", pa.int64())]),
+    )
+    if allc.num_rows == 0:
         return empty
-    allc = pa.concat_tables(cands)
     allc = allc.take(
         pc.sort_indices(
             allc,
@@ -1022,7 +977,6 @@ def q11_important_stock(
     region: str = "EUROPE",
     fraction_ppm: int = 1000,
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q11 shape — per-part share of total "stock" value held by
     one region's suppliers, keeping parts above a global threshold.
@@ -1032,12 +986,11 @@ def q11_important_stock(
     Plan: region supplier set broadcasts; lineitem pre-aggregates
     (partkey, value) per batch; the per-part sums finish driver-side
     when the materialized partial count is tiny (adaptive finish) else
-    via ONE partkey ``bucketed_agg``; the global total is a streamed
-    per-block scalar reduce over those outputs (the driver holds
-    scalars, never the full distributed per-part table); the threshold
-    filter compares integers — ``value_cents * 1_000_000 >
-    fraction_ppm * total_cents`` — so the engine and the oracle agree
-    exactly."""
+    via ONE partkey bucket shuffle; the driver then holds one
+    (partkey, value) row per part (16 bytes each) and takes the global
+    total and the cut from it; the threshold filter compares integers
+    — ``value_cents * 1_000_000 > fraction_ppm * total_cents`` — so
+    the engine and the oracle agree exactly."""
     import ray
 
     s_nats = _region_nations(sf_dir, region)
@@ -1057,10 +1010,13 @@ def q11_important_stock(
                 ),
             }
         )
-        return (
+        agg = (
             g.group_by("p_partkey")
             .aggregate([("value_cents", "sum")])
             .rename_columns(["p_partkey", "value_cents"])
+        )
+        return agg.append_column(
+            "bucket", bucket_of(agg["p_partkey"], num_buckets)
         )
 
     li = _read(
@@ -1080,70 +1036,17 @@ def q11_important_stock(
             .rename_columns(["p_partkey", "value_cents"])
         )
 
-    partials = li.materialize()
-    if partials.count() <= driver_finish_max:
-        # adaptive finish: merged partials are per-part rows; the
-        # total, cutoff and cut all complete locally — zero shuffles
-        blocks = _blocks(partials)
-        merged = (
-            merge_bucket(pa.concat_tables(blocks))
-            if blocks
-            else schema.empty_table()
-        )
-        total = int(pc.sum(merged["value_cents"]).as_py() or 0)
-        if total == 0:
-            return schema.empty_table()
-        cutoff = (fraction_ppm * total) // 1_000_000 + 1
-        v = merged["value_cents"].to_numpy(zero_copy_only=False)
-        return merged.filter(pa.array(v >= cutoff)).sort_by(
-            [("value_cents", "descending"), ("p_partkey", "ascending")]
-        )
-    per_part = bucketed_agg(
-        partials, "p_partkey", merge_bucket, schema,
-        num_buckets=num_buckets,
-    ).materialize()
-
-    def block_total(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"t": pa.array([], pa.int64())})
-        return pa.table(
-            {"t": pa.array([pc.sum(b["value_cents"]).as_py() or 0],
-                           pa.int64())}
-        )
-
-    totals = _blocks(
-        per_part.map_batches(block_total, batch_format="pyarrow")
-    )
-    total = (
-        int(
-            pc.sum(pa.concat_tables(totals)["t"]).as_py() or 0
-        )
-        if totals
-        else 0
-    )
+    merged = bucket_finish(li, merge_bucket, schema)
+    total = int(pc.sum(merged["value_cents"]).as_py() or 0)
     if total == 0:
-        return pa.table(
-            {
-                "p_partkey": pa.array([], pa.int64()),
-                "value_cents": pa.array([], pa.int64()),
-            }
-        )
+        return schema.empty_table()
     # value*1_000_000 > fraction_ppm*total, rearranged to a single
     # int64-safe comparison: for integer value, that is exactly
     # value >= thresh//1_000_000 + 1 (python-int math on the driver —
     # no overflow; the per-row compare stays vectorized int64)
     cutoff = (fraction_ppm * total) // 1_000_000 + 1
-
-    def cut(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return schema.empty_table()
-        v = b["value_cents"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(v >= cutoff))
-
-    out = _blocks(per_part.map_batches(cut, batch_format="pyarrow"))
-    if not out:
-        return schema.empty_table()
-    return pa.concat_tables(out).sort_by(
+    v = merged["value_cents"].to_numpy(zero_copy_only=False)
+    return merged.filter(pa.array(v >= cutoff)).sort_by(
         [("value_cents", "descending"), ("p_partkey", "ascending")]
     )
 
@@ -1237,7 +1140,7 @@ def q12_late_shipments(
             )
             return status_partial(t)
 
-        parts = _blocks(li.map_batches(map_late, batch_format="pyarrow"))
+        parts = blocks(li.map_batches(map_late, batch_format="pyarrow"))
     else:
         ords_ds = _read(
             sf_dir, "orders",
@@ -1268,7 +1171,7 @@ def q12_late_shipments(
             ),
             batch_format="pyarrow",
         )
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li_prep,
                 ords_ds,
@@ -1322,7 +1225,6 @@ def q17_small_qty_revenue(
     brand: str = "Brand#3",
     max_size: int = 10,
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q17 shape — average yearly revenue that would be lost by
     not filling orders of less than 20 % of a part's average order
@@ -1334,7 +1236,7 @@ def q17_small_qty_revenue(
 
     * pass 1 pre-aggregates (partkey, Σqty_centi, count) per batch;
       partials merge driver-side when tiny (adaptive finish), else via
-      one partkey ``bucketed_agg`` — either way the merged table is
+      one partkey bucket shuffle — either way the merged table is
       |filtered parts| rows, the same order as the broadcast key set
       itself (documented boundary);
     * pass 2 broadcasts the per-part stats and sums cents(extprice)
@@ -1373,16 +1275,19 @@ def q17_small_qty_revenue(
                 ),
             }
         )
-        return (
+        agg = (
             g.group_by("l_partkey")
             .aggregate([("qty_centi", "sum"), ("one", "sum")])
             .rename_columns(["l_partkey", "sum_qc", "cnt"])
+        )
+        return agg.append_column(
+            "bucket", bucket_of(agg["l_partkey"], num_buckets)
         )
 
     li_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
     p1 = _read(sf_dir, "lineitem", columns=li_cols).map_batches(
         pass1, batch_format="pyarrow"
-    ).materialize()
+    )
 
     schema1 = pa.schema(
         [
@@ -1399,22 +1304,7 @@ def q17_small_qty_revenue(
             .rename_columns(["l_partkey", "sum_qc", "cnt"])
         )
 
-    if p1.count() <= driver_finish_max:
-        blocks = _blocks(p1)
-        stats = (
-            merge1(pa.concat_tables(blocks))
-            if blocks
-            else schema1.empty_table()
-        )
-    else:
-        blocks = _blocks(
-            bucketed_agg(
-                p1, "l_partkey", merge1, schema1, num_buckets=num_buckets
-            )
-        )
-        stats = (
-            pa.concat_tables(blocks) if blocks else schema1.empty_table()
-        )
+    stats = bucket_finish(p1, merge1, schema1)
     if stats.num_rows == 0:
         return pa.table({"avg_yearly": pa.array([0.0], pa.float64())})
     spk = stats["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1443,7 +1333,7 @@ def q17_small_qty_revenue(
         ).as_py()
         return pa.table({"s": pa.array([total or 0], pa.int64())})
 
-    parts = _blocks(
+    parts = blocks(
         _read(sf_dir, "lineitem", columns=li_cols).map_batches(
             pass2, batch_format="pyarrow"
         )
@@ -1549,7 +1439,7 @@ def q19_discounted_revenue(
             )
             return branch_partial(t)
 
-        parts = _blocks(li.map_batches(map_rev, batch_format="pyarrow"))
+        parts = blocks(li.map_batches(map_rev, batch_format="pyarrow"))
     else:
         import ray.data
 
@@ -1575,7 +1465,7 @@ def q19_discounted_revenue(
             ),
             batch_format="pyarrow",
         )
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li_prep,
                 part_ds,
@@ -1618,7 +1508,6 @@ def q20_promotion_suppliers(
     min_qty_centi: int = 5000,
     region: str = "EUROPE",
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q20 shape — suppliers in ``region`` who shipped more than
     a threshold quantity of any name-matched part in one year
@@ -1628,7 +1517,7 @@ def q20_promotion_suppliers(
     Plan: name-matched part keys broadcast; lineitem pre-aggregates
     (suppkey, partkey, Σqty_centi) per batch; partials merge
     driver-side when tiny (adaptive finish) else via one suppkey
-    ``bucketed_agg`` whose bucket task applies the HAVING cut and
+    bucket shuffle whose bucket task applies the HAVING cut and
     dedups suppliers before anything returns; the region filter and
     name attach are a supplier-dim driver join (Q5 precedent)."""
     import ray
@@ -1662,24 +1551,19 @@ def q20_promotion_suppliers(
                 "qty_centi": cents(kept["l_quantity"]),
             }
         )
-        return (
+        agg = (
             g.group_by(["l_suppkey", "l_partkey"])
             .aggregate([("qty_centi", "sum")])
             .rename_columns(["l_suppkey", "l_partkey", "qty_centi"])
+        )
+        return agg.append_column(
+            "bucket", bucket_of(agg["l_suppkey"], num_buckets)
         )
 
     p1 = _read(
         sf_dir, "lineitem",
         columns=["l_suppkey", "l_partkey", "l_quantity", "l_shipdate"],
-    ).map_batches(prep, batch_format="pyarrow").materialize()
-
-    schema1 = pa.schema(
-        [
-            ("l_suppkey", pa.int64()),
-            ("l_partkey", pa.int64()),
-            ("qty_centi", pa.int64()),
-        ]
-    )
+    ).map_batches(prep, batch_format="pyarrow")
 
     def winners(g: pa.Table) -> pa.Table:
         agg = (
@@ -1693,24 +1577,9 @@ def q20_promotion_suppliers(
             .aggregate([])
         )
 
-    if p1.count() <= driver_finish_max:
-        blocks = _blocks(p1)
-        win = (
-            winners(pa.concat_tables(blocks))
-            if blocks
-            else pa.table({"l_suppkey": pa.array([], pa.int64())})
-        )
-    else:
-        blocks = _blocks(
-            bucketed_agg(
-                p1, "l_suppkey", winners, schema1, num_buckets=num_buckets
-            )
-        )
-        win = (
-            pa.concat_tables(blocks)
-            if blocks
-            else pa.table({"l_suppkey": pa.array([], pa.int64())})
-        )
+    win = bucket_finish(
+        p1, winners, pa.schema([("l_suppkey", pa.int64())])
+    )
     win_keys = np.unique(
         win["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     )
@@ -1740,7 +1609,6 @@ def q21_waiting_suppliers(
     region: str = "ASIA",
     num_buckets: int = 64,
     broadcast_max_keys: int = 5_000_000,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q21 shape — on finished ('F') orders involving ≥2 distinct
     suppliers where EXACTLY ONE supplier has a returned ('R') line
@@ -1750,8 +1618,9 @@ def q21_waiting_suppliers(
     Plan: lineitem pre-reduces to distinct (orderkey, suppkey, has_R)
     per batch; the per-order analysis needs every supplier of an order
     co-located, so it rides ONE orderkey exchange — under the budget
-    the 'F' orderkey set broadcasts and the exchange is a
-    ``bucketed_agg``; above it, the F-filter folds INTO the bucket
+    the 'F' orderkey set broadcasts and the exchange is an orderkey
+    ``bucket_finish`` (driver-side when the filtered pairs are few);
+    above it, the F-filter folds INTO the bucket
     task of a ``hash_bucket_join(..., "left semi")`` against the
     F-keys (same single shuffle).  Bucket tasks emit per-supplier
     partial numwait counts; the driver merges supplier-sized rows."""
@@ -1791,16 +1660,15 @@ def q21_waiting_suppliers(
         columns=["l_orderkey", "l_suppkey", "l_returnflag"],
     ).map_batches(pairs, batch_format="pyarrow")
 
+    numwait = pa.schema(
+        [("l_suppkey", pa.int64()), ("numwait", pa.int64())]
+    )
+
     def analyze(g: pa.Table) -> pa.Table:
         """distinct-pair rows of co-located orderkeys → per-supplier
         partial numwait."""
         if g.num_rows == 0:
-            return pa.table(
-                {
-                    "l_suppkey": pa.array([], pa.int64()),
-                    "numwait": pa.array([], pa.int64()),
-                }
-            )
+            return numwait.empty_table()
         d = (
             g.group_by(["o_orderkey", "l_suppkey"])
             .aggregate([("has_r", "max")])
@@ -1840,7 +1708,7 @@ def q21_waiting_suppliers(
         ]
     )
     if n_orders <= broadcast_max_keys:
-        fb = _blocks(fkeys_ds)
+        fb = blocks(fkeys_ds)
         fk = (
             np.sort(
                 np.concatenate(
@@ -1860,30 +1728,22 @@ def q21_waiting_suppliers(
             hit, _ = _lookup(
                 ks, batch["o_orderkey"].to_numpy(zero_copy_only=False)
             )
-            return batch.filter(pa.array(hit))
+            kept = batch.filter(pa.array(hit))
+            return kept.append_column(
+                "bucket", bucket_of(kept["o_orderkey"], num_buckets)
+            )
 
-        filtered = li.map_batches(
-            f_filter, batch_format="pyarrow"
-        ).materialize()
         # adaptive finish: the F-filtered distinct-pair partials are
-        # often tiny — below the gate the per-order analysis runs once
+        # often tiny — then the per-order analysis runs once
         # driver-side (identical kernel) instead of paying the bucket
         # shuffle's fixed cost
-        if filtered.count() <= driver_finish_max:
-            blocks = _blocks(filtered)
-            parts = [analyze(pa.concat_tables(blocks))] if blocks else []
-        else:
-            parts = _blocks(
-                bucketed_agg(
-                    filtered,
-                    "o_orderkey",
-                    analyze,
-                    schema,
-                    num_buckets=num_buckets,
-                )
-            )
+        cand = bucket_finish(
+            li.map_batches(f_filter, batch_format="pyarrow"),
+            analyze,
+            numwait,
+        )
     else:
-        parts = _blocks(
+        parts = blocks(
             hash_bucket_join(
                 li,
                 fkeys_ds,
@@ -1895,6 +1755,7 @@ def q21_waiting_suppliers(
                 right_schema=pa.schema([("o_orderkey", pa.int64())]),
             )
         )
+        cand = pa.concat_tables(parts) if parts else numwait.empty_table()
     empty = pa.table(
         {
             "s_suppkey": pa.array([], pa.int64()),
@@ -1902,11 +1763,10 @@ def q21_waiting_suppliers(
             "numwait": pa.array([], pa.int64()),
         }
     )
-    if not parts:
+    if cand.num_rows == 0:
         return empty
     merged = (
-        pa.concat_tables(parts)
-        .group_by("l_suppkey")
+        cand.group_by("l_suppkey")
         .aggregate([("numwait", "sum")])
         .rename_columns(["s_suppkey", "numwait"])
     )
@@ -1947,7 +1807,6 @@ def q2_min_cost_supplier(
     min_size: int = 25,
     region: str = "EUROPE",
     num_buckets: int = 64,
-    driver_finish_max: int = 2_000_000,
 ):
     """TPC-H Q2 shape — for parts of one type with p_size ≥ N, the
     region supplier(s) offering the minimum supply cost, with the
@@ -1960,7 +1819,7 @@ def q2_min_cost_supplier(
     (broadcast-budget boundary documented on ``_part_keys`` /
     ``_supplier_nation_ref``); lineitem pre-aggregates (part, supp,
     min cost) per batch; partials merge driver-side when tiny
-    (adaptive finish) else via one partkey ``bucketed_agg`` — a part
+    (adaptive finish) else via one partkey bucket shuffle — a part
     lives in exactly one bucket, so the per-part min AND the equality
     cut both finish inside the bucket task."""
     import ray
@@ -2014,16 +1873,19 @@ def q2_min_cost_supplier(
                 "cost_centi": cost,
             }
         )
-        return (
+        agg = (
             g.group_by(["l_partkey", "l_suppkey"])
             .aggregate([("cost_centi", "min")])
             .rename_columns(["l_partkey", "l_suppkey", "cost_centi"])
+        )
+        return agg.append_column(
+            "bucket", bucket_of(agg["l_partkey"], num_buckets)
         )
 
     p1 = _read(
         sf_dir, "lineitem",
         columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_quantity"],
-    ).map_batches(prep, batch_format="pyarrow").materialize()
+    ).map_batches(prep, batch_format="pyarrow")
 
     schema = pa.schema(
         [
@@ -2049,20 +1911,7 @@ def q2_min_cost_supplier(
             pc.equal(j["cost_centi"], j["min_cost"])
         ).select(["l_partkey", "l_suppkey", "cost_centi"])
 
-    if p1.count() <= driver_finish_max:
-        blocks = _blocks(p1)
-        win = (
-            winners(pa.concat_tables(blocks))
-            if blocks
-            else schema.empty_table()
-        )
-    else:
-        blocks = _blocks(
-            bucketed_agg(
-                p1, "l_partkey", winners, schema, num_buckets=num_buckets
-            )
-        )
-        win = pa.concat_tables(blocks) if blocks else schema.empty_table()
+    win = bucket_finish(p1, winners, schema)
     empty = pa.table(
         {
             "p_partkey": pa.array([], pa.int64()),

@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import exchange
+
 __all__ = [
     "md5_batch",
     "exact_dedup",
@@ -1166,11 +1168,11 @@ def minhash_pairs_from_sigs(sigs, threshold: float = 0.8):
     )
     # cross-band duplicates collapse with a groupby(pair) max (all of a
     # pair's estimates are equal — the max is just the dedup).  The
-    # pair set is LSH OUTPUT — O(duplicate pairs) — so below ~2M rows
-    # ONE driver-side Arrow hash-agg replaces a Ray shuffle whose fixed
-    # cost (~1.5 s) dwarfs the data; the Ray groupby stays as the
-    # above-threshold branch.
-    if pairs.count() <= 2_000_000:
+    # pair set is LSH OUTPUT — O(duplicate pairs) — so up to
+    # exchange.DRIVER_FINISH_MAX rows ONE driver-side Arrow hash-agg
+    # replaces a Ray shuffle whose fixed cost (~1.5 s) dwarfs the data;
+    # the Ray groupby stays as the above-threshold branch.
+    if pairs.count() <= exchange.DRIVER_FINISH_MAX:
         import ray
 
         blocks = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
@@ -2761,52 +2763,6 @@ def _mirror_metrics(
     )
 
 
-def _mirror_empty() -> pa.Table:
-    return _mirror_metrics([], [], np.zeros(0, np.int64), {})
-
-
-def _mirror_kernel(
-    hosts: np.ndarray, segh: np.ndarray, max_df_hosts: int,
-    min_shared: int,
-) -> pa.Table:
-    """global distinct (host, seg_h) rows → mirror-pair table.  One
-    lexsort by (seg_h, host); per-segment runs of 2..max_df_hosts
-    hosts emit their pairs (runs are tiny by the cap, so the per-run
-    loop is bounded); pair counts accumulate in a dict keyed by the
-    host-string pair."""
-    order = np.lexsort((hosts, segh))
-    hh, ss = hosts[order], segh[order]
-    keep = np.empty(len(ss), bool)
-    if len(ss):
-        keep[0] = True
-        keep[1:] = (ss[1:] != ss[:-1]) | (hh[1:] != hh[:-1])
-    hh, ss = hh[keep], ss[keep]
-    uh, cnt = np.unique(hh, return_counts=True)
-    n_by_host = dict(zip(uh.tolist(), cnt.tolist()))
-    if not len(ss):
-        return _mirror_empty()
-    starts = np.flatnonzero(
-        np.concatenate([[True], ss[1:] != ss[:-1]])
-    )
-    bounds = list(starts) + [len(ss)]
-    pair_n: dict = {}
-    for si in range(len(bounds) - 1):
-        i, j = bounds[si], bounds[si + 1]
-        if 2 <= j - i <= max_df_hosts:
-            run = hh[i:j]
-            for x in range(len(run)):
-                for y in range(x + 1, len(run)):
-                    key = (run[x], run[y])
-                    pair_n[key] = pair_n.get(key, 0) + 1
-    a, b, sh = [], [], []
-    for (ha, hb), n in pair_n.items():
-        if n >= min_shared:
-            a.append(ha)
-            b.append(hb)
-            sh.append(n)
-    return _mirror_metrics(a, b, np.array(sh, np.int64), n_by_host)
-
-
 def mirror_host_pairs(
     ds,
     group_col: str = "host",
@@ -2815,7 +2771,6 @@ def mirror_host_pairs(
     max_df_hosts: int = 64,
     min_shared: int = 2,
     num_buckets: int = 512,
-    driver_max_rows: int = 2_000_000,
 ):
     """(host, text) pages → (host_a, host_b, shared, a_segments,
     b_segments, jaccard_micros, containment_micros): CROSS-host
@@ -2842,9 +2797,9 @@ def mirror_host_pairs(
     one bucket), per-bucket Arrow pre-agg of pair counts and per-host
     partial totals; the driver merges pair partials (bounded by the
     DF cap) and host totals (host-sized — the module's declared
-    vertex boundary).  Adaptive: ≤ ``driver_max_rows`` distinct rows
-    finish driver-local with the same kernel (forced-path test)."""
-    import ray
+    vertex boundary).  Adaptive: up to ``exchange.DRIVER_FINISH_MAX``
+    distinct rows finish driver-local with the same sweep (forced-path
+    test)."""
 
     def rows(batch: pa.Table) -> pa.Table:
         if not batch.num_rows:
@@ -2876,21 +2831,8 @@ def mirror_host_pairs(
         )
         return t.group_by(["host", "seg_h", "bucket"]).aggregate([])
 
-    pre = ds.map_batches(rows, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_max_rows:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return _mirror_empty()
-        cat = pa.concat_tables(blocks)
-        return _mirror_kernel(
-            np.array(cat["host"].to_pylist(), dtype=object),
-            cat["seg_h"].to_numpy(zero_copy_only=False),
-            max_df_hosts,
-            min_shared,
-        )
-
     def bucket_sweep(group: pa.Table) -> pa.Table:
-        """one seg-hash bucket: global per-segment host runs → pair
+        """whole seg-hash buckets: global per-segment host runs → pair
         partial rows (kind 0) + per-host distinct-segment partials
         (kind 1)."""
         hosts = np.array(group["host"].to_pylist(), dtype=object)
@@ -2938,18 +2880,18 @@ def mirror_host_pairs(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            pre.groupby("bucket")
-            .map_groups(bucket_sweep, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not parts:
-        return _mirror_empty()
-    cat = pa.concat_tables(parts)
+    cat = exchange.bucket_finish(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        bucket_sweep,
+        pa.schema(
+            [
+                ("a", pa.string()),
+                ("b", pa.string()),
+                ("n", pa.int64()),
+                ("kind", pa.int8()),
+            ]
+        ),
+    )
     kind = cat["kind"].to_numpy(zero_copy_only=False)
     hosts_t = cat.filter(pa.array(kind == 1)).group_by("a").aggregate(
         [("n", "sum")]
@@ -3045,6 +2987,16 @@ def _boiler_finish(group: pa.Table, min_df: int) -> pa.Table:
     )
 
 
+_BOILER_PART_SCHEMA = pa.schema(
+    [
+        ("group_h", pa.uint64()),
+        ("key_h", pa.uint64()),
+        ("n", pa.int64()),
+        ("kind", pa.int8()),
+    ]
+)
+
+
 def boilerplate_keys(
     ds,
     group_col: str = "host",
@@ -3052,7 +3004,6 @@ def boilerplate_keys(
     seg_words: int = 10,
     min_df: int = 3,
     num_buckets: int = 512,
-    driver_max_rows: int = 2_000_000,
 ):
     """(group, text) rows → (sorted u64 boilerplate-key array, per-group
     stats table (group_h, n_distinct_segments, n_boiler_segments)).
@@ -3071,14 +3022,13 @@ def boilerplate_keys(
        needs no distinct shuffle);
     2. DF + per-group rollup finish inside ``key_h % num_buckets``
        groups (a key's partials all land in one bucket), or driver-local
-       below ``driver_max_rows`` partial rows (same ``_boiler_finish``
-       kernel — the adaptive tiny-input rule).
+       up to ``exchange.DRIVER_FINISH_MAX`` partial rows (same
+       ``_boiler_finish`` kernel — the adaptive tiny-input rule).
     The returned key set is boilerplate-sized (df ≥ min_df segments
     only).  Hash collisions can only FALSELY drop a segment
     (P ≈ n²/2⁶⁵); the DuckDB oracle compares segment STRINGS, so the
     correctness gate would catch one.
     """
-    import ray
 
     def rows(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -3117,28 +3067,11 @@ def boilerplate_keys(
             }
         )
 
-    pre = ds.map_batches(rows, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_max_rows:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        merged = (
-            _boiler_finish(pa.concat_tables(blocks), min_df)
-            if blocks
-            else _boiler_finish(_BOILER_ROW_SCHEMA.empty_table(), min_df)
-        )
-        parts = [merged]
-    else:
-        out = (
-            pre.groupby("bucket")
-            .map_groups(
-                lambda g: _boiler_finish(g, min_df),
-                batch_format="pyarrow",
-            )
-        )
-        parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-    if parts:
-        cat = pa.concat_tables(parts)
-    else:
-        cat = _boiler_finish(_BOILER_ROW_SCHEMA.empty_table(), min_df)
+    cat = exchange.bucket_finish(
+        ds.map_batches(rows, batch_format="pyarrow"),
+        lambda g: _boiler_finish(g, min_df),
+        _BOILER_PART_SCHEMA,
+    )
     kind = cat["kind"].to_numpy(zero_copy_only=False)
     keys = np.sort(
         cat["key_h"].to_numpy(zero_copy_only=False)[kind == 0]
@@ -3189,7 +3122,6 @@ def boilerplate_removal(
     seg_words: int = 10,
     min_df: int = 3,
     num_buckets: int = 512,
-    driver_max_rows: int = 2_000_000,
     keys_gstats=None,
 ):
     """(id, group, text) → (id, group, clean_text, n_segments,
@@ -3206,8 +3138,7 @@ def boilerplate_removal(
     import ray
 
     keys, _ = keys_gstats if keys_gstats is not None else boilerplate_keys(
-        ds, group_col, text_col, seg_words, min_df, num_buckets,
-        driver_max_rows,
+        ds, group_col, text_col, seg_words, min_df, num_buckets
     )
     k_ref = ray.put(keys)
     out_schema = pa.schema(
@@ -3257,7 +3188,6 @@ def boilerplate_stats(
     seg_words: int = 10,
     min_df: int = 3,
     num_buckets: int = 512,
-    driver_max_rows: int = 2_000_000,
     keys_gstats=None,
 ) -> pa.Table:
     """Per-group boilerplate profile: (group, n_pages, n_segments,
@@ -3273,8 +3203,7 @@ def boilerplate_stats(
         keys_gstats
         if keys_gstats is not None
         else boilerplate_keys(
-            ds, group_col, text_col, seg_words, min_df, num_buckets,
-            driver_max_rows,
+            ds, group_col, text_col, seg_words, min_df, num_buckets
         )
     )
     k_ref = ray.put(keys)
@@ -3559,13 +3488,33 @@ def cdc_chunk_hashes(
     return hs, (ends - starts).astype(np.int64)
 
 
+def _add_doc_bucket(batch: pa.Table) -> pa.Table:
+    """per-doc partials → + ``doc_bucket = doc_id % 512`` (the per-doc
+    finish's bucket; schema-less empty blocks become typed empties)."""
+    if batch.num_rows == 0 or "doc_id" not in batch.column_names:
+        return pa.table({"doc_bucket": pa.array([], pa.int32())})
+    did = batch["doc_id"].to_numpy(zero_copy_only=False)
+    b = (did.view(np.uint64) % np.uint64(512)).astype(np.int32)
+    return batch.append_column("doc_bucket", pa.array(b, pa.int32()))
+
+
+_CDC_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_chunks", pa.int64()),
+        ("chunk_bytes", pa.int64()),
+        ("n_dup_chunks", pa.int64()),
+        ("dup_bytes", pa.int64()),
+    ]
+)
+
+
 def cdc_dedup_stats(
     ds,
     mask_bits: int = 8,
     num_buckets: int = 64,
     text_col: str = "text",
     id_col: str = "doc_id",
-    local_max_rows: int = 2_000_000,
 ):
     """Content-defined-chunking dedup estimator — the storage-level
     dedup signal a web-archive / training-corpus store runs (LBFS/
@@ -3588,8 +3537,8 @@ def cdc_dedup_stats(
     exact global chunk counts (a chunk lives in exactly one bucket —
     md5 keys are uniform, so the exchange cannot skew) and folds them
     into per-(bucket, doc) dup partials; the per-doc finish is
-    adaptive: driver-side Arrow hash-agg below ``local_max_rows``
-    partial rows (metadata count after materialize — free), else a
+    adaptive (``exchange.bucket_finish``): driver-side Arrow hash-agg
+    up to ``exchange.DRIVER_FINISH_MAX`` partial rows, else a
     doc-hash-bucketed (512) groupby with in-bucket Arrow group_by
     (never a high-cardinality Ray groupby; house rule).
 
@@ -3597,7 +3546,6 @@ def cdc_dedup_stats(
     distributed orchestration; the chunker itself is pinned by property
     tests (chunks reassemble to the text, boundary locality under
     prefix edits, planted cross-doc duplicate spans detected)."""
-    import ray
 
     def stage1(batch: pa.Table) -> pa.Table:
         out_b, out_d, out_h, out_o, out_y = [], [], [], [], []
@@ -3642,17 +3590,9 @@ def cdc_dedup_stats(
         )
 
     def bucket_partials(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_chunks": pa.array([], pa.int64()),
-                "chunk_bytes": pa.array([], pa.int64()),
-                "n_dup_chunks": pa.array([], pa.int64()),
-                "dup_bytes": pa.array([], pa.int64()),
-            }
-        )
         if g.num_rows == 0 or "doc_id" not in g.column_names:
-            return empty  # schema-less empty block guard (house rule)
+            # schema-less empty block guard (house rule)
+            return _CDC_SCHEMA.empty_table()
         h = g["chunk_h"].to_numpy(zero_copy_only=False)
         occ = g["occ"].to_numpy(zero_copy_only=False)
         byt = g["bytes_tot"].to_numpy(zero_copy_only=False)
@@ -3683,14 +3623,6 @@ def cdc_dedup_stats(
             }
         )
 
-    partials = (
-        ds.map_batches(stage1, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_partials, batch_format="pyarrow")
-        .materialize()
-    )
-    n_partials = partials.count()  # block metadata — free post-materialize
-
     def finish_local(t: pa.Table) -> pa.Table:
         agg = t.group_by("doc_id").aggregate(
             [
@@ -3710,55 +3642,35 @@ def cdc_dedup_stats(
             }
         )
 
-    if n_partials <= local_max_rows:
-        parts = [
-            t
-            for t in ray.get(partials.to_arrow_refs())
-            if t.num_rows and "doc_id" in t.column_names
-        ]
-        if not parts:
-            return bucket_partials(pa.table({}))
-        return finish_local(pa.concat_tables(parts))
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "doc_id" not in batch.column_names:
-            return pa.table(
-                {"doc_bucket": pa.array([], pa.int32())}
-            )  # typed empty
-        did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        b = (did.view(np.uint64) % np.uint64(512)).astype(np.int32)
-        return batch.append_column("doc_bucket", pa.array(b, pa.int32()))
-
-    def finish_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "doc_id" not in g.column_names:
-            return bucket_partials(pa.table({}))
-        return finish_local(g.drop_columns(["doc_bucket"]))
-
-    out = (
-        partials.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("doc_bucket")
-        .map_groups(finish_bucket, batch_format="pyarrow")
+    partials = (
+        ds.map_batches(stage1, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(bucket_partials, batch_format="pyarrow")
+        .map_batches(_add_doc_bucket, batch_format="pyarrow")
     )
-    parts = [
-        t
-        for t in ray.get(out.to_arrow_refs())
-        if t.num_rows and "doc_id" in t.column_names
-    ]
-    if not parts:
-        return bucket_partials(pa.table({}))
-    return pa.concat_tables(parts)
+    return exchange.bucket_finish(
+        partials, finish_local, _CDC_SCHEMA, key="doc_bucket"
+    )
 
 
 # ---------------------------------------------------------------------------
 # per-doc n-gram novelty (first-introduction fraction)
 # ---------------------------------------------------------------------------
 
+_NOVELTY_PART_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_ngrams", pa.int64()),
+        ("n_novel", pa.int64()),
+    ]
+)
+
+
 def ngram_novelty(
     ds,
     n: int = 3,
     num_buckets: int = 64,
     text_col: str = "text",
-    local_max_rows: int = 2_000_000,
 ):
     """Per-doc n-gram NOVELTY — reading the corpus in doc_id order, how
     much of each document is genuinely new: →
@@ -3777,11 +3689,11 @@ def ngram_novelty(
     bucket shuffle (8-byte hashes travel, text never) computes
     min-doc per n-gram and folds per-(bucket, doc) novelty partials in
     the same task; per-doc finish is adaptive (driver Arrow hash-agg
-    below ``local_max_rows``, else doc-hash-bucketed groupby — the
-    `cdc_dedup_stats` finish).  A ubiquitous n-gram skews one bucket's
-    ROW count but the in-bucket work is a linear groupby-min (never
-    quadratic), so hot keys cost bandwidth, not blowup."""
-    import ray
+    up to ``exchange.DRIVER_FINISH_MAX`` partial rows, else
+    doc-hash-bucketed groupby — the `cdc_dedup_stats` finish).  A
+    ubiquitous n-gram skews one bucket's ROW count but the in-bucket
+    work is a linear groupby-min (never quadratic), so hot keys cost
+    bandwidth, not blowup."""
 
     def stage1(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -3825,15 +3737,9 @@ def ngram_novelty(
         )
 
     def bucket_partials(g: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_ngrams": pa.array([], pa.int64()),
-                "n_novel": pa.array([], pa.int64()),
-            }
-        )
         if g.num_rows == 0 or "doc_id" not in g.column_names:
-            return empty  # schema-less empty block guard (house rule)
+            # schema-less empty block guard (house rule)
+            return _NOVELTY_PART_SCHEMA.empty_table()
         h = g["ng_h"].to_numpy(zero_copy_only=False)
         did = g["doc_id"].to_numpy(zero_copy_only=False)
         # lexsort + group boundaries (np.minimum.at is a numpy slow
@@ -3858,13 +3764,6 @@ def ngram_novelty(
             }
         )
 
-    partials = (
-        ds.map_batches(stage1, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_partials, batch_format="pyarrow")
-        .materialize()
-    )
-
     def finish_local(t: pa.Table) -> pa.Table:
         agg = t.group_by("doc_id").aggregate(
             [("n_ngrams", "sum"), ("n_novel", "sum")]
@@ -3882,43 +3781,18 @@ def ngram_novelty(
             }
         )
 
-    if partials.count() <= local_max_rows:
-        parts = [
-            t
-            for t in ray.get(partials.to_arrow_refs())
-            if t.num_rows and "doc_id" in t.column_names
-        ]
-        if not parts:
-            return finish_local(
-                bucket_partials(pa.table({}))
-            )
-        return finish_local(pa.concat_tables(parts))
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "doc_id" not in batch.column_names:
-            return pa.table({"doc_bucket": pa.array([], pa.int32())})
-        did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        b = (did.view(np.uint64) % np.uint64(512)).astype(np.int32)
-        return batch.append_column("doc_bucket", pa.array(b, pa.int32()))
-
-    def finish_bucket(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "doc_id" not in g.column_names:
-            return finish_local(bucket_partials(pa.table({})))
-        return finish_local(g.drop_columns(["doc_bucket"]))
-
-    out = (
-        partials.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("doc_bucket")
-        .map_groups(finish_bucket, batch_format="pyarrow")
+    partials = (
+        ds.map_batches(stage1, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(bucket_partials, batch_format="pyarrow")
+        .map_batches(_add_doc_bucket, batch_format="pyarrow")
     )
-    parts = [
-        t
-        for t in ray.get(out.to_arrow_refs())
-        if t.num_rows and "doc_id" in t.column_names
-    ]
-    if not parts:
-        return finish_local(bucket_partials(pa.table({})))
-    return pa.concat_tables(parts)
+    return exchange.bucket_finish(
+        partials,
+        finish_local,
+        _NOVELTY_PART_SCHEMA.append(pa.field("novelty_ppm", pa.int64())),
+        key="doc_bucket",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -3983,7 +3857,6 @@ def dust_url_pairs(
     text_col: str = "text",
     max_group: int = 64,
     num_buckets: int = 256,
-    driver_max_rows: int = 2_000_000,
 ):
     """DUST detection — Different URLs with Similar Text (Bar-Yossef,
     Keidar & Schonfeld, WWW 2007 "Do not crawl in the DUST"): urls on
@@ -4006,9 +3879,9 @@ def dust_url_pairs(
     one ``fp % num_buckets`` bucket); per-bucket sort + run sweep with
     the ``max_group`` DF cap (a corpus-wide empty-text group would
     otherwise emit k² pairs; the oracle applies the identical cap).
-    Adaptive: ≤ ``driver_max_rows`` rows finish driver-local with the
-    same kernel (forced-path agreement in tests)."""
-    import ray
+    Adaptive: up to ``exchange.DRIVER_FINISH_MAX`` rows finish
+    driver-local with the same kernel (forced-path agreement in
+    tests)."""
 
     def rows(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or url_col not in batch.column_names:
@@ -4039,22 +3912,7 @@ def dust_url_pairs(
             }
         )
 
-    pre = ds.map_batches(rows, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_max_rows:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return _DUST_SCHEMA.empty_table()
-        cat = pa.concat_tables(blocks)
-        return _dust_kernel(
-            np.array(cat["host"].to_pylist(), dtype=object),
-            cat["fp"].to_numpy(zero_copy_only=False),
-            np.array(cat["url"].to_pylist(), dtype=object),
-            max_group,
-        )
-
-    def bucket_sweep(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "fp" not in g.column_names:
-            return _DUST_SCHEMA.empty_table()
+    def sweep(g: pa.Table) -> pa.Table:
         return _dust_kernel(
             np.array(g["host"].to_pylist(), dtype=object),
             g["fp"].to_numpy(zero_copy_only=False),
@@ -4062,18 +3920,9 @@ def dust_url_pairs(
             max_group,
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            pre.groupby("bucket")
-            .map_groups(bucket_sweep, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows and "host" in t.column_names
-    ]
-    if not parts:
-        return _DUST_SCHEMA.empty_table()
-    return pa.concat_tables(parts)
+    return exchange.bucket_finish(
+        ds.map_batches(rows, batch_format="pyarrow"), sweep, _DUST_SCHEMA
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.classify import host_of
+from . import exchange
 from . import vertexprog as vp
 
 __all__ = [
@@ -83,12 +84,14 @@ def _h64(s: str) -> int:
 
 
 def host_edges(extracted_ds, num_buckets: int = 64,
-               driver_max_pairs: int = 2_000_000):
+               driver_max_pairs: int | None = None):
     """extracted pages (host, out_links) → distinct (src, dst, src_h,
     dst_h, outdeg) host edges, self-loops and host-less links dropped.
     Distinct + outdeg both happen inside ``src_h % num_buckets`` groups
     — a src's edges all land in one bucket, so its out-degree is exact
-    and no second shuffle is needed."""
+    and no second shuffle is needed.  Up to ``driver_max_pairs``
+    pre-distinct pairs (default ``exchange.DRIVER_FINISH_MAX``) finish
+    on the driver; above, the result stays a lazy bucketed Dataset."""
 
     def rows(batch: pa.Table) -> pa.Table:
         srcs, dsts = [], []
@@ -132,27 +135,14 @@ def host_edges(extracted_ds, num_buckets: int = 64,
         out = v[np.searchsorted(k, sh)]
         return g.append_column("outdeg", pa.array(out, pa.int64()))
 
-    pre = extracted_ds.map_batches(rows, batch_format="pyarrow").materialize()
-    # adaptive finish (same exact semantics either way): the pre-distinct
-    # partials count is free from block metadata; below the threshold a
-    # Ray shuffle would move a tiny candidate set (house rule: don't) —
-    # finish the distinct + outdeg in one driver Arrow pass instead.
-    # Host-PAIR cardinality, not page count, drives this: ~2M distinct
-    # pairs ≈ 100 MB, fine on the driver; a 100 TB crawl blows past it
-    # and takes the bucketed path.
-    if pre.count() <= driver_max_pairs:
-        import ray
-        import ray.data
-
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return ray.data.from_arrow(vp.EDGE_SCHEMA.empty_table())
-        whole = bucket_distinct(pa.concat_tables(blocks))
-        return ray.data.from_arrow(whole)
-    return (
-        pre
-        .groupby("bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
+    # adaptive finish (same exact semantics either way): host-PAIR
+    # cardinality, not page count, drives it — ~2M distinct pairs
+    # ≈ 100 MB, fine on the driver; a 100 TB crawl blows past it and
+    # takes the lazy bucketed path
+    return exchange.bucket_finish(
+        extracted_ds.map_batches(rows, batch_format="pyarrow"),
+        bucket_distinct, vp.EDGE_SCHEMA, driver_max=driver_max_pairs,
+        lazy=True,
     )
 
 
@@ -1010,7 +1000,6 @@ def anchor_text_corpus(
     pairs_ds,
     num_buckets: int = 64,
     top_k: int = 20,
-    driver_max_partials: int = 2_000_000,
 ) -> pa.Table:
     """(src_host, target_host, anchor_text) rows → per-target-host
     inbound anchor profile (the Common-Crawl-style anchor-text corpus
@@ -1028,7 +1017,8 @@ def anchor_text_corpus(
     ``blake2b(target) % num_buckets`` shuffle co-locates each target's
     partials (so the per-bucket finish — count sum, two hash-distincts,
     segmented sorted top-k — is globally exact and buckets concat
-    disjointly).  Adaptive driver finish below ~2M partial rows."""
+    disjointly).  Adaptive driver finish up to
+    ``exchange.DRIVER_FINISH_MAX`` partial rows."""
 
     def partials(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1057,15 +1047,6 @@ def anchor_text_corpus(
         )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    "target_host": pa.array([], pa.string()),
-                    "n_links": pa.array([], pa.int64()),
-                    "n_src_hosts": pa.array([], pa.int64()),
-                    "top_texts": pa.array([], pa.string()),
-                }
-            )
         sums = group.group_by("target_host").aggregate([("n", "sum")])
         srcs = (
             group.group_by(["target_host", "src_host"])
@@ -1116,39 +1097,18 @@ def anchor_text_corpus(
             }
         )
 
-    import ray
-
-    pre = pairs_ds.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_max_partials:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return finish(partials(pa.table(
-                {
-                    "src_host": pa.array([], pa.string()),
-                    "target_host": pa.array([], pa.string()),
-                    "anchor_text": pa.array([], pa.string()),
-                }
-            )))
-        return finish(pa.concat_tables(blocks).drop_columns("bucket"))
-    parts = [
-        t
-        for t in ray.get(
-            pre.groupby("bucket")
-            .map_groups(finish, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not parts:
-        return finish(pa.table(
-            {
-                "target_host": pa.array([], pa.string()),
-                "src_host": pa.array([], pa.string()),
-                "anchor_text": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        ))
-    return pa.concat_tables(parts)
+    return exchange.bucket_finish(
+        pairs_ds.map_batches(partials, batch_format="pyarrow"),
+        finish,
+        pa.schema(
+            [
+                ("target_host", pa.string()),
+                ("n_links", pa.int64()),
+                ("n_src_hosts", pa.int64()),
+                ("top_texts", pa.string()),
+            ]
+        ),
+    )
 
 
 # --- triangle counting (degree-ordered wedge join) -------------------------

@@ -14,9 +14,10 @@ both run RE2, so the oracle's regexp_extract agrees byte-for-byte),
 per-batch Arrow pre-agg keyed (host, base-path-hash) — base paths ride
 the shuffle as 64-bit blake2b hashes, never strings — then one
 host-bucket shuffle and an in-bucket rollup.  Adaptive driver finish
-below ~2M partial rows (house rule: never shuffle tiny candidate
-sets).  All outputs are integers; trap_score is a pure integer
-function of the aggregates so the SQL oracle reproduces it exactly.
+up to ``exchange.DRIVER_FINISH_MAX`` partial rows (house rule: never
+shuffle tiny candidate sets).  All outputs are integers; trap_score is
+a pure integer function of the aggregates so the SQL oracle reproduces
+it exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import exchange
 
 _HOST_RX = r"^[a-z]+://(?P<host>[^/]+)"
 _PATH_RX = r"^[a-z]+://[^/]*(?P<p>/.*)$"
@@ -70,7 +73,6 @@ _EMPTY_OUT = pa.table(
 def host_url_profile(
     pages_ds,
     num_buckets: int = 64,
-    driver_max_partials: int = 2_000_000,
 ) -> pa.Table:
     """pages(url) → (host, n_urls, n_paths, n_query_urls, max_depth,
     trap_score) with ``trap_score = n_query_urls·1000 // n_urls +
@@ -115,8 +117,6 @@ def host_url_profile(
         )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _EMPTY_OUT
         # re-merge batch partials of the same (host, base path) first
         m = group.group_by(["host", "base_h"]).aggregate(
             [("n", "sum"), ("q", "sum"), ("d", "max")]
@@ -144,21 +144,8 @@ def host_url_profile(
             }
         )
 
-    import ray
-
-    pre = pages_ds.map_batches(partials, batch_format="pyarrow").materialize()
-    if pre.count() <= driver_max_partials:
-        blocks = [t for t in ray.get(pre.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            return _EMPTY_OUT
-        return finish(pa.concat_tables(blocks).drop_columns("bucket"))
-    parts = [
-        t
-        for t in ray.get(
-            pre.groupby("bucket")
-            .map_groups(finish, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    return pa.concat_tables(parts) if parts else _EMPTY_OUT
+    return exchange.bucket_finish(
+        pages_ds.map_batches(partials, batch_format="pyarrow"),
+        finish,
+        _EMPTY_OUT.schema,
+    )

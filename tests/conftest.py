@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 
@@ -31,3 +33,23 @@ def unit_corpus() -> str:
     from crawler_ai_ray.sources.synth import ensure_corpus
 
     return ensure_corpus("unit")
+
+
+@pytest.fixture
+def force_shuffle(monkeypatch):
+    """``with force_shuffle(): ...`` runs the block with
+    ``exchange.DRIVER_FINISH_MAX = 0``, so every adaptive finish takes
+    its per-bucket shuffle branch, and fails unless one did — a forced
+    path-agreement test can never compare the driver branch with
+    itself."""
+    from crawler_ai_ray.stages import exchange
+
+    @contextlib.contextmanager
+    def forced():
+        before = exchange.PATHS["shuffle"]
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "DRIVER_FINISH_MAX", 0)
+            yield
+        assert exchange.PATHS["shuffle"] > before, "no shuffle branch ran"
+
+    return forced

@@ -243,7 +243,9 @@ def test_extract_links_matches_full_extraction(ray_session):
     assert full.equals(lite)
 
 
-def test_anchor_text_corpus_hand_computed_and_paths(ray_session):
+def test_anchor_text_corpus_hand_computed_and_paths(
+    ray_session, force_shuffle
+):
     import ray.data
 
     from crawler_ai_ray.stages.linkgraph import anchor_text_corpus
@@ -271,11 +273,12 @@ def test_anchor_text_corpus_hand_computed_and_paths(ray_session):
     assert out.loc["u.com", "top_texts"] == "About"
 
     # forced-bucketed path agrees with the adaptive driver finish
-    bucketed = (
-        anchor_text_corpus(ray.data.from_arrow(pairs), driver_max_partials=0)
-        .to_pandas()
-        .sort_values("target_host", ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            anchor_text_corpus(ray.data.from_arrow(pairs))
+            .to_pandas()
+            .sort_values("target_host", ignore_index=True)
+        )
     driver = out.reset_index().sort_values("target_host", ignore_index=True)
     assert driver[bucketed.columns.tolist()].equals(bucketed)
 
@@ -295,7 +298,7 @@ def test_anchor_text_corpus_hand_computed_and_paths(ray_session):
     )
 
 
-def test_host_url_profile_hand_computed(ray_session):
+def test_host_url_profile_hand_computed(ray_session, force_shuffle):
     import ray.data
 
     from crawler_ai_ray.stages.urlprofile import host_url_profile
@@ -332,11 +335,12 @@ def test_host_url_profile_hand_computed(ray_session):
     assert out.loc["b.com", "trap_score"] == 50
 
     # forced-bucketed path agrees with the driver finish
-    bucketed = (
-        host_url_profile(ray.data.from_arrow(pages), driver_max_partials=0)
-        .to_pandas()
-        .sort_values("host", ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            host_url_profile(ray.data.from_arrow(pages))
+            .to_pandas()
+            .sort_values("host", ignore_index=True)
+        )
     assert out.reset_index().sort_values("host", ignore_index=True)[
         bucketed.columns.tolist()
     ].equals(bucketed)

@@ -60,7 +60,7 @@ def _brute(hosts, texts, seg_words=10, max_df=64, min_shared=2):
     return pairs
 
 
-def test_mirror_pairs_bruteforce_and_paths(ray_session):
+def test_mirror_pairs_bruteforce_and_paths(ray_session, force_shuffle):
     import ray.data
 
     from crawler_ai_ray.stages.dedup import mirror_host_pairs
@@ -90,7 +90,8 @@ def test_mirror_pairs_bruteforce_and_paths(ray_session):
     assert ("m0.example", "m1.example") in keys
     assert want[("m0.example", "m1.example")][0] >= 4  # 3 planted + common
     # forced distributed tier bit-identical
-    forced = mirror_host_pairs(ds, driver_max_rows=0).to_pandas()
+    with force_shuffle():
+        forced = mirror_host_pairs(ds).to_pandas()
     a = got.sort_values(["host_a", "host_b"], ignore_index=True)
     b = forced.sort_values(["host_a", "host_b"], ignore_index=True)
     assert a.equals(b)

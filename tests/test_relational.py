@@ -3,6 +3,7 @@ discipline makes every aggregate bitwise-comparable."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pandas as pd
@@ -92,7 +93,7 @@ def test_range_join_vs_duckdb(duck):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_bucketed_ops_partition_invariant():
+def test_bucketed_ops_partition_invariant(force_shuffle):
     """Results of every bucketed operator must be independent of the
     bucket count (the partitioning is an execution detail, never a
     semantic one) — pin num_buckets=1 (single group, no co-location
@@ -104,17 +105,18 @@ def test_bucketed_ops_partition_invariant():
         top_customers,
     )
 
-    for fn, kwargs in [
-        (top_customers, {"k": 5}),
-        # driver_finish_max=0 forces the bucketed-shuffle branch so the
-        # hybrid's above-threshold path stays pinned ≡ the driver finish
-        (top_customers, {"k": 5, "driver_finish_max": 0}),
-        (lineitem_part_revenue, {}),
-        (events_asof_join, {}),
-        (events_range_join, {}),
+    for fn, kwargs, forced in [
+        (top_customers, {"k": 5}, False),
+        # the forced bucketed-shuffle branch keeps the hybrid's
+        # above-threshold path pinned ≡ the driver finish
+        (top_customers, {"k": 5}, True),
+        (lineitem_part_revenue, {}, False),
+        (events_asof_join, {}, False),
+        (events_range_join, {}, False),
     ]:
-        one = fn(SF, num_buckets=1, **kwargs).to_pandas()
-        many = fn(SF, num_buckets=64, **kwargs).to_pandas()
+        with force_shuffle() if forced else contextlib.nullcontext():
+            one = fn(SF, num_buckets=1, **kwargs).to_pandas()
+            many = fn(SF, num_buckets=64, **kwargs).to_pandas()
         # row order is an execution detail (no cosmetic final sorts)
         cols = list(one.columns)
         one = one.sort_values(cols, ignore_index=True)
@@ -123,7 +125,8 @@ def test_bucketed_ops_partition_invariant():
 
     # cross-path agreement: driver-finish ≡ bucketed-shuffle top-k
     drv = top_customers(SF, k=5).to_pandas()
-    bkt = top_customers(SF, k=5, driver_finish_max=0).to_pandas()
+    with force_shuffle():
+        bkt = top_customers(SF, k=5).to_pandas()
     assert drv.reset_index(drop=True).equals(bkt.reset_index(drop=True))
 
 
@@ -239,7 +242,7 @@ def test_q5_vs_duckdb(duck):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dau_exact_vs_duckdb_and_hll_bounds(duck):
+def test_dau_exact_vs_duckdb_and_hll_bounds(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import (
         events_daily_active,
         events_dau_hll,
@@ -261,11 +264,12 @@ def test_dau_exact_vs_duckdb_and_hll_bounds(duck):
         assert abs(row["n_estimate"] - true) <= max(0.05 * true, 3)
 
     # forced-bucketed branch agrees with the adaptive driver finish
-    bucketed = (
-        events_daily_active(SF, driver_finish_max=0)
-        .to_pandas()
-        .set_index("day")
-    )
+    with force_shuffle():
+        bucketed = (
+            events_daily_active(SF)
+            .to_pandas()
+            .set_index("day")
+        )
     assert exact["n_active"].sort_index().equals(
         bucketed["n_active"].sort_index()
     )
@@ -428,7 +432,7 @@ def test_q5_broadcast_and_bucketed_paths_agree(ray_session):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_retention_vs_duckdb_and_naive(duck):
+def test_retention_vs_duckdb_and_naive(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import events_retention
 
     key = ["cohort_day", "day_offset"]
@@ -472,16 +476,17 @@ def test_retention_vs_duckdb_and_naive(duck):
     assert zero.sort_index().equals(sizes.rename_axis("cohort_day"))
 
     # forced-bucketed branch agrees with the adaptive driver finish
-    bucketed = (
-        events_retention(SF, driver_finish_max=0)
-        .to_pandas()
-        .sort_values(key, ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            events_retention(SF)
+            .to_pandas()
+            .sort_values(key, ignore_index=True)
+        )
     assert_frames_equal(eng, bucketed)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q18_vs_duckdb_and_paths(duck):
+def test_q18_vs_duckdb_and_paths(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import q18_big_orders
 
     # lower threshold at sf0.001 so the survivor set is non-trivial
@@ -508,11 +513,12 @@ def test_q18_vs_duckdb_and_paths(duck):
     assert_frames_equal(eng[ora.columns.tolist()], ora)
 
     # forced-bucketed HAVING branch agrees with the driver finish
-    bucketed = (
-        q18_big_orders(SF, threshold_centi=20_000, driver_finish_max=0)
-        .to_pandas()
-        .sort_values("o_orderkey", ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            q18_big_orders(SF, threshold_centi=20_000)
+            .to_pandas()
+            .sort_values("o_orderkey", ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
     # impossible threshold → typed empty result
@@ -522,7 +528,7 @@ def test_q18_vs_duckdb_and_paths(duck):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q13_vs_duckdb_and_paths(duck):
+def test_q13_vs_duckdb_and_paths(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import q13_customer_distribution
 
     eng = (
@@ -548,11 +554,12 @@ def test_q13_vs_duckdb_and_paths(duck):
     assert (eng["c_count"] == 0).any()
 
     # forced-bucketed histogram branch agrees with the driver finish
-    bucketed = (
-        q13_customer_distribution(SF, driver_finish_max=0)
-        .to_pandas()
-        .sort_values("c_count", ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            q13_customer_distribution(SF)
+            .to_pandas()
+            .sort_values("c_count", ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
 
@@ -588,7 +595,7 @@ def test_q4_vs_duckdb_and_paths(duck):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_rollup_vs_duckdb_and_paths(duck):
+def test_rollup_vs_duckdb_and_paths(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import events_rollup
 
     key = ["event_type", "day"]
@@ -616,11 +623,12 @@ def test_rollup_vs_duckdb_and_paths(duck):
     assert grand["n_events"].iloc[0] == lvl1["n_events"].sum() == fine["n_events"].sum()
 
     # forced-bucketed branch ≡ driver finish (deterministic crc32 bucket)
-    bucketed = (
-        events_rollup(SF, driver_finish_max=0)
-        .to_pandas()
-        .sort_values(key, ignore_index=True, na_position="first")
-    )
+    with force_shuffle():
+        bucketed = (
+            events_rollup(SF)
+            .to_pandas()
+            .sort_values(key, ignore_index=True, na_position="first")
+        )
     assert eng.equals(bucketed)
 
 
@@ -655,7 +663,7 @@ def test_running_total_vs_duckdb_and_bucket_invariance(duck):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q15_vs_duckdb_and_paths(duck):
+def test_q15_vs_duckdb_and_paths(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import q15_top_supplier
 
     eng = (
@@ -681,11 +689,12 @@ def test_q15_vs_duckdb_and_paths(duck):
     assert_frames_equal(eng, ora)
 
     # forced-bucketed local-max branch ≡ driver finish
-    bucketed = (
-        q15_top_supplier(SF, driver_finish_max=0)
-        .to_pandas()
-        .sort_values("s_suppkey", ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            q15_top_supplier(SF)
+            .to_pandas()
+            .sort_values("s_suppkey", ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
 
@@ -1339,7 +1348,7 @@ def test_tpch_fuzz_engine_vs_own_oracle_sql(ray_session, data):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q16_vs_duckdb_and_paths(duck):
+def test_q16_vs_duckdb_and_paths(duck, force_shuffle):
     from crawler_ai_ray.pipelines.relational import q16_supplier_variety
 
     key = ["p_brand", "p_type", "p_size"]
@@ -1361,11 +1370,12 @@ def test_q16_vs_duckdb_and_paths(duck):
     assert_frames_equal(eng, ora)
 
     # forced suppkey-bucketed distinct ≡ driver finish
-    bucketed = (
-        q16_supplier_variety(SF, driver_finish_max=0)
-        .to_pandas()
-        .sort_values(key, ignore_index=True)
-    )
+    with force_shuffle():
+        bucketed = (
+            q16_supplier_variety(SF)
+            .to_pandas()
+            .sort_values(key, ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
 

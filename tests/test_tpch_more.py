@@ -1,10 +1,12 @@
 """TPC-H remainder (Q2/Q7-Q12/Q17/Q19-Q21) vs DuckDB at sf0.001, plus
 forced-distributed-path agreement: every broadcast-vs-bucketed hybrid in
 ``pipelines/tpch_more.py`` must produce identical rows with
-``broadcast_max_keys=0`` / ``driver_finish_max=0`` (the path-agreement
-house rule — SURVEY §5)."""
+``broadcast_max_keys=0`` and/or the ``force_shuffle`` fixture (the
+path-agreement house rule — SURVEY §5)."""
 
 from __future__ import annotations
+
+import contextlib
 
 import pandas as pd
 import pytest
@@ -26,35 +28,39 @@ NEW_TPCH = [
     "tpch_q21_waiting",
 ]
 
+# kwarg-set marker: run with every adaptive bucket finish forced onto
+# its shuffle branch (the ``force_shuffle`` fixture)
+SHUFFLE = {"shuffle": True}
+
 # engine fn name + list of kwarg sets, each forcing a distributed path
 FORCED = {
     "tpch_q2_min_cost": (
-        "q2_min_cost_supplier", [{"driver_finish_max": 0}]
+        "q2_min_cost_supplier", [SHUFFLE]
     ),
     "tpch_q7_volume": ("q7_volume_shipping", [{"broadcast_max_keys": 0}]),
     "tpch_q8_mktshare": ("q8_market_share", [{"broadcast_max_keys": 0}]),
     "tpch_q9_profit": ("q9_product_profit", [{"broadcast_max_keys": 0}]),
     "tpch_q10_returns": (
         "q10_returned_items",
-        [{"broadcast_max_keys": 0}, {"driver_finish_max": 0},
-         {"broadcast_max_keys": 0, "driver_finish_max": 0}],
+        [{"broadcast_max_keys": 0}, SHUFFLE,
+         {"broadcast_max_keys": 0, **SHUFFLE}],
     ),
     "tpch_q11_stock": (
-        "q11_important_stock", [{"driver_finish_max": 0}]
+        "q11_important_stock", [SHUFFLE]
     ),
     "tpch_q12_late": ("q12_late_shipments", [{"broadcast_max_keys": 0}]),
     "tpch_q17_small_qty": (
-        "q17_small_qty_revenue", [{"driver_finish_max": 0}]
+        "q17_small_qty_revenue", [SHUFFLE]
     ),
     "tpch_q19_disc_revenue": (
         "q19_discounted_revenue", [{"broadcast_max_keys": 0}]
     ),
     "tpch_q20_promo_suppliers": (
-        "q20_promotion_suppliers", [{"driver_finish_max": 0}]
+        "q20_promotion_suppliers", [SHUFFLE]
     ),
     "tpch_q21_waiting": (
         "q21_waiting_suppliers",
-        [{"broadcast_max_keys": 0}, {"driver_finish_max": 0}],
+        [{"broadcast_max_keys": 0}, SHUFFLE],
     ),
 }
 
@@ -78,12 +84,15 @@ def test_tpch_more_vs_duckdb(duck, name):
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("name", sorted(FORCED))
-def test_tpch_more_path_agreement(name):
+def test_tpch_more_path_agreement(name, force_shuffle):
     from crawler_ai_ray.pipelines import tpch_more
 
     fn_name, kwsets = FORCED[name]
     fn = getattr(tpch_more, fn_name)
     a = _norm(fn(SF).to_pandas())
     for kw in kwsets:
-        b = _norm(fn(SF, **kw).to_pandas())
+        kw = dict(kw)
+        forced = kw.pop("shuffle", False)
+        with force_shuffle() if forced else contextlib.nullcontext():
+            b = _norm(fn(SF, **kw).to_pandas())
         pd.testing.assert_frame_equal(a, b, check_dtype=False)

@@ -3144,10 +3144,10 @@ def test_nb_sparse_bucketed_path_agreement(ray_session):
     assert a.equals(c)
 
 
-def test_boilerplate_removal_planted_and_paths(ray_session):
+def test_boilerplate_removal_planted_and_paths(ray_session, force_shuffle):
     """Within-group (host-template) boilerplate: planted template caught,
     naive-reference agreement, and the forced bucketed path
-    (driver_max_rows=0) is bit-identical to the adaptive local one."""
+    (``force_shuffle``) is bit-identical to the adaptive local one."""
     import collections
 
     import ray.data
@@ -3196,28 +3196,28 @@ def test_boilerplate_removal_planted_and_paths(ray_session):
         )
 
     # forced bucketed path ≡ adaptive local path (removal + stats)
-    forced = (
-        boilerplate_removal(
-            ds.repartition(5), "host", "url", "text",
-            num_buckets=16, driver_max_rows=0,
+    with force_shuffle():
+        forced = (
+            boilerplate_removal(
+                ds.repartition(5), "host", "url", "text", num_buckets=16
+            )
+            .to_pandas()
+            .sort_values("url", ignore_index=True)
         )
-        .to_pandas()
-        .sort_values("url", ignore_index=True)
-    )
     assert got.equals(forced)
     st = (
         boilerplate_stats(ds, "host", "url", "text")
         .to_pandas()
         .sort_values("group", ignore_index=True)
     )
-    st_forced = (
-        boilerplate_stats(
-            ds.repartition(5), "host", "url", "text",
-            num_buckets=16, driver_max_rows=0,
+    with force_shuffle():
+        st_forced = (
+            boilerplate_stats(
+                ds.repartition(5), "host", "url", "text", num_buckets=16
+            )
+            .to_pandas()
+            .sort_values("group", ignore_index=True)
         )
-        .to_pandas()
-        .sort_values("group", ignore_index=True)
-    )
     assert st.equals(st_forced)
     # stats cross-check against the removal output + naive DF table
     for g, sub in got.groupby(got.url.str.split("/").str[2]):
@@ -3776,7 +3776,7 @@ def test_cdc_chunker_properties():
     assert len(inter) >= len(ha) // 3
 
 
-def test_cdc_dedup_stats_planted_and_paths(ray_session):
+def test_cdc_dedup_stats_planted_and_paths(ray_session, force_shuffle):
     """Distributed CDC dedup vs the sequential same-math reference on a
     planted-duplicate corpus, partition-invariant, and the forced
     bucketed finish agrees with the driver-local finish."""
@@ -3844,9 +3844,8 @@ def test_cdc_dedup_stats_planted_and_paths(ray_session):
 
     a = cdc_dedup_stats(ray.data.from_arrow(tbl).repartition(2))
     b = cdc_dedup_stats(ray.data.from_arrow(tbl).repartition(5))
-    forced = cdc_dedup_stats(
-        ray.data.from_arrow(tbl).repartition(3), local_max_rows=0
-    )
+    with force_shuffle():
+        forced = cdc_dedup_stats(ray.data.from_arrow(tbl).repartition(3))
     assert as_dict(a) == want
     assert as_dict(b) == want
     assert as_dict(forced) == want  # bucketed-finish path agreement
@@ -3948,7 +3947,7 @@ def test_mmr_select_partition_invariant_and_semantics(ray_session):
     assert sorted(t["vec_id"].to_pylist()) == [2, 5, 9]
 
 
-def test_ngram_novelty_planted_and_paths(ray_session):
+def test_ngram_novelty_planted_and_paths(ray_session, force_shuffle):
     """n-gram novelty on a planted corpus: the min-doc_id holder of a
     shared n-gram is the only doc it counts as novel for; partition-
     invariant; the forced bucketed finish agrees with driver-local."""
@@ -3989,9 +3988,8 @@ def test_ngram_novelty_planted_and_paths(ray_session):
 
     a = ngram_novelty(ray.data.from_arrow(tbl).repartition(2))
     b = ngram_novelty(ray.data.from_arrow(tbl).repartition(4))
-    forced = ngram_novelty(
-        ray.data.from_arrow(tbl).repartition(3), local_max_rows=0
-    )
+    with force_shuffle():
+        forced = ngram_novelty(ray.data.from_arrow(tbl).repartition(3))
     assert as_dict(a) == want
     assert as_dict(b) == want
     assert as_dict(forced) == want
@@ -4043,7 +4041,7 @@ def test_clf_calibration_bucket_math(ray_session):
     assert t["bucket"].to_pylist() == [-5]
 
 
-def test_dust_url_pairs_planted_and_forced_path(ray_session):
+def test_dust_url_pairs_planted_and_forced_path(ray_session, force_shuffle):
     """Planted alias groups: pair explosion, url ordering, the
     max_group DF cap, and driver-local vs bucketed path agreement."""
     import pyarrow as pa
@@ -4075,9 +4073,8 @@ def test_dust_url_pairs_planted_and_forced_path(ray_session):
         )
 
     local = dust_url_pairs(ray.data.from_arrow(tbl), max_group=4)
-    forced = dust_url_pairs(
-        ray.data.from_arrow(tbl), max_group=4, driver_max_rows=0
-    )
+    with force_shuffle():
+        forced = dust_url_pairs(ray.data.from_arrow(tbl), max_group=4)
     got = norm(local)
     assert norm(forced) == got  # path agreement
     a_urls = sorted(
