@@ -24,6 +24,10 @@ import os
 from collections.abc import Callable
 from typing import Any
 
+# the package sets the engine's Ray Data execution policy on import,
+# before any query below builds a Dataset
+import crawler_ai_ray  # noqa: F401
+
 _CORPUS_CACHE: dict[str, str] = {}
 
 

@@ -17,6 +17,13 @@ assignment blocks by the downstream stage's ``batch_size`` and
 collapses the whole read into one task.)  Files with a single row
 group cannot be split (Parquet's decode unit is the row group) and
 fall back to the plain per-file reader.
+
+How many of those read tasks, and of the ``map_batches`` tasks that
+consume them, run at once also depends on the engine's Ray Data
+execution policy (``crawler_ai_ray/__init__.py``): under Ray's
+per-operator reservation split (which the policy turns off) a read→map
+chain on a 4-CPU session ran its map about one task at a time, however
+many read tasks this module made.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from __future__ import annotations
 import os
 
 __all__ = ["read_parquet_rowgroups"]
+
+# upper bound on read tasks per dataset; adjacent row groups of one file
+# are coalesced into a task above it
+MAX_READ_TASKS = 128
 
 
 def _file_list(path: str) -> list[str]:
@@ -51,7 +62,7 @@ from ray.data.datasource.datasource import Datasource as _Datasource
 class _RowGroupDatasource(_Datasource):
     """One ReadTask per coalesced row-group range of each file."""
 
-    def __init__(self, files: list[str], columns, max_tasks: int):
+    def __init__(self, files: list[str], columns):
         import pyarrow.parquet as pq
 
         self._columns = list(columns) if columns else None
@@ -61,7 +72,6 @@ class _RowGroupDatasource(_Datasource):
             for rg in range(md.num_row_groups):
                 g = md.row_group(rg)
                 self._spans.append((f, rg, g.num_rows, g.total_byte_size))
-        self._max_tasks = max_tasks
 
     def estimate_inmemory_data_size(self):
         # compressed bytes are the only cheap signal; scale by a
@@ -75,7 +85,7 @@ class _RowGroupDatasource(_Datasource):
         from ray.data.block import BlockMetadata
         from ray.data.datasource.datasource import ReadTask
 
-        n_tasks = max(1, min(self._max_tasks, parallelism, len(self._spans)))
+        n_tasks = max(1, min(MAX_READ_TASKS, parallelism, len(self._spans)))
         per = -(-len(self._spans) // n_tasks)
         tasks = []
         for i in range(0, len(self._spans), per):
@@ -100,7 +110,7 @@ class _RowGroupDatasource(_Datasource):
         return tasks
 
 
-def read_parquet_rowgroups(path: str, columns=None, max_tasks: int = 128):
+def read_parquet_rowgroups(path: str, columns=None):
     """Read one parquet file / directory with one read task per
     row-group range.  NOTE: block order (hence row order) is not
     guaranteed under streaming execution with multiple read tasks —
@@ -119,5 +129,5 @@ def read_parquet_rowgroups(path: str, columns=None, max_tasks: int = 128):
         return ray.data.read_parquet(
             path, columns=columns, override_num_blocks=blocks
         )
-    src = _RowGroupDatasource(files, columns, max_tasks)
-    return ray.data.read_datasource(src, override_num_blocks=len(files) and total_rgs)
+    src = _RowGroupDatasource(files, columns)
+    return ray.data.read_datasource(src, override_num_blocks=total_rgs)

@@ -11,6 +11,9 @@ import pytest
 def ray_session():
     import ray
 
+    # the engine's Ray Data execution policy, for every test's Datasets
+    import crawler_ai_ray  # noqa: F401
+
     if not ray.is_initialized():
         ray.init(
             address="local",
