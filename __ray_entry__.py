@@ -4767,6 +4767,11 @@ def _tm(name):
 
 # --- multimodal (stubbed decode, real plumbing; rows-only checks) ---------
 
+# decode actor pools: one actor starts, a second joins once a larger
+# input queues work for it (a fixed pair idled its second actor on a
+# one-block input)
+_MEDIA_POOL = (1, 2)
+
 def _media_ds(sf_dir: str, kind: str):
     import ray.data
     from crawler_ai_ray.stages.multimodal import synth_media_table
@@ -4789,7 +4794,7 @@ def _q_mm_image(sf_dir: str):
         fn_constructor_kwargs={"out_w": 32, "out_h": 32},
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     ).select_columns(["media_id", "width", "height", "mean_luma"])
 
 
@@ -4850,7 +4855,7 @@ def _q_mm_video_scenes(sf_dir: str):
                 VideoKeyframes,
                 batch_format="pyarrow",
                 batch_size=64,
-                concurrency=2,
+                concurrency=_MEDIA_POOL,
             ).to_arrow_refs()
         )
         if t.num_rows
@@ -4898,7 +4903,7 @@ def _q_mm_audio_silence(sf_dir: str):
         AudioSilence,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -4909,7 +4914,7 @@ def _q_mm_audio(sf_dir: str):
         AudioFeatures,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -4949,7 +4954,7 @@ def _q_mm_audio_fp(sf_dir: str):
         AudioFingerprint,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -5006,7 +5011,7 @@ def _q_mm_image_phash(sf_dir: str):
         ImagePHash,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -5055,7 +5060,7 @@ def _q_mm_video_keyframes(sf_dir: str):
         VideoKeyframes,
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -5067,7 +5072,7 @@ def _q_mm_video_frames(sf_dir: str):
         fn_constructor_kwargs={"every_n": 10},
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=2,
+        concurrency=_MEDIA_POOL,
     )
 
 
@@ -5182,6 +5187,16 @@ class _FetchSim:
         )
 
 
+def _fetch_pool_size() -> int:
+    """Actor count of the fetch-simulation pools: up to 4, and one
+    below the session's CPUs — a pool holding every CPU starves the
+    read tasks that feed it, and the query never finishes (the
+    raw-actor rule)."""
+    import ray
+
+    return max(1, min(4, int(ray.cluster_resources().get("CPU", 1)) - 1))
+
+
 def _q_crawl_fetch_results(sf_dir: str):
     """S1: per-URL fetch outcome (retry replay + error taxonomy) over
     the full population."""
@@ -5190,7 +5205,7 @@ def _q_crawl_fetch_results(sf_dir: str):
         _FetchSim,
         fn_constructor_args=(cfg_ref,),
         batch_format="pyarrow",
-        concurrency=4,
+        concurrency=_fetch_pool_size(),
     )
 
 
@@ -5287,7 +5302,7 @@ def _q_crawl_head_check(sf_dir: str):
         HeadSim,
         fn_constructor_args=(cfg_ref,),
         batch_format="pyarrow",
-        concurrency=4,
+        concurrency=_fetch_pool_size(),
     )
 
 

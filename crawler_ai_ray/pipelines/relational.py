@@ -14,12 +14,14 @@ Scale notes:
 * tiny-cardinality groupbys (Q1's 6 groups) pre-aggregate inside
   ``map_batches`` (combiner) so the shuffle moves O(groups) rows per
   block, not O(rows);
-* small dimension tables (nation/region/customer) broadcast via
-  ``ray.put`` — read once per task, never re-shipped per batch, no
-  shuffle;
-* big⋈big joins use ``hash_bucket_join`` — one bucketed Ray shuffle +
-  Arrow ``Table.join`` per bucket (measured faster than
-  ``Dataset.join``'s per-partition actor constants at these sizes);
+* joins go through ``exchange.join``: a build side of at most
+  ``exchange.BROADCAST_MAX`` rows (nation/region/customer/part-sized)
+  broadcasts via ``ray.put`` — read once per task, probed map-side,
+  no shuffle — and a larger one takes the bucketed
+  ``hash_bucket_join``: one Ray shuffle + Arrow ``Table.join`` per
+  bucket (measured faster than ``Dataset.join``'s per-partition actor
+  constants at these sizes).  Tests force the bucketed branch with
+  the ``force_bucketed`` fixture;
 * reads prune columns at the source (``read_parquet(columns=...)``).
 """
 
@@ -32,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages import exchange
+from ..stages.exchange import hash_bucket_join
 
 __all__ = [
     "q1_pricing_summary",
@@ -445,240 +448,21 @@ def sample_hot_keys(ds, on: str, frac_threshold: float = 0.05,
     return sorted(int(k) for k in hot)
 
 
-def hash_bucket_join(left, right, on: str, num_buckets: int = 32,
-                     bucket_postprocess=None, join_type: str = "inner",
-                     left_schema: pa.Schema | None = None,
-                     right_schema: pa.Schema | None = None,
-                     hot_keys: list[int] | None = None,
-                     n_salts: int = 8):
-    """Distributed inner hash join on an **integer key** as a
-    composition of ``map_batches`` + ``union`` + ``groupby(bucket)``
-    + ``map_groups`` (SURVEY §2.5 J3 generalized; custom-operator
-    path (a) from the build brief).
-
-    Both sides are tagged with ``bucket = key % num_buckets`` and a
-    ``side`` flag, schemas are null-padded to a common layout, and the
-    single Ray shuffle has ``num_buckets`` groups; each bucket group
-    then joins its two sides locally with Arrow ``Table.join``
-    (co-location is exact: a key lives in exactly one bucket).
-    Measured against ``ray.data.Dataset.join`` at sf0.1 / 32 cpus this
-    is ~1.5-2× faster end-to-end — Ray's join pays per-partition actor
-    constants that dominate at these sizes; at cluster scale raise
-    ``num_buckets`` ∝ data size exactly as you would ``Dataset.join``'s
-    ``num_partitions``.
-
-    ``bucket_postprocess(joined: pa.Table) -> pa.Table``, when given,
-    runs inside each bucket task (e.g. a partial rollup) so the join
-    output never re-shuffles at full width.  ``join_type`` passes
-    through to Arrow ``Table.join`` — "inner" (default), "left outer",
-    "left semi", "left anti" (the anti-join is the seen-URL filter
-    generalized, SURVEY §2.5 J5); semi/anti emit left columns only.
-
-    ``hot_keys`` (from ``sample_hot_keys`` or caller knowledge) salts
-    skew: each hot key gets its own ``n_salts`` sub-buckets past the
-    base range — LEFT rows of that key spread round-robin across the
-    salts, RIGHT rows replicate into every salt, so one key holding
-    50 % of the left side becomes ``n_salts`` parallel tasks instead
-    of one straggler.  Exact for every join_type here (a left row
-    lives in exactly one bucket and sees the full right match set);
-    the planted-skew test pins salted ≡ unsalted.  Replication
-    assumes the hot key's RIGHT side is small (the usual probe-side
-    skew); two-sided hot keys are a cross-product explosion no
-    partitioning fixes."""
-    import ray.data
-
-    hot_arr = (
-        np.sort(np.asarray(hot_keys, dtype=np.int64))
-        if hot_keys
-        else None
-    )
-
-    # schema() on a lazy map_batches Dataset triggers a limit-1 probe
-    # execution; callers that know their prepped schemas pass them
-    # explicitly, skipping the probe (and the rare Ray task-cancel
-    # race a LimitOperator can hit)
-    lbase = left_schema if left_schema is not None else (
-        left.schema().base_schema
-    )
-    rbase = right_schema if right_schema is not None else (
-        right.schema().base_schema
-    )
-    lcols = [f.name for f in lbase]
-    rcols = [f.name for f in rbase]
-    lschema = {f.name: f.type for f in lbase}
-    rschema = {f.name: f.type for f in rbase}
-    if on not in lschema or on not in rschema:
-        raise ValueError(f"join key {on!r} must exist on both sides")
-    payload = [(c, lschema[c]) for c in lcols if c != on] + [
-        (c, rschema[c]) for c in rcols if c != on
-    ]
-    if len({c for c, _ in payload}) != len(payload):
-        raise ValueError("non-key columns must be disjoint")
-
-    def tag(side_flag, own_cols):
-        def fn(batch: pa.Table) -> pa.Table:
-            cols = {
-                "bucket": exchange.bucket_of(batch[on], num_buckets),
-                on: batch[on],
-                "side": pa.array([side_flag] * batch.num_rows, pa.int8()),
-            }
-            for c, typ in payload:
-                cols[c] = batch[c] if c in own_cols else pa.nulls(
-                    batch.num_rows, typ
-                )
-            tagged = pa.table(cols)
-            if hot_arr is None or batch.num_rows == 0:
-                return tagged
-            kv = batch[on].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.clip(
-                np.searchsorted(hot_arr, kv), 0, len(hot_arr) - 1
-            )
-            ishot = hot_arr[pos] == kv
-            if not ishot.any():
-                return tagged
-            if side_flag == 0:
-                # left: spread each hot key's rows round-robin over its
-                # n_salts dedicated buckets (deterministic within batch;
-                # assignment choice never changes the join output)
-                salt = np.arange(batch.num_rows, dtype=np.int64) % n_salts
-                bucket = tagged["bucket"].to_numpy(
-                    zero_copy_only=False
-                ).copy()
-                bucket[ishot] = (
-                    num_buckets + pos[ishot] * n_salts + salt[ishot]
-                )
-                return tagged.set_column(
-                    0, "bucket", pa.array(bucket, pa.int64())
-                )
-            # right: non-hot rows keep base buckets; hot rows replicate
-            # into every salt bucket of their key
-            base = tagged.filter(pa.array(~ishot))
-            hot = tagged.filter(pa.array(ishot))
-            hpos = pos[ishot]
-            reps = []
-            for s in range(n_salts):
-                reps.append(
-                    hot.set_column(
-                        0,
-                        "bucket",
-                        pa.array(
-                            num_buckets + hpos * n_salts + s, pa.int64()
-                        ),
-                    )
-                )
-            return pa.concat_tables([base] + reps)
-
-        return fn
-
-    both = left.map_batches(tag(0, set(lcols)), batch_format="pyarrow").union(
-        right.map_batches(tag(1, set(rcols)), batch_format="pyarrow")
-    )
-    lpay = [c for c in lcols if c != on]
-    rpay = [c for c in rcols if c != on]
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        lt = g.filter(pc.equal(g["side"], 0)).select([on] + lpay)
-        rt = g.filter(pc.equal(g["side"], 1)).select(
-            [on] + ([] if join_type in ("left semi", "left anti") else rpay)
-        )
-        j = lt.join(rt, keys=on, join_type=join_type)
-        return bucket_postprocess(j) if bucket_postprocess else j
-
-    return both.groupby("bucket").map_groups(join_bucket, batch_format="pyarrow")
-
-
-def lineitem_part_revenue(
-    sf_dir: str,
-    num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
-):
+def lineitem_part_revenue(sf_dir: str, num_buckets: int = 32):
     """Revenue by p_brand.
 
-    Join strategy is the explicit broadcast-vs-bucketed hybrid
-    (`q3_unshipped` pattern): part is a fixed 30× smaller than
-    lineitem in TPC-H, and the join needs only partkey→brand — below
-    ``broadcast_max_keys`` (parquet-metadata decision) the dimension
-    collapses to sorted (partkey, brand-code) arrays broadcast via
-    ``ray.put``, the brand rollup happens map-side in the SAME pass as
-    the per-batch pre-aggregation, and the only exchange is
-    O(blocks × brands) combiner rows.  Above the threshold (part ≳5M
-    rows ≈ TPC-H SF 25 — but then memory, not correctness, is the
-    constraint) it falls back to the bucketed ``hash_bucket_join``
-    with per-batch key pre-aggregation, in-bucket brand partials, and
-    the same driver-side finish."""
-    import ray
-    import ray.data
+    lineitem pre-aggregates (partkey → revenue cents, item count) per
+    batch and joins part's partkey → brand through ``exchange.join``:
+    part is a fixed 30× smaller than lineitem in TPC-H, so it is read
+    on the driver, broadcasts and the brand rollup runs in the probe
+    pass (bucketed above ``exchange.BROADCAST_MAX`` parts, the rollup
+    then running in each bucket task).  Only O(batches × brands)
+    partial rows reach the driver-side finish."""
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     li = _read(
         sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"]
     )
-
-    n_part = pq.read_metadata(
-        os.path.join(sf_dir, "part.parquet")
-    ).num_rows
-    if n_part <= broadcast_max_keys:
-        part_tbl = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_brand"],
-        )
-        pk = part_tbl["p_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        brands = part_tbl["p_brand"].dictionary_encode().combine_chunks()
-        codes = brands.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        order = np.argsort(pk)
-        dim_ref = ray.put((pk[order], codes[order]))
-        brand_names = brands.dictionary
-
-        def map_rollup(batch: pa.Table) -> pa.Table:
-            k, c = ray.get(dim_ref)
-            ep = pc.cast(batch["l_extendedprice"], pa.float64())
-            disc = pc.cast(batch["l_discount"], pa.float64())
-            lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-            code = c[np.searchsorted(k, lk)]
-            t = pa.table(
-                {
-                    "brand_code": pa.array(code, pa.int64()),
-                    "disc_cents": cents(
-                        pc.multiply(ep, pc.subtract(1.0, disc))
-                    ),
-                }
-            )
-            agg = t.group_by("brand_code").aggregate(
-                [("disc_cents", "sum"), ("disc_cents", "count")]
-            )
-            return agg.rename_columns(
-                ["brand_code", "disc_cents", "n_items"]
-            )
-
-        blocks = [
-            t
-            for t in ray.get(
-                li.map_batches(
-                    map_rollup, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        tiny = (
-            pa.concat_tables(blocks)
-            .group_by("brand_code")
-            .aggregate([("n_items", "sum"), ("disc_cents", "sum")])
-        )
-        code = tiny["brand_code"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "p_brand": brand_names.take(pa.array(code)),
-                "n_items": pc.cast(tiny["n_items_sum"], pa.int64()),
-                "revenue_cents": pc.cast(
-                    tiny["disc_cents_sum"], pa.int64()
-                ),
-            }
-        ).sort_by("p_brand")
 
     def prep(batch: pa.Table) -> pa.Table:
         ep = pc.cast(batch["l_extendedprice"], pa.float64())
@@ -694,10 +478,9 @@ def lineitem_part_revenue(
         )
         return agg.rename_columns(["l_partkey", "disc_cents", "n_items"])
 
-    part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"]).map_batches(
-        lambda b: b.rename_columns(["l_partkey", "p_brand"]),
-        batch_format="pyarrow",
-    )
+    part = pq.read_table(
+        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_brand"]
+    ).rename_columns(["l_partkey", "p_brand"])
 
     def brand_partial(joined: pa.Table) -> pa.Table:
         agg = joined.group_by("p_brand").aggregate(
@@ -705,12 +488,12 @@ def lineitem_part_revenue(
         )
         return agg.rename_columns(["p_brand", "n_items", "disc_cents"])
 
-    partials = hash_bucket_join(
+    partials = exchange.join(
         li.map_batches(prep, batch_format="pyarrow"),
         part,
         on="l_partkey",
+        combine=brand_partial,
         num_buckets=num_buckets,
-        bucket_postprocess=brand_partial,
         left_schema=pa.schema(
             [
                 ("l_partkey", pa.int64()),
@@ -722,22 +505,11 @@ def lineitem_part_revenue(
             [("l_partkey", pa.int64()), ("p_brand", pa.string())]
         ),
     )
-    # final rollup: the partials are O(buckets × brands) rows — a Ray
-    # groupby + sort here costs two more ~3.3 s fixed all-to-alls
-    # (sample+shuffle) on a few hundred rows; collect and finish with
-    # Arrow on the driver instead (same pattern as top_customers)
-    import ray
-
-    tiny = pa.concat_tables(
-        [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    )
-    out = (
-        tiny.group_by("p_brand")
-        .aggregate([("n_items", "sum"), ("disc_cents", "sum")])
+    return (
+        brand_partial(partials)
         .rename_columns(["p_brand", "n_items", "revenue_cents"])
         .sort_by("p_brand")
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -748,35 +520,27 @@ def q3_unshipped(
     cutoff: str = "1998-06-01",
     k: int = 10,
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q3 shape — top-k open orders by outstanding revenue for
     one market segment: customer ⋈ orders ⋈ lineitem, three tables
     joined on two different keys, → (o_orderkey, o_orderdate,
     o_orderpriority, revenue_cents).
 
-    Two joins on two different keys, each picked by side shape:
+    Two ``exchange.join`` calls on two different keys:
     1. orders(date < cutoff, columns pruned) ⋉ segment-filtered
        customer KEYS on custkey — a semi-join whose build side is
-       keys-only (~1/5 of custkeys, 8 B each).  Below
-       ``broadcast_max_keys`` (decided from parquet METADATA row
-       counts, no extra pass) the key set is collected once, sorted,
-       ``ray.put`` and the filter runs map-side (`searchsorted`) — one
-       whole shuffle disappears.  Above it (≳5M keys ≈ 40 MB; TPC-H
-       SF≳170) it degrades to the bucketed ``hash_bucket_join``, the
-       honest all-to-all path.  Spark's autoBroadcastJoinThreshold
-       hybrid, made explicit.
-    2. result ⋈ lineitem(shipdate > cutoff) on orderkey — the fact
-       side pre-aggregates revenue per (batch, orderkey) before the
-       shuffle (distributive sum, n:1 join), and each bucket finishes
-       its orderkeys exactly (a key lives in one bucket), then keeps
-       only its LOCAL top-k, so ≤ buckets×k candidate rows reach the
-       driver-side final sort (house rule: no Ray sort on tiny sets).
+       keys-only (~1/5 of custkeys, 8 B each), so it broadcasts and
+       the filter runs map-side (bucketed above the broadcast budget).
+    2. lineitem(shipdate > cutoff) ⋈ that result on orderkey — the
+       fact side pre-aggregates revenue per (batch, orderkey) (n:1
+       join, distributive sum), and the join's finish re-aggregates
+       whole orderkey groups and keeps only their top-k, so ≤
+       buckets×k candidate rows reach the driver-side final sort
+       (house rule: no Ray sort on tiny sets).  The top-k is a finish,
+       never a per-batch combine: an orderkey's lineitems can span
+       batches, so partial sums must fully re-aggregate before any cut.
     Order: revenue desc, orderdate asc, orderkey asc — fully
     deterministic tie-break, mirrored by the oracle."""
-    import ray
-    import ray.data
-
     cutoff_ts = np.datetime64(cutoff, "us")
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
@@ -796,62 +560,26 @@ def q3_unshipped(
             pc.less(batch["o_orderdate"], pa.scalar(cutoff_ts))
         )
 
-    import pyarrow.parquet as pq
-
-    n_cust = pq.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    if n_cust <= broadcast_max_keys:
-        key_blocks = [
-            t["o_custkey"].to_numpy(zero_copy_only=False)
-            for t in ray.get(
-                cust.map_batches(
-                    cust_keys, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        keyset = np.sort(np.concatenate(key_blocks)) if key_blocks else (
-            np.zeros(0, dtype=np.int64)
-        )
-        k_ref = ray.put(keyset)
-
-        def semi(batch: pa.Table) -> pa.Table:
-            ks = ray.get(k_ref)
-            batch = ord_prep(batch)
-            ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(ks, ck)
-            hit = (
-                (idx < len(ks)) & (ks[np.minimum(idx, max(len(ks) - 1, 0))] == ck)
-                if len(ks)
-                else np.zeros(len(ck), dtype=bool)
-            )
-            return batch.filter(pa.array(hit)).select(
-                ["o_orderkey", "o_orderdate", "o_orderpriority"]
-            )
-
-        open_orders = orders.map_batches(semi, batch_format="pyarrow")
-    else:
-        open_orders = hash_bucket_join(
-            orders.map_batches(ord_prep, batch_format="pyarrow"),
-            cust.map_batches(cust_keys, batch_format="pyarrow"),
-            on="o_custkey",
-            num_buckets=num_buckets,
-            left_schema=pa.schema(
-                [
-                    ("o_orderkey", pa.int64()),
-                    ("o_custkey", pa.int64()),
-                    ("o_orderdate", pa.timestamp("us")),
-                    ("o_orderpriority", pa.string()),
-                ]
-            ),
-            right_schema=pa.schema([("o_custkey", pa.int64())]),
-        ).map_batches(
-            lambda b: b.select(
-                ["o_orderkey", "o_orderdate", "o_orderpriority"]
-            ),
-            batch_format="pyarrow",
-        )
+    open_orders = exchange.join(
+        orders.map_batches(ord_prep, batch_format="pyarrow"),
+        cust.map_batches(cust_keys, batch_format="pyarrow"),
+        on="o_custkey",
+        how="left semi",
+        combine=lambda j: j.select(
+            ["o_orderkey", "o_orderdate", "o_orderpriority"]
+        ),
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("o_custkey", pa.int64()),
+                ("o_orderdate", pa.timestamp("us")),
+                ("o_orderpriority", pa.string()),
+            ]
+        ),
+        right_schema=pa.schema([("o_custkey", pa.int64())]),
+        lazy=True,
+    )
 
     li = _read(
         sf_dir,
@@ -876,7 +604,7 @@ def q3_unshipped(
         agg = t.group_by("o_orderkey").aggregate([("revenue_cents", "sum")])
         return agg.rename_columns(["o_orderkey", "revenue_cents"])
 
-    def bucket_topk(joined: pa.Table) -> pa.Table:
+    def topk(joined: pa.Table) -> pa.Table:
         agg = joined.group_by(
             ["o_orderkey", "o_orderdate", "o_orderpriority"]
         ).aggregate([("revenue_cents", "sum")])
@@ -899,88 +627,17 @@ def q3_unshipped(
             .slice(0, k)
         )
 
-    # join 2 hybrid: the date+segment-filtered orders side is ~9 % of
-    # orders — when its MEASURED count (materialize → metadata count,
-    # one cheap pass) fits the broadcast budget, ship it as a sorted
-    # orderkey-indexed table and fold join + rollup + local top-k into
-    # the lineitem map pass (zero shuffles left in the whole query);
-    # else the bucketed join below is the all-to-all path.
-    open_orders = open_orders.materialize()
-    if open_orders.count() <= broadcast_max_keys:
-        oo_blocks = [
-            t for t in ray.get(open_orders.to_arrow_refs()) if t.num_rows
-        ]
-        if not oo_blocks:
-            return pa.table(
-                {
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_orderdate": pa.array([], pa.timestamp("us")),
-                    "o_orderpriority": pa.array([], pa.string()),
-                    "revenue_cents": pa.array([], pa.int64()),
-                }
-            )
-        oo = pa.concat_tables(oo_blocks).combine_chunks()
-        ok = oo["o_orderkey"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ok)
-        oo = oo.take(pa.array(order))
-        oo_ref = ray.put((ok[order], oo))
-
-        # NO per-batch top-k here: an orderkey's lineitems can span
-        # batches, so partials must fully re-aggregate before any
-        # cut (per-batch top-k over partial sums would be unsound).
-        # Partial volume is ≤ blocks × |open orders in batch| — tiny
-        # under the same threshold that chose this path.
-        def joined_partial(batch: pa.Table) -> pa.Table:
-            keys, ootbl = ray.get(oo_ref)
-            part = li_prep(batch)
-            lk = part["o_orderkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(keys, lk)
-            hit = (
-                (idx < len(keys))
-                & (keys[np.minimum(idx, len(keys) - 1)] == lk)
-            )
-            part = part.filter(pa.array(hit))
-            idx = idx[hit]
-            return pa.table(
-                {
-                    "o_orderkey": part["o_orderkey"],
-                    "o_orderdate": ootbl["o_orderdate"].take(
-                        pa.array(idx)
-                    ),
-                    "o_orderpriority": ootbl["o_orderpriority"].take(
-                        pa.array(idx)
-                    ),
-                    "revenue_cents": part["revenue_cents"],
-                }
-            )
-
-        cand_blocks = [
-            t
-            for t in ray.get(
-                li.map_batches(
-                    joined_partial, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        blocks = (
-            [bucket_topk(pa.concat_tables(cand_blocks))]
-            if cand_blocks
-            else []
-        )
-    else:
-        cand = hash_bucket_join(
-            open_orders,
-            li.map_batches(li_prep, batch_format="pyarrow"),
-            on="o_orderkey",
-            num_buckets=num_buckets,
-            bucket_postprocess=bucket_topk,
-            right_schema=pa.schema(
-                [("o_orderkey", pa.int64()), ("revenue_cents", pa.int64())]
-            ),
-        )
-        blocks = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
-    if not blocks:
+    cand = exchange.join(
+        li.map_batches(li_prep, batch_format="pyarrow"),
+        open_orders,
+        on="o_orderkey",
+        finish=topk,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("revenue_cents", pa.int64())]
+        ),
+    )
+    if cand.num_rows == 0:
         return pa.table(
             {
                 "o_orderkey": pa.array([], pa.int64()),
@@ -989,17 +646,13 @@ def q3_unshipped(
                 "revenue_cents": pa.array([], pa.int64()),
             }
         )
-    out = (
-        pa.concat_tables(blocks)
-        .sort_by(
-            [
-                ("revenue_cents", "descending"),
-                ("o_orderdate", "ascending"),
-                ("o_orderkey", "ascending"),
-            ]
-        )
-        .slice(0, k)
-    )
+    out = cand.sort_by(
+        [
+            ("revenue_cents", "descending"),
+            ("o_orderdate", "ascending"),
+            ("o_orderkey", "ascending"),
+        ]
+    ).slice(0, k)
     # Arrow group_by keys may round-trip timestamp precision; pin [us]
     return out.set_column(
         1,
@@ -1008,14 +661,33 @@ def q3_unshipped(
     )
 
 
+def _supplier_nation_ref(sf_dir: str, nat_keys: np.ndarray | None = None):
+    """ray.put sorted (suppkey, nationkey) arrays, optionally filtered
+    to a nation set.  Supplier is the smallest fact-side dim (SF×10k);
+    broadcasting it is the house Q5 precedent — the documented boundary
+    is supplier no longer fitting a worker heap (SF ≳ 100k)."""
+    import pyarrow.parquet as pq
+    import ray
+
+    sup = pq.read_table(
+        os.path.join(sf_dir, "supplier.parquet"),
+        columns=["s_suppkey", "s_nationkey"],
+    )
+    sk = sup["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    sn = sup["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    if nat_keys is not None:
+        keep = np.isin(sn, nat_keys)
+        sk, sn = sk[keep], sn[keep]
+    order = np.argsort(sk)
+    return ray.put((sk[order], sn[order]))
+
+
 def q5_local_supplier_volume(
     sf_dir: str,
     region: str = "ASIA",
     date_from: str = "1996-01-01",
     date_to: str = "1999-01-01",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
-    orderkey_broadcast_max: int | None = None,
 ):
     """TPC-H Q5 shape — revenue by nation where customer and supplier
     share the nation: six tables, → (n_name, revenue_cents) desc.
@@ -1023,19 +695,19 @@ def q5_local_supplier_volume(
     Join strategy by side shape (SURVEY §2.5 patterns composed):
     * region ⋈ nation resolve DRIVER-side (≤25 rows) into a
       nationkey→name map for the target region.
-    * customer (region-filtered) reduces to a custkey→nationkey pair
-      list — keys-only; broadcast sorted-array lookup under
-      ``broadcast_max_keys`` (same hybrid + threshold as
-      ``q3_unshipped``), so orders tag their customer's nation
-      map-side and the whole customer join costs no shuffle.
+    * date-filtered orders ⋈ region-filtered customer (custkey →
+      nationkey pairs) through ``exchange.join``: the pair list
+      broadcasts, so orders tag their customer's nation map-side and
+      the customer join costs no shuffle (bucketed above the
+      broadcast budget — TPC-H SF ≥ ~35 customers).
     * supplier reduces to a suppkey→nationkey map, broadcast the same
       way (supplier is 10× smaller than customer in TPC-H).
-    * orders(date-ranged) ⋈ lineitem on orderkey is the one real
-      all-to-all: ``hash_bucket_join`` with the lineitem side
-      pre-reduced to (orderkey, suppkey, revenue_cents) partials, and
-      the c_nation = s_nation predicate + per-nation rollup applied
-      INSIDE each bucket task, so only O(buckets × 5 nations) partial
-      rows ever leave the join."""
+    * lineitem, pre-reduced to (orderkey, suppkey, revenue_cents)
+      partials, ⋈ the tagged orders (~10 % of orders) on orderkey
+      through ``exchange.join`` again, with the c_nation = s_nation
+      predicate + per-nation rollup as its per-batch combine, so only
+      O(batches × 5 nations) partial rows ever leave the join (summing
+      per-nation partials is distributive)."""
     import pyarrow.parquet as pq
     import ray
 
@@ -1063,76 +735,44 @@ def q5_local_supplier_volume(
     order = np.argsort(nk)
     name_by_nation = (nk[order], nat["n_name"].take(pa.array(order)))
 
-    def _kv_broadcast(ds, key_col: str, val_col: str):
-        """collect a keys+values pair list driver-side, sorted by key
-        (combiner-sized under the threshold guard), → ray.put ref."""
-        ks, vs = [], []
-        for t in ray.get(ds.to_arrow_refs()):
-            if t.num_rows:
-                ks.append(
-                    t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                )
-                vs.append(
-                    t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                )
-        if not ks:
-            return ray.put(
-                (np.zeros(0, np.int64), np.zeros(0, np.int64))
-            )
-        k = np.concatenate(ks)
-        v = np.concatenate(vs)
-        o = np.argsort(k)
-        return ray.put((k[o], v[o]))
-
-    n_cust = pq.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
+    s_ref = _supplier_nation_ref(sf_dir)
 
     cust = _read(
         sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
     ).map_batches(
-        lambda b: b.filter(
-            pc.is_in(b["c_nationkey"], value_set=pa.array(nat_keys))
-        ),
+        lambda b: pa.table(
+            {
+                "o_custkey": pc.cast(b["c_custkey"], pa.int64()),
+                "c_nation": pc.cast(b["c_nationkey"], pa.int64()),
+            }
+        ).filter(pc.is_in(b["c_nationkey"], value_set=pa.array(nat_keys))),
         batch_format="pyarrow",
     )
-    sup = _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    s_ref = _kv_broadcast(sup, "s_suppkey", "s_nationkey")
 
-    orders = _read(
-        sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-
-    def _ord_date_filter(batch: pa.Table) -> pa.Table:
+    def ord_date(batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.and_(
                 pc.greater_equal(batch["o_orderdate"], pa.scalar(cut_lo)),
                 pc.less(batch["o_orderdate"], pa.scalar(cut_hi)),
             )
-        )
+        ).select(["o_orderkey", "o_custkey"])
 
-    def ord_tag(batch: pa.Table) -> pa.Table:
-        ck, cv = ray.get(c_ref)
-        batch = _ord_date_filter(batch)
-        oc = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(ck, oc)
-        hit = (
-            (idx < len(ck)) & (ck[np.minimum(idx, max(len(ck) - 1, 0))] == oc)
-            if len(ck)
-            else np.zeros(len(oc), dtype=bool)
-        )
-        kept = batch.filter(pa.array(hit))
-        nk = cv[
-            np.searchsorted(
-                ck, kept["o_custkey"].to_numpy(zero_copy_only=False)
-            )
-        ]
-        return pa.table(
-            {
-                "o_orderkey": kept["o_orderkey"],
-                "c_nation": pa.array(nk, pa.int64()),
-            }
-        )
+    tagged = exchange.join(
+        _read(
+            sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
+        ).map_batches(ord_date, batch_format="pyarrow"),
+        cust,
+        on="o_custkey",
+        combine=lambda j: j.select(["o_orderkey", "c_nation"]),
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
+        ),
+        right_schema=pa.schema(
+            [("o_custkey", pa.int64()), ("c_nation", pa.int64())]
+        ),
+        lazy=True,
+    )
 
     li = _read(
         sf_dir,
@@ -1183,123 +823,24 @@ def q5_local_supplier_volume(
         agg = t.group_by("nation").aggregate([("revenue_cents", "sum")])
         return agg.rename_columns(["nation", "revenue_cents"])
 
-    # customer-join hybrid (q3_unshipped pattern, both branches): under
-    # the broadcast budget the region-filtered customer side ships as
-    # sorted (custkey, nationkey) arrays and orders tag their customer
-    # nation map-side (zero-shuffle first join); above it, the first
-    # join is a custkey-bucketed ``hash_bucket_join`` of date-filtered
-    # orders against the (custkey, nation) pair list — TPC-H SF ≥ ~35
-    # customer no longer fits a worker heap as a broadcast array.
-    if n_cust <= broadcast_max_keys:
-        c_ref = _kv_broadcast(cust, "c_custkey", "c_nationkey")
-        tagged = orders.map_batches(
-            ord_tag, batch_format="pyarrow"
-        ).materialize()
-    else:
-        def ord_date(batch: pa.Table) -> pa.Table:
-            return _ord_date_filter(batch).select(
-                ["o_orderkey", "o_custkey"]
-            )
-
-        def cust_pairs(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "o_custkey": pc.cast(batch["c_custkey"], pa.int64()),
-                    "c_nation": pc.cast(batch["c_nationkey"], pa.int64()),
-                }
-            )
-
-        tagged = (
-            hash_bucket_join(
-                orders.map_batches(ord_date, batch_format="pyarrow"),
-                cust.map_batches(cust_pairs, batch_format="pyarrow"),
-                on="o_custkey",
-                num_buckets=num_buckets,
-                left_schema=pa.schema(
-                    [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
-                ),
-                right_schema=pa.schema(
-                    [("o_custkey", pa.int64()), ("c_nation", pa.int64())]
-                ),
-            )
-            .map_batches(
-                lambda b: b.select(["o_orderkey", "c_nation"]),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-
-    # orderkey-join hybrid (q3 pattern): the region+date-filtered
-    # orders side measures ~10 % of orders; under the broadcast budget
-    # it ships as sorted (orderkey, c_nation) arrays and the join +
-    # same-nation predicate + per-nation rollup fold into the lineitem
-    # map pass — zero shuffles in the whole query.  Summing per-batch
-    # nation partials is distributive (no cut before re-aggregation),
-    # so unlike q3 no extra care is needed.
-    ok_max = (
-        broadcast_max_keys
-        if orderkey_broadcast_max is None
-        else orderkey_broadcast_max
+    partials = exchange.join(
+        li.map_batches(li_prep, batch_format="pyarrow"),
+        tagged,
+        on="o_orderkey",
+        combine=nation_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("l_suppkey", pa.int64()),
+                ("revenue_cents", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("c_nation", pa.int64())]
+        ),
     )
-    if tagged.count() <= ok_max:
-        tag_blocks = [
-            t for t in ray.get(tagged.to_arrow_refs()) if t.num_rows
-        ]
-        if not tag_blocks:
-            return pa.table(
-                {
-                    "n_name": pa.array([], pa.string()),
-                    "revenue_cents": pa.array([], pa.int64()),
-                }
-            )
-        tt = pa.concat_tables(tag_blocks)
-        okeys = tt["o_orderkey"].to_numpy(zero_copy_only=False)
-        order2 = np.argsort(okeys)
-        onat = tt["c_nation"].to_numpy(zero_copy_only=False)[order2]
-        t_ref = ray.put((okeys[order2], onat))
-
-        def li_partial(batch: pa.Table) -> pa.Table:
-            keys, nat = ray.get(t_ref)
-            part = li_prep(batch)
-            lk = part["o_orderkey"].to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(keys, lk)
-            hit = (
-                (idx < len(keys))
-                & (keys[np.minimum(idx, len(keys) - 1)] == lk)
-            )
-            part = part.filter(pa.array(hit))
-            j = part.append_column(
-                "c_nation",
-                pa.array(nat[idx[hit]], pa.int64()),
-            )
-            return nation_partial(j)
-
-        blocks = [
-            t
-            for t in ray.get(
-                li.map_batches(
-                    li_partial, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    else:
-        partials = hash_bucket_join(
-            tagged,
-            li.map_batches(li_prep, batch_format="pyarrow"),
-            on="o_orderkey",
-            num_buckets=num_buckets,
-            bucket_postprocess=nation_partial,
-            right_schema=pa.schema(
-                [
-                    ("o_orderkey", pa.int64()),
-                    ("l_suppkey", pa.int64()),
-                    ("revenue_cents", pa.int64()),
-                ]
-            ),
-        )
-        blocks = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not blocks:
+    if partials.num_rows == 0:
         return pa.table(
             {
                 "n_name": pa.array([], pa.string()),
@@ -1307,8 +848,7 @@ def q5_local_supplier_volume(
             }
         )
     tiny = (
-        pa.concat_tables(blocks)
-        .group_by("nation")
+        partials.group_by("nation")
         .aggregate([("revenue_cents", "sum")])
     )
     nats = tiny["nation"].to_numpy(zero_copy_only=False)
@@ -1587,30 +1127,19 @@ def q4_order_priority(
     date_lo: str = "1997-01-01",
     date_hi: str = "1997-04-01",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 4_000_000,
 ):
     """TPC-H Q4 shape — order-priority checking: count orders placed in
     a quarter that have at least one returned lineitem (EXISTS
     semi-join) → (o_orderpriority, order_count).
 
-    Broadcast-vs-bucketed SEMI-JOIN hybrid (the Q3/Q5 pattern applied
-    to EXISTS):
-
-    * both sides combine first — lineitem collapses to per-batch
-      DISTINCT returned orderkeys, orders filter to the quarter at the
-      read;
-    * below `broadcast_max_keys` distinct returned keys, the key set
-      broadcasts once (`ray.put` of a sorted int64 array) and the
-      EXISTS test is a map-side ``searchsorted`` — ZERO shuffles, and
-      each task emits its ≤5-row priority-count partial;
-    * above it, `hash_bucket_join(..., join_type="left semi")` with a
-      per-bucket priority rollup, so the exchange carries only
-      (orderkey, priority) pairs and each bucket emits ≤5 rows.
-
-    The driver-side finish merges ≤ tasks×5 partial rows either way.
+    One ``exchange.join`` EXISTS semi-join, both sides combined
+    first — lineitem collapses to per-batch DISTINCT returned
+    orderkeys (the build side), orders filter to the quarter at the
+    read.  The returned-key set broadcasts and the EXISTS test runs
+    map-side (bucketed above the broadcast budget); either way the
+    per-batch (or per-bucket) priority rollup is the join's combine,
+    so the driver-side finish merges ≤ tasks×5 partial rows.
     """
-    import ray
-
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
@@ -1644,64 +1173,19 @@ def q4_order_priority(
             }
         )
 
-    keys_ds = li.map_batches(
-        returned_keys, batch_format="pyarrow"
-    ).materialize()
-    if keys_ds.count() <= broadcast_max_keys:
-        blocks = [t for t in ray.get(keys_ds.to_arrow_refs()) if t.num_rows]
-        rkeys = (
-            np.unique(
-                np.concatenate(
-                    [
-                        t["o_orderkey"].to_numpy(zero_copy_only=False)
-                        for t in blocks
-                    ]
-                )
-            )
-            if blocks
-            else np.array([], dtype=np.int64)
-        )
-        rk_ref = ray.put(rkeys)
-
-        def exists_counts(batch: pa.Table) -> pa.Table:
-            t = quarter(batch)
-            ks = ray.get(rk_ref)
-            ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            if len(ks):
-                idx = np.searchsorted(ks, ok)
-                hit = (idx < len(ks)) & (
-                    ks[np.minimum(idx, len(ks) - 1)] == ok
-                )
-            else:
-                hit = np.zeros(len(ok), dtype=bool)
-            return prio_partial(t.filter(pa.array(hit)))
-
-        parts = [
-            t
-            for t in ray.get(
-                ords.map_batches(
-                    exists_counts, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    else:
-        joined = hash_bucket_join(
-            ords.map_batches(quarter, batch_format="pyarrow"),
-            keys_ds,
-            on="o_orderkey",
-            num_buckets=num_buckets,
-            join_type="left semi",
-            bucket_postprocess=prio_partial,
-            left_schema=pa.schema(
-                [("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]
-            ),
-            right_schema=pa.schema([("o_orderkey", pa.int64())]),
-        )
-        parts = [
-            t for t in ray.get(joined.to_arrow_refs()) if t.num_rows
-        ]
-    if not parts:
+    parts = exchange.join(
+        ords.map_batches(quarter, batch_format="pyarrow"),
+        li.map_batches(returned_keys, batch_format="pyarrow"),
+        on="o_orderkey",
+        how="left semi",
+        combine=prio_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("o_orderpriority", pa.string())]
+        ),
+        right_schema=pa.schema([("o_orderkey", pa.int64())]),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "o_orderpriority": pa.array([], pa.string()),
@@ -1709,8 +1193,7 @@ def q4_order_priority(
             }
         )
     agg = (
-        pa.concat_tables(parts)
-        .group_by("o_orderpriority")
+        parts.group_by("o_orderpriority")
         .aggregate([("n", "sum")])
     )
     agg = agg.take(pc.sort_indices(agg, sort_keys=[("o_orderpriority", "ascending")]))
@@ -1847,7 +1330,6 @@ def q22_inactive_customers(
     sf_dir: str,
     active_since: str = "2000-01-01",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 4_000_000,
 ):
     """TPC-H Q22 shape — "global sales opportunity": customers with an
     ABOVE-AVERAGE positive account balance and NO order since a cutoff
@@ -1862,10 +1344,10 @@ def q22_inactive_customers(
 
     Three passes, all combiner-sized exchanges:
     1. customer → (Σ positive balance cents, count) — two numbers;
-    2. orders(date ≥ cutoff) → distinct active custkeys; below
-       `broadcast_max_keys` they broadcast sorted (map-side
-       ``searchsorted`` anti-join — the seen-URL filter shape, J5),
-       above they anti-join via `hash_bucket_join(left anti)`;
+    2. orders(date ≥ cutoff) → distinct active custkeys, the build
+       side of an ``exchange.join`` anti-join (broadcast: a map-side
+       ``searchsorted`` filter, the seen-URL filter shape, J5;
+       bucketed above the broadcast budget);
     3. customer → filter (above-avg ∧ inactive) → per-batch
        (segment, count, Σ) partials → driver merge of ≤ tasks ×
        segments rows.
@@ -1929,66 +1411,23 @@ def q22_inactive_customers(
         keep = pc.greater(pc.multiply(bal, n_pos), sum_pos)
         return batch.filter(keep)
 
-    keys_ds = ords.map_batches(
-        active_keys, batch_format="pyarrow"
-    ).materialize()
-    if keys_ds.count() <= broadcast_max_keys:
-        blocks = [t for t in ray.get(keys_ds.to_arrow_refs()) if t.num_rows]
-        akeys = (
-            np.unique(
-                np.concatenate(
-                    [
-                        t["c_custkey"].to_numpy(zero_copy_only=False)
-                        for t in blocks
-                    ]
-                )
-            )
-            if blocks
-            else np.array([], dtype=np.int64)
-        )
-        ak_ref = ray.put(akeys)
-
-        def inactive_partial(batch: pa.Table) -> pa.Table:
-            t = above_avg(batch)
-            ks = ray.get(ak_ref)
-            ck = t["c_custkey"].to_numpy(zero_copy_only=False)
-            if len(ks):
-                idx = np.searchsorted(ks, ck)
-                hit = (idx < len(ks)) & (
-                    ks[np.minimum(idx, len(ks) - 1)] == ck
-                )
-            else:
-                hit = np.zeros(len(ck), dtype=bool)
-            return seg_partial(t.filter(pa.array(~hit)))
-
-        parts = [
-            t
-            for t in ray.get(
-                cust.map_batches(
-                    inactive_partial, batch_format="pyarrow"
-                ).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-    else:
-        joined = hash_bucket_join(
-            cust.map_batches(above_avg, batch_format="pyarrow"),
-            keys_ds,
-            on="c_custkey",
-            num_buckets=num_buckets,
-            join_type="left anti",
-            bucket_postprocess=seg_partial,
-            left_schema=pa.schema(
-                [
-                    ("c_custkey", pa.int64()),
-                    ("c_mktsegment", pa.string()),
-                    ("c_acctbal", pa.float64()),
-                ]
-            ),
-            right_schema=pa.schema([("c_custkey", pa.int64())]),
-        )
-        parts = [t for t in ray.get(joined.to_arrow_refs()) if t.num_rows]
-    if not parts:
+    parts = exchange.join(
+        cust.map_batches(above_avg, batch_format="pyarrow"),
+        ords.map_batches(active_keys, batch_format="pyarrow"),
+        on="c_custkey",
+        how="left anti",
+        combine=seg_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("c_custkey", pa.int64()),
+                ("c_mktsegment", pa.string()),
+                ("c_acctbal", pa.float64()),
+            ]
+        ),
+        right_schema=pa.schema([("c_custkey", pa.int64())]),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "c_mktsegment": pa.array([], pa.string()),
@@ -1997,8 +1436,7 @@ def q22_inactive_customers(
             }
         )
     agg = (
-        pa.concat_tables(parts)
-        .group_by("c_mktsegment")
+        parts.group_by("c_mktsegment")
         .aggregate([("numcust", "sum"), ("totacctbal_cents", "sum")])
     )
     agg = agg.take(

@@ -4,13 +4,13 @@ l_commitdate / l_receiptdate / l_shipmode / p_container columns), on
 the same Ray-Data plan shapes as ``relational.py``:
 
 * per-batch Arrow pre-aggregation (combiner) before ANY exchange;
-* broadcast-vs-bucketed join hybrids decided from parquet metadata /
-  materialized counts, with a forced-bucketed kwarg for path-agreement
-  tests (``broadcast_max_keys=0``);
-* one ``hash_bucket_join`` / ``exchange.bucket_finish`` shuffle where
-  a real all-to-all is unavoidable, with the rollup folded INTO the
-  bucket task so only partial rows leave the exchange (the finish runs
-  on the driver when the partials are few);
+* every fact-to-dimension join through ``exchange.join``: broadcast
+  below ``exchange.BROADCAST_MAX`` build-side rows, else one bucketed
+  shuffle (tests force it with the ``force_bucketed`` fixture), with
+  the rollup as the join's per-batch / per-bucket combine so only
+  partial rows leave the join;
+* ``exchange.bucket_finish`` where a real all-to-all is unavoidable
+  (the finish runs on the driver when the partials are few);
 * money as integer cents (``relational.cents``: floor(x*100+0.5),
   bit-identical to the DuckDB oracle), ratios as one final division.
 
@@ -39,8 +39,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.exchange import blocks, bucket_finish, bucket_of
-from .relational import _read, cents, hash_bucket_join
+from ..stages import exchange
+from ..stages.exchange import blocks, bucket_finish, bucket_of, lookup
+from .relational import _read, _supplier_nation_ref, cents
 
 HIGH_PRIO = ("1-URGENT", "2-HIGH")
 
@@ -79,68 +80,38 @@ def _region_nations(sf_dir: str, region: str) -> np.ndarray:
     )
 
 
-def _supplier_nation_ref(sf_dir: str, nat_keys: np.ndarray | None = None):
-    """ray.put sorted (suppkey, nationkey) arrays, optionally filtered
-    to a nation set.  Supplier is the smallest fact-side dim (SF×10k);
-    broadcasting it is the house Q5 precedent — the documented boundary
-    is supplier no longer fitting a worker heap (SF ≳ 100k)."""
-    import ray
-
-    sup = pq.read_table(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_nationkey"],
-    )
-    sk = sup["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sn = sup["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if nat_keys is not None:
-        keep = np.isin(sn, nat_keys)
-        sk, sn = sk[keep], sn[keep]
-    order = np.argsort(sk)
-    return ray.put((sk[order], sn[order]))
-
-
-def _lookup(keys: np.ndarray, q: np.ndarray):
-    """sorted-array membership: (hit mask, clipped insert positions)."""
-    if len(keys) == 0:
-        return np.zeros(len(q), dtype=bool), np.zeros(len(q), dtype=np.int64)
-    idx = np.searchsorted(keys, q)
-    idc = np.minimum(idx, len(keys) - 1)
-    return keys[idc] == q, idc
-
-
 def _orders_cust_nation(
     sf_dir: str,
     nat_keys: np.ndarray,
-    broadcast_max_keys: int,
     num_buckets: int,
     date_lo: str | None = None,
     date_hi: str | None = None,
     with_year: bool = False,
 ):
-    """orders ⋈ customer(nation-filtered) → materialized Dataset of
-    (o_orderkey, c_nation[, o_year]).  The Q5 first-join hybrid,
-    factored: under ``broadcast_max_keys`` customers the filtered
-    (custkey, nationkey) pair list broadcasts and orders tag map-side
-    (zero shuffle); above it, a custkey-bucketed ``hash_bucket_join``."""
-    import ray
-
+    """orders ⋈ customer(nation-filtered) → lazy Dataset of
+    (o_orderkey, c_nation[, o_year]).  The Q5 first join, factored:
+    the filtered (custkey, nationkey) pair list is the build side of
+    an ``exchange.join``, so orders tag map-side (zero shuffle) under
+    the broadcast budget."""
     lo = np.datetime64(date_lo, "us") if date_lo else None
     hi = np.datetime64(date_hi, "us") if date_hi else None
 
     cust = _read(
         sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
     ).map_batches(
-        lambda b: b.filter(
-            pc.is_in(b["c_nationkey"], value_set=pa.array(nat_keys))
-        ),
+        lambda b: pa.table(
+            {
+                "o_custkey": pc.cast(b["c_custkey"], pa.int64()),
+                "c_nation": pc.cast(b["c_nationkey"], pa.int64()),
+            }
+        ).filter(pc.is_in(b["c_nationkey"], value_set=pa.array(nat_keys))),
         batch_format="pyarrow",
     )
     ocols = ["o_orderkey", "o_custkey"] + (
         ["o_orderdate"] if (with_year or lo is not None) else []
     )
-    orders = _read(sf_dir, "orders", columns=ocols)
 
-    def _ofilter(batch: pa.Table) -> pa.Table:
+    def oprep(batch: pa.Table) -> pa.Table:
         if lo is not None:
             batch = batch.filter(
                 pc.and_(
@@ -148,60 +119,6 @@ def _orders_cust_nation(
                     pc.less(batch["o_orderdate"], pa.scalar(hi)),
                 )
             )
-        return batch
-
-    def _attach_year(t: pa.Table, odate_col: str) -> pa.Table:
-        cols = {"o_orderkey": t["o_orderkey"], "c_nation": t["c_nation"]}
-        if with_year:
-            cols["o_year"] = pc.cast(pc.year(t[odate_col]), pa.int64())
-        return pa.table(cols)
-
-    n_cust = pq.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    if n_cust <= broadcast_max_keys:
-        ks, vs = [], []
-        for t in blocks(cust):
-            ks.append(
-                t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            vs.append(
-                t["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                )
-            )
-        if ks:
-            k = np.concatenate(ks)
-            v = np.concatenate(vs)
-            o = np.argsort(k)
-            k, v = k[o], v[o]
-        else:
-            k = v = np.zeros(0, np.int64)
-        c_ref = ray.put((k, v))
-
-        def tag(batch: pa.Table) -> pa.Table:
-            ck, cv = ray.get(c_ref)
-            batch = _ofilter(batch)
-            oc = batch["o_custkey"].to_numpy(zero_copy_only=False)
-            hit, idx = _lookup(ck, oc)
-            kept = batch.filter(pa.array(hit))
-            t = pa.table(
-                {
-                    "o_orderkey": kept["o_orderkey"],
-                    "c_nation": pa.array(cv[idx[hit]], pa.int64()),
-                    **(
-                        {"o_orderdate": kept["o_orderdate"]}
-                        if with_year
-                        else {}
-                    ),
-                }
-            )
-            return _attach_year(t, "o_orderdate")
-
-        return orders.map_batches(tag, batch_format="pyarrow").materialize()
-
-    def oprep(batch: pa.Table) -> pa.Table:
-        batch = _ofilter(batch)
         cols = {
             "o_orderkey": batch["o_orderkey"],
             "o_custkey": batch["o_custkey"],
@@ -212,31 +129,23 @@ def _orders_cust_nation(
             )
         return pa.table(cols)
 
-    def cprep(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": pc.cast(batch["c_custkey"], pa.int64()),
-                "c_nation": pc.cast(batch["c_nationkey"], pa.int64()),
-            }
-        )
-
     lschema = [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())] + (
         [("o_year", pa.int64())] if with_year else []
     )
     keep = ["o_orderkey", "c_nation"] + (["o_year"] if with_year else [])
-    return (
-        hash_bucket_join(
-            orders.map_batches(oprep, batch_format="pyarrow"),
-            cust.map_batches(cprep, batch_format="pyarrow"),
-            on="o_custkey",
-            num_buckets=num_buckets,
-            left_schema=pa.schema(lschema),
-            right_schema=pa.schema(
-                [("o_custkey", pa.int64()), ("c_nation", pa.int64())]
-            ),
-        )
-        .map_batches(lambda b: b.select(keep), batch_format="pyarrow")
-        .materialize()
+    return exchange.join(
+        _read(sf_dir, "orders", columns=ocols).map_batches(
+            oprep, batch_format="pyarrow"
+        ),
+        cust,
+        on="o_custkey",
+        combine=lambda j: j.select(keep),
+        num_buckets=num_buckets,
+        left_schema=pa.schema(lschema),
+        right_schema=pa.schema(
+            [("o_custkey", pa.int64()), ("c_nation", pa.int64())]
+        ),
+        lazy=True,
     )
 
 
@@ -271,7 +180,6 @@ def q7_volume_shipping(
     date_lo: str = "1996-01-01",
     date_hi: str = "1998-01-01",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q7 shape — revenue shipped from supp_region suppliers to
     cust_region customers, by (supp_nation, cust_nation, ship year).
@@ -292,9 +200,7 @@ def q7_volume_shipping(
     s_ref = _supplier_nation_ref(sf_dir, s_nats)
     names = _nation_names(sf_dir)
 
-    tagged = _orders_cust_nation(
-        sf_dir, c_nats, broadcast_max_keys, num_buckets
-    )
+    tagged = _orders_cust_nation(sf_dir, c_nats, num_buckets)
 
     def li_prep(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
@@ -305,7 +211,7 @@ def q7_volume_shipping(
         )
         sk, sn = ray.get(s_ref)
         ls = batch["l_suppkey"].to_numpy(zero_copy_only=False)
-        hit, idx = _lookup(sk, ls)
+        hit, idx = lookup(sk, ls)
         kept = batch.filter(pa.array(hit))
         t = pa.table(
             {
@@ -344,54 +250,25 @@ def q7_volume_shipping(
             )
         )
 
-    if tagged.count() <= broadcast_max_keys:
-        tb = blocks(tagged)
-        if not tb:
-            parts = []
-        else:
-            tt = pa.concat_tables(tb)
-            ok = tt["o_orderkey"].to_numpy(zero_copy_only=False)
-            o = np.argsort(ok)
-            t_ref = ray.put(
-                (ok[o], tt["c_nation"].to_numpy(zero_copy_only=False)[o])
-            )
-
-            def tag_cust(batch: pa.Table) -> pa.Table:
-                keys, nat = ray.get(t_ref)
-                lk = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-                hit, idx = _lookup(keys, lk)
-                kept = batch.filter(pa.array(hit))
-                return pair_partial(
-                    kept.append_column(
-                        "c_nation", pa.array(nat[idx[hit]], pa.int64())
-                    )
-                )
-
-            parts = blocks(
-                li.map_batches(tag_cust, batch_format="pyarrow")
-            )
-    else:
-        parts = blocks(
-            hash_bucket_join(
-                li,
-                tagged,
-                on="o_orderkey",
-                num_buckets=num_buckets,
-                bucket_postprocess=pair_partial,
-                left_schema=pa.schema(
-                    [
-                        ("o_orderkey", pa.int64()),
-                        ("supp_nation", pa.int64()),
-                        ("l_year", pa.int64()),
-                        ("revenue_cents", pa.int64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [("o_orderkey", pa.int64()), ("c_nation", pa.int64())]
-                ),
-            )
-        )
-    if not parts:
+    parts = exchange.join(
+        li,
+        tagged,
+        on="o_orderkey",
+        combine=pair_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("supp_nation", pa.int64()),
+                ("l_year", pa.int64()),
+                ("revenue_cents", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("c_nation", pa.int64())]
+        ),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "supp_nation": pa.array([], pa.string()),
@@ -401,8 +278,7 @@ def q7_volume_shipping(
             }
         )
     tiny = (
-        pa.concat_tables(parts)
-        .group_by(["supp_nation", "c_nation", "l_year"])
+        parts.group_by(["supp_nation", "c_nation", "l_year"])
         .aggregate([("revenue_cents", "sum")])
     )
     nk, nn = names
@@ -450,7 +326,6 @@ def q8_market_share(
     date_lo: str = "1995-01-01",
     date_hi: str = "1997-01-01",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q8 shape — of the revenue that ``region``'s customers
     spent on ``p_type`` parts per order year, the share supplied by
@@ -482,17 +357,17 @@ def q8_market_share(
     c_nats = _region_nations(sf_dir, region)
 
     tagged = _orders_cust_nation(
-        sf_dir, c_nats, broadcast_max_keys, num_buckets,
+        sf_dir, c_nats, num_buckets,
         date_lo=date_lo, date_hi=date_hi, with_year=True,
     )
 
     def li_prep(batch: pa.Table) -> pa.Table:
         pk = ray.get(pk_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        hit, _ = _lookup(pk, lp)
+        hit, _ = lookup(pk, lp)
         kept = batch.filter(pa.array(hit))
         sk, sn = ray.get(s_ref)
-        shit, sidx = _lookup(sk, kept["l_suppkey"].to_numpy(
+        shit, sidx = lookup(sk, kept["l_suppkey"].to_numpy(
             zero_copy_only=False))
         kept = kept.filter(pa.array(shit))
         is_t = sn[sidx[shit]] == tkey
@@ -529,56 +404,28 @@ def q8_market_share(
             .rename_columns(["o_year", "rev_cents", "rev_t_cents"])
         )
 
-    if tagged.count() <= broadcast_max_keys:
-        tb = blocks(tagged)
-        if not tb:
-            parts = []
-        else:
-            tt = pa.concat_tables(tb)
-            ok = tt["o_orderkey"].to_numpy(zero_copy_only=False)
-            o = np.argsort(ok)
-            t_ref = ray.put(
-                (ok[o], tt["o_year"].to_numpy(zero_copy_only=False)[o])
-            )
-
-            def tag_year(batch: pa.Table) -> pa.Table:
-                keys, yr = ray.get(t_ref)
-                lk = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-                hit, idx = _lookup(keys, lk)
-                kept = batch.filter(pa.array(hit))
-                return year_partial(
-                    kept.append_column(
-                        "o_year", pa.array(yr[idx[hit]], pa.int64())
-                    )
-                )
-
-            parts = blocks(
-                li.map_batches(tag_year, batch_format="pyarrow")
-            )
-    else:
-        parts = blocks(
-            hash_bucket_join(
-                li,
-                tagged.map_batches(
-                    lambda b: b.select(["o_orderkey", "o_year"]),
-                    batch_format="pyarrow",
-                ),
-                on="o_orderkey",
-                num_buckets=num_buckets,
-                bucket_postprocess=year_partial,
-                left_schema=pa.schema(
-                    [
-                        ("o_orderkey", pa.int64()),
-                        ("rev_cents", pa.int64()),
-                        ("rev_t_cents", pa.int64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [("o_orderkey", pa.int64()), ("o_year", pa.int64())]
-                ),
-            )
-        )
-    if not parts:
+    parts = exchange.join(
+        li,
+        tagged,
+        on="o_orderkey",
+        combine=year_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("rev_cents", pa.int64()),
+                ("rev_t_cents", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("c_nation", pa.int64()),
+                ("o_year", pa.int64()),
+            ]
+        ),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "o_year": pa.array([], pa.int64()),
@@ -588,8 +435,7 @@ def q8_market_share(
             }
         )
     tiny = (
-        pa.concat_tables(parts)
-        .group_by("o_year")
+        parts.group_by("o_year")
         .aggregate([("rev_t_cents", "sum"), ("rev_cents", "sum")])
     )
     tgt = tiny["rev_t_cents_sum"].to_numpy(zero_copy_only=False).astype(
@@ -618,7 +464,6 @@ def q9_product_profit(
     sf_dir: str,
     name_like: str = "red",
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q9 shape — profit on parts whose name contains
     ``name_like``, by (supplier nation, year).  Adapted: the missing
@@ -639,13 +484,12 @@ def q9_product_profit(
     )
     s_ref = _supplier_nation_ref(sf_dir)
     nk, nn = _nation_names(sf_dir)
-    n_filtered = part.num_rows
 
     def profit_partial(t: pa.Table) -> pa.Table:
         """(l_suppkey, l_shipdate, ep, disc, qty, p_retailprice) rows →
         (nation, ship_year, profit_cents) partial."""
         sk, sn = ray.get(s_ref)
-        shit, sidx = _lookup(
+        shit, sidx = lookup(
             sk, t["l_suppkey"].to_numpy(zero_copy_only=False)
         )
         t = t.filter(pa.array(shit))
@@ -678,76 +522,32 @@ def q9_product_profit(
             "l_extendedprice", "l_discount", "l_quantity",
         ],
     )
-    if n_filtered <= broadcast_max_keys:
-        pk = part["p_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        rp = part["p_retailprice"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        o = np.argsort(pk)
-        p_ref = ray.put((pk[o], rp[o]))
-
-        def map_profit(batch: pa.Table) -> pa.Table:
-            ks, vs = ray.get(p_ref)
-            hit, idx = _lookup(
-                ks, batch["l_partkey"].to_numpy(zero_copy_only=False)
-            )
-            kept = batch.filter(pa.array(hit))
-            kept = kept.append_column(
-                "p_retailprice", pa.array(vs[idx[hit]], pa.float64())
-            )
-            return profit_partial(kept)
-
-        parts = blocks(li.map_batches(map_profit, batch_format="pyarrow"))
-    else:
-        import ray.data
-
-        part_ds = ray.data.from_arrow(part).map_batches(
-            lambda b: pa.table(
-                {
-                    "l_partkey": pc.cast(b["p_partkey"], pa.int64()),
-                    "p_retailprice": pc.cast(
-                        b["p_retailprice"], pa.float64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        parts = blocks(
-            hash_bucket_join(
-                li.map_batches(
-                    lambda b: b.select(
-                        [
-                            "l_partkey", "l_suppkey", "l_shipdate",
-                            "l_extendedprice", "l_discount", "l_quantity",
-                        ]
-                    ),
-                    batch_format="pyarrow",
-                ),
-                part_ds,
-                on="l_partkey",
-                num_buckets=num_buckets,
-                bucket_postprocess=profit_partial,
-                left_schema=pa.schema(
-                    [
-                        ("l_partkey", pa.int64()),
-                        ("l_suppkey", pa.int64()),
-                        ("l_shipdate", pa.timestamp("us")),
-                        ("l_extendedprice", pa.float64()),
-                        ("l_discount", pa.float64()),
-                        ("l_quantity", pa.float64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [
-                        ("l_partkey", pa.int64()),
-                        ("p_retailprice", pa.float64()),
-                    ]
-                ),
-            )
-        )
-    if not parts:
+    parts = exchange.join(
+        li,
+        pa.table(
+            {
+                "l_partkey": pc.cast(part["p_partkey"], pa.int64()),
+                "p_retailprice": pc.cast(part["p_retailprice"], pa.float64()),
+            }
+        ),
+        on="l_partkey",
+        combine=profit_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("l_partkey", pa.int64()),
+                ("l_suppkey", pa.int64()),
+                ("l_shipdate", pa.timestamp("us")),
+                ("l_extendedprice", pa.float64()),
+                ("l_discount", pa.float64()),
+                ("l_quantity", pa.float64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [("l_partkey", pa.int64()), ("p_retailprice", pa.float64())]
+        ),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "n_name": pa.array([], pa.string()),
@@ -756,8 +556,7 @@ def q9_product_profit(
             }
         )
     tiny = (
-        pa.concat_tables(parts)
-        .group_by(["nation", "ship_year"])
+        parts.group_by(["nation", "ship_year"])
         .aggregate([("profit_cents", "sum")])
     )
     names = nn.take(
@@ -786,7 +585,6 @@ def q10_returned_items(
     date_hi: str = "1997-04-01",
     k: int = 20,
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q10 shape — customers ranked by revenue from lineitems
     they returned ('R') on orders placed in one quarter; top-k with
@@ -801,8 +599,6 @@ def q10_returned_items(
     candidate rows; names attach via a predicate-pushdown read of only
     the ≤k winning keys (``top_customers`` pattern).  Tie-break:
     (revenue desc, custkey asc), mirrored in the oracle's ORDER BY."""
-    import ray
-
     lo, hi = np.datetime64(date_lo, "us"), np.datetime64(date_hi, "us")
 
     ords = _read(
@@ -815,7 +611,7 @@ def q10_returned_items(
             )
         ).select(["o_orderkey", "o_custkey"]),
         batch_format="pyarrow",
-    ).materialize()
+    )
 
     def li_prep(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch["l_returnflag"], "R"))
@@ -850,44 +646,20 @@ def q10_returned_items(
             "bucket", bucket_of(agg["o_custkey"], num_buckets)
         )
 
-    if ords.count() <= broadcast_max_keys:
-        ob = blocks(ords)
-        if not ob:
-            per_order = None
-        else:
-            ot = pa.concat_tables(ob)
-            ok = ot["o_orderkey"].to_numpy(zero_copy_only=False)
-            o = np.argsort(ok)
-            o_ref = ray.put(
-                (ok[o], ot["o_custkey"].to_numpy(zero_copy_only=False)[o])
-            )
-
-            def tag_cust(batch: pa.Table) -> pa.Table:
-                keys, cust = ray.get(o_ref)
-                lk = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-                hit, idx = _lookup(keys, lk)
-                kept = batch.filter(pa.array(hit))
-                return cust_partial(
-                    kept.append_column(
-                        "o_custkey", pa.array(cust[idx[hit]], pa.int64())
-                    )
-                )
-
-            per_order = li.map_batches(tag_cust, batch_format="pyarrow")
-    else:
-        per_order = hash_bucket_join(
-            li,
-            ords,
-            on="o_orderkey",
-            num_buckets=num_buckets,
-            bucket_postprocess=cust_partial,
-            left_schema=pa.schema(
-                [("o_orderkey", pa.int64()), ("revenue_cents", pa.int64())]
-            ),
-            right_schema=pa.schema(
-                [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
-            ),
-        )
+    per_order = exchange.join(
+        li,
+        ords,
+        on="o_orderkey",
+        combine=cust_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("revenue_cents", pa.int64())]
+        ),
+        right_schema=pa.schema(
+            [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
+        ),
+        lazy=True,
+    )
 
     empty = pa.table(
         {
@@ -898,9 +670,6 @@ def q10_returned_items(
             "n_name": pa.array([], pa.string()),
         }
     )
-    if per_order is None:
-        return empty
-
     def topk_bucket(g: pa.Table) -> pa.Table:
         agg = (
             g.group_by("o_custkey")
@@ -998,7 +767,7 @@ def q11_important_stock(
 
     def li_prep(batch: pa.Table) -> pa.Table:
         sk, _ = ray.get(s_ref)
-        hit, _ = _lookup(
+        hit, _ = lookup(
             sk, batch["l_suppkey"].to_numpy(zero_copy_only=False)
         )
         kept = batch.filter(pa.array(hit))
@@ -1059,25 +828,18 @@ def q12_late_shipments(
     sf_dir: str,
     days_late: int = 90,
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q12 shape — lines shipped more than ``days_late`` days
     after their order date, counted by l_linestatus (the schema's
     stand-in for the missing l_shipmode), split into high-priority
     ('1-URGENT'/'2-HIGH') vs low-priority orders.
 
-    Plan: orders collapse to (orderkey, orderdate_us, is_high) —
-    broadcast as three aligned arrays under the budget so the late
-    test and the ≤2-row rollup run map-side in lineitem's one pass;
-    above it, an orderkey-bucketed join with the same rollup in the
-    bucket task."""
-    import ray
-
+    Plan: orders collapse to (orderkey, orderdate_us, is_high), the
+    build side of an ``exchange.join`` whose combine is the late test
+    plus the ≤2-row rollup — broadcast, it runs map-side in lineitem's
+    one pass; bucketed (above the broadcast budget), in each bucket
+    task."""
     delta = np.int64(days_late) * 86_400_000_000  # days → µs
-
-    n_orders = pq.read_metadata(
-        os.path.join(sf_dir, "orders.parquet")
-    ).num_rows
 
     def status_partial(t: pa.Table) -> pa.Table:
         """(l_linestatus, ship_us, odate_us, is_high) → ≤2-row counts."""
@@ -1101,48 +863,21 @@ def q12_late_shipments(
             .rename_columns(["l_linestatus", "high", "low"])
         )
 
-    li = _read(
-        sf_dir, "lineitem",
-        columns=["l_orderkey", "l_linestatus", "l_shipdate"],
-    )
-
-    if n_orders <= broadcast_max_keys:
-        ords = pq.read_table(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-        )
-        ok = ords["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        od = ords["o_orderdate"].cast(pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        hi = pc.is_in(
-            ords["o_orderpriority"], value_set=pa.array(list(HIGH_PRIO))
-        ).to_numpy(zero_copy_only=False).astype(np.int8)
-        o = np.argsort(ok)
-        o_ref = ray.put((ok[o], od[o], hi[o]))
-
-        def map_late(batch: pa.Table) -> pa.Table:
-            keys, od_, hi_ = ray.get(o_ref)
-            lk = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-            hit, idx = _lookup(keys, lk)
-            kept = batch.filter(pa.array(hit))
-            t = pa.table(
+    parts = exchange.join(
+        _read(
+            sf_dir, "lineitem",
+            columns=["l_orderkey", "l_linestatus", "l_shipdate"],
+        ).map_batches(
+            lambda b: pa.table(
                 {
-                    "l_linestatus": kept["l_linestatus"],
-                    "ship_us": kept["l_shipdate"].cast(pa.int64()),
-                    "odate_us": pa.array(od_[idx[hit]], pa.int64()),
-                    "is_high": pa.array(
-                        hi_[idx[hit]].astype(np.int64), pa.int64()
-                    ),
+                    "o_orderkey": b["l_orderkey"],
+                    "l_linestatus": b["l_linestatus"],
+                    "ship_us": b["l_shipdate"].cast(pa.int64()),
                 }
-            )
-            return status_partial(t)
-
-        parts = blocks(li.map_batches(map_late, batch_format="pyarrow"))
-    else:
-        ords_ds = _read(
+            ),
+            batch_format="pyarrow",
+        ),
+        _read(
             sf_dir, "orders",
             columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
         ).map_batches(
@@ -1160,41 +895,26 @@ def q12_late_shipments(
                 }
             ),
             batch_format="pyarrow",
-        )
-        li_prep = li.map_batches(
-            lambda b: pa.table(
-                {
-                    "o_orderkey": b["l_orderkey"],
-                    "l_linestatus": b["l_linestatus"],
-                    "ship_us": b["l_shipdate"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        parts = blocks(
-            hash_bucket_join(
-                li_prep,
-                ords_ds,
-                on="o_orderkey",
-                num_buckets=num_buckets,
-                bucket_postprocess=status_partial,
-                left_schema=pa.schema(
-                    [
-                        ("o_orderkey", pa.int64()),
-                        ("l_linestatus", pa.string()),
-                        ("ship_us", pa.int64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [
-                        ("o_orderkey", pa.int64()),
-                        ("odate_us", pa.int64()),
-                        ("is_high", pa.int64()),
-                    ]
-                ),
-            )
-        )
-    if not parts:
+        ),
+        on="o_orderkey",
+        combine=status_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("l_linestatus", pa.string()),
+                ("ship_us", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("odate_us", pa.int64()),
+                ("is_high", pa.int64()),
+            ]
+        ),
+    )
+    if parts.num_rows == 0:
         return pa.table(
             {
                 "l_linestatus": pa.array([], pa.string()),
@@ -1203,8 +923,7 @@ def q12_late_shipments(
             }
         )
     tiny = (
-        pa.concat_tables(parts)
-        .group_by("l_linestatus")
+        parts.group_by("l_linestatus")
         .aggregate([("high", "sum"), ("low", "sum")])
     )
     return pa.table(
@@ -1262,7 +981,7 @@ def q17_small_qty_revenue(
 
     def pass1(batch: pa.Table) -> pa.Table:
         pk = ray.get(pk_ref)
-        hit, _ = _lookup(
+        hit, _ = lookup(
             pk, batch["l_partkey"].to_numpy(zero_copy_only=False)
         )
         kept = batch.filter(pa.array(hit))
@@ -1321,7 +1040,7 @@ def q17_small_qty_revenue(
 
     def pass2(batch: pa.Table) -> pa.Table:
         ks, sq, cn = ray.get(st_ref)
-        hit, idx = _lookup(
+        hit, idx = lookup(
             ks, batch["l_partkey"].to_numpy(zero_copy_only=False)
         )
         kept = batch.filter(pa.array(hit))
@@ -1355,20 +1074,17 @@ def q17_small_qty_revenue(
 def q19_discounted_revenue(
     sf_dir: str,
     num_buckets: int = 32,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q19 shape — revenue from lineitems matching any of three
     (brand, size range, quantity range) predicate branches (container
     and ship-instruction clauses dropped with their columns).
 
-    Plan: part collapses to (partkey, brand-code, size) — broadcast
-    under the budget so the whole OR evaluates vectorized inside
-    lineitem's single pass (zero shuffles, scalar partials out); above
-    it, a partkey-bucketed join with the same branch mask in the
-    bucket task.  Quantity bounds compare in centi-units — integers on
+    Plan: part collapses to (partkey, brand, size) on the driver, the
+    build side of an ``exchange.join`` whose combine is the branch mask — broadcast,
+    the whole OR evaluates vectorized inside lineitem's single pass
+    (zero shuffles, scalar partials out); bucketed, in each bucket
+    task.  Quantity bounds compare in centi-units — integers on
     both sides."""
-    import ray
-
     branches = [
         ("Brand#1", 1, 5, 100, 1100),
         ("Brand#2", 1, 10, 1000, 2000),
@@ -1393,69 +1109,18 @@ def q19_discounted_revenue(
         s = pc.sum(t["rev_cents"].filter(pa.array(keep))).as_py()
         return pa.table({"s": pa.array([s or 0], pa.int64())})
 
-    n_part = pq.read_metadata(
-        os.path.join(sf_dir, "part.parquet")
-    ).num_rows
-    li = _read(
-        sf_dir,
-        "lineitem",
-        columns=[
-            "l_partkey", "l_quantity", "l_extendedprice", "l_discount",
-        ],
+    part = pq.read_table(
+        os.path.join(sf_dir, "part.parquet"),
+        columns=["p_partkey", "p_brand", "p_size"],
     )
-    if n_part <= broadcast_max_keys:
-        part = pq.read_table(
-            os.path.join(sf_dir, "part.parquet"),
-            columns=["p_partkey", "p_brand", "p_size"],
-        )
-        pk = part["p_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        brands = part["p_brand"].combine_chunks().dictionary_encode()
-        codes = brands.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        sizes = part["p_size"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        o = np.argsort(pk)
-        p_ref = ray.put((pk[o], codes[o], sizes[o]))
-        bdict = brands.dictionary
-
-        def map_rev(batch: pa.Table) -> pa.Table:
-            ks, cs, szs = ray.get(p_ref)
-            hit, idx = _lookup(
-                ks, batch["l_partkey"].to_numpy(zero_copy_only=False)
-            )
-            kept = batch.filter(pa.array(hit))
-            i = idx[hit]
-            t = pa.table(
-                {
-                    "p_brand": bdict.take(pa.array(cs[i])),
-                    "p_size": pa.array(szs[i], pa.int64()),
-                    "qty_centi": cents(kept["l_quantity"]),
-                    "rev_cents": _li_revenue_cents(kept),
-                }
-            )
-            return branch_partial(t)
-
-        parts = blocks(li.map_batches(map_rev, batch_format="pyarrow"))
-    else:
-        import ray.data
-
-        part_ds = _read(
-            sf_dir, "part", columns=["p_partkey", "p_brand", "p_size"]
+    parts = exchange.join(
+        _read(
+            sf_dir,
+            "lineitem",
+            columns=[
+                "l_partkey", "l_quantity", "l_extendedprice", "l_discount",
+            ],
         ).map_batches(
-            lambda b: pa.table(
-                {
-                    "l_partkey": pc.cast(b["p_partkey"], pa.int64()),
-                    "p_brand": b["p_brand"],
-                    "p_size": pc.cast(b["p_size"], pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        li_prep = li.map_batches(
             lambda b: pa.table(
                 {
                     "l_partkey": b["l_partkey"],
@@ -1464,35 +1129,33 @@ def q19_discounted_revenue(
                 }
             ),
             batch_format="pyarrow",
-        )
-        parts = blocks(
-            hash_bucket_join(
-                li_prep,
-                part_ds,
-                on="l_partkey",
-                num_buckets=num_buckets,
-                bucket_postprocess=branch_partial,
-                left_schema=pa.schema(
-                    [
-                        ("l_partkey", pa.int64()),
-                        ("qty_centi", pa.int64()),
-                        ("rev_cents", pa.int64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [
-                        ("l_partkey", pa.int64()),
-                        ("p_brand", pa.string()),
-                        ("p_size", pa.int64()),
-                    ]
-                ),
-            )
-        )
-    total = (
-        int(pc.sum(pa.concat_tables(parts)["s"]).as_py() or 0)
-        if parts
-        else 0
+        ),
+        pa.table(
+            {
+                "l_partkey": pc.cast(part["p_partkey"], pa.int64()),
+                "p_brand": part["p_brand"],
+                "p_size": pc.cast(part["p_size"], pa.int64()),
+            }
+        ),
+        on="l_partkey",
+        combine=branch_partial,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("l_partkey", pa.int64()),
+                ("qty_centi", pa.int64()),
+                ("rev_cents", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema(
+            [
+                ("l_partkey", pa.int64()),
+                ("p_brand", pa.string()),
+                ("p_size", pa.int64()),
+            ]
+        ),
     )
+    total = int(pc.sum(parts["s"]).as_py() or 0) if parts.num_rows else 0
     return pa.table({"revenue_cents": pa.array([total], pa.int64())})
 
 
@@ -1540,7 +1203,7 @@ def q20_promotion_suppliers(
             )
         )
         pk = ray.get(pk_ref)
-        hit, _ = _lookup(
+        hit, _ = lookup(
             pk, batch["l_partkey"].to_numpy(zero_copy_only=False)
         )
         kept = batch.filter(pa.array(hit))
@@ -1608,7 +1271,6 @@ def q21_waiting_suppliers(
     sf_dir: str,
     region: str = "ASIA",
     num_buckets: int = 64,
-    broadcast_max_keys: int = 5_000_000,
 ):
     """TPC-H Q21 shape — on finished ('F') orders involving ≥2 distinct
     suppliers where EXACTLY ONE supplier has a returned ('R') line
@@ -1616,20 +1278,14 @@ def q21_waiting_suppliers(
     such orders per guilty supplier, filtered to one region.
 
     Plan: lineitem pre-reduces to distinct (orderkey, suppkey, has_R)
-    per batch; the per-order analysis needs every supplier of an order
-    co-located, so it rides ONE orderkey exchange — under the budget
-    the 'F' orderkey set broadcasts and the exchange is an orderkey
-    ``bucket_finish`` (driver-side when the filtered pairs are few);
-    above it, the F-filter folds INTO the bucket
-    task of a ``hash_bucket_join(..., "left semi")`` against the
-    F-keys (same single shuffle).  Bucket tasks emit per-supplier
-    partial numwait counts; the driver merges supplier-sized rows."""
-    import ray
-
-    n_orders = pq.read_metadata(
-        os.path.join(sf_dir, "orders.parquet")
-    ).num_rows
-
+    per batch, semi-joined with the 'F' orderkey set through
+    ``exchange.join``; the per-order analysis needs every supplier of
+    an order co-located, so it is the join's finish — broadcast, the
+    F-filter runs map-side and the analysis finishes per orderkey
+    bucket (driver-side when the filtered pairs are few); bucketed,
+    it runs in each bucket task of the one shuffle.  Finish calls emit
+    per-supplier partial numwait counts; the driver merges
+    supplier-sized rows."""
     fkeys_ds = _read(
         sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"]
     ).map_batches(
@@ -1686,7 +1342,7 @@ def q21_waiting_suppliers(
         )["o_orderkey"]
         qk = np.sort(qual.to_numpy(zero_copy_only=False).astype(np.int64))
         r_rows = d.filter(pc.equal(d["has_r"], 1))
-        hit, _ = _lookup(
+        hit, _ = lookup(
             qk, r_rows["o_orderkey"].to_numpy(zero_copy_only=False)
         )
         guilty = r_rows.filter(pa.array(hit))
@@ -1700,62 +1356,22 @@ def q21_waiting_suppliers(
             }
         )
 
-    schema = pa.schema(
-        [
-            ("o_orderkey", pa.int64()),
-            ("l_suppkey", pa.int64()),
-            ("has_r", pa.int64()),
-        ]
+    cand = exchange.join(
+        li,
+        fkeys_ds,
+        on="o_orderkey",
+        how="left semi",
+        finish=analyze,
+        num_buckets=num_buckets,
+        left_schema=pa.schema(
+            [
+                ("o_orderkey", pa.int64()),
+                ("l_suppkey", pa.int64()),
+                ("has_r", pa.int64()),
+            ]
+        ),
+        right_schema=pa.schema([("o_orderkey", pa.int64())]),
     )
-    if n_orders <= broadcast_max_keys:
-        fb = blocks(fkeys_ds)
-        fk = (
-            np.sort(
-                np.concatenate(
-                    [
-                        t["o_orderkey"].to_numpy(zero_copy_only=False)
-                        for t in fb
-                    ]
-                ).astype(np.int64)
-            )
-            if fb
-            else np.zeros(0, np.int64)
-        )
-        f_ref = ray.put(fk)
-
-        def f_filter(batch: pa.Table) -> pa.Table:
-            ks = ray.get(f_ref)
-            hit, _ = _lookup(
-                ks, batch["o_orderkey"].to_numpy(zero_copy_only=False)
-            )
-            kept = batch.filter(pa.array(hit))
-            return kept.append_column(
-                "bucket", bucket_of(kept["o_orderkey"], num_buckets)
-            )
-
-        # adaptive finish: the F-filtered distinct-pair partials are
-        # often tiny — then the per-order analysis runs once
-        # driver-side (identical kernel) instead of paying the bucket
-        # shuffle's fixed cost
-        cand = bucket_finish(
-            li.map_batches(f_filter, batch_format="pyarrow"),
-            analyze,
-            numwait,
-        )
-    else:
-        parts = blocks(
-            hash_bucket_join(
-                li,
-                fkeys_ds,
-                on="o_orderkey",
-                num_buckets=num_buckets,
-                join_type="left semi",
-                bucket_postprocess=analyze,
-                left_schema=schema,
-                right_schema=pa.schema([("o_orderkey", pa.int64())]),
-            )
-        )
-        cand = pa.concat_tables(parts) if parts else numwait.empty_table()
     empty = pa.table(
         {
             "s_suppkey": pa.array([], pa.int64()),
@@ -1783,7 +1399,7 @@ def q21_waiting_suppliers(
     sk = sup["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     so = np.argsort(sk)
     mk = merged["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    hit, idx = _lookup(sk[so], mk)
+    hit, idx = lookup(sk[so], mk)
     kept = merged.filter(pa.array(hit))
     names = sup["s_name"].take(pa.array(so[idx[hit]]))
     return pa.table(
@@ -1855,11 +1471,11 @@ def q2_min_cost_supplier(
     def prep(batch: pa.Table) -> pa.Table:
         pk = ray.get(pk_ref)
         sk = ray.get(sk_ref)
-        phit, _ = _lookup(
+        phit, _ = lookup(
             pk, batch["l_partkey"].to_numpy(zero_copy_only=False)
         )
         kept = batch.filter(pa.array(phit))
-        shit, _ = _lookup(
+        shit, _ = lookup(
             sk, kept["l_suppkey"].to_numpy(zero_copy_only=False)
         )
         kept = kept.filter(pa.array(shit))

@@ -56,3 +56,22 @@ def force_shuffle(monkeypatch):
         assert exchange.PATHS["shuffle"] > before, "no shuffle branch ran"
 
     return forced
+
+
+@pytest.fixture
+def force_bucketed(monkeypatch):
+    """``with force_bucketed(): ...`` runs the block with
+    ``exchange.BROADCAST_MAX = 0``, so every ``exchange.join`` with a
+    non-empty build side takes its bucketed branch, and fails unless
+    one did."""
+    from crawler_ai_ray.stages import exchange
+
+    @contextlib.contextmanager
+    def forced():
+        before = exchange.PATHS["bucketed"]
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "BROADCAST_MAX", 0)
+            yield
+        assert exchange.PATHS["bucketed"] > before, "no bucketed join ran"
+
+    return forced

@@ -207,11 +207,12 @@ def test_hash_bucket_join_generic(duck):
     )
 
 
-def test_q3_broadcast_and_bucketed_paths_agree(ray_session):
+def test_q3_broadcast_and_bucketed_paths_agree(ray_session, force_bucketed):
     from crawler_ai_ray.pipelines.relational import q3_unshipped
 
-    a = q3_unshipped(SF)  # broadcast semi-join path (small customer)
-    b = q3_unshipped(SF, broadcast_max_keys=0)  # forced bucketed path
+    a = q3_unshipped(SF)  # broadcast joins (small build sides)
+    with force_bucketed():
+        b = q3_unshipped(SF)
     assert a.equals(b)
     assert a.num_rows == 10
     # revenue is descending with deterministic tie-break
@@ -296,12 +297,12 @@ def test_dau_hll_partition_invariant(ray_session):
     assert a == b
 
 
-def test_lineitem_part_revenue_paths_agree(ray_session):
+def test_lineitem_part_revenue_paths_agree(ray_session, force_bucketed):
     from crawler_ai_ray.pipelines.relational import lineitem_part_revenue
 
     a = lineitem_part_revenue(SF).to_pandas()
-    b = lineitem_part_revenue(SF, broadcast_max_keys=0)
-    b = (b if hasattr(b, "to_pandas") else b).to_pandas()
+    with force_bucketed():
+        b = lineitem_part_revenue(SF).to_pandas()
     a = a.sort_values("p_brand", ignore_index=True)
     b = b.sort_values("p_brand", ignore_index=True)
     assert a.equals(b)
@@ -413,22 +414,17 @@ def test_profile_vs_duckdb(duck):
     assert_frames_equal(eng, ora)
 
 
-def test_q5_broadcast_and_bucketed_paths_agree(ray_session):
+def test_q5_broadcast_and_bucketed_paths_agree(ray_session, force_bucketed):
     from crawler_ai_ray.pipelines.relational import q5_local_supplier_volume
 
     a = q5_local_supplier_volume(SF).to_pandas()
-    b = q5_local_supplier_volume(SF, orderkey_broadcast_max=0).to_pandas()
-    # broadcast_max_keys=0 forces the custkey-bucketed FIRST join (the
-    # above-threshold branch real TPC-H SF>=35 takes) AND the bucketed
-    # orderkey join
-    c = q5_local_supplier_volume(SF, broadcast_max_keys=0).to_pandas()
-    # bucketed customer join + broadcast orderkey fold (mixed paths)
-    d = q5_local_supplier_volume(
-        SF, broadcast_max_keys=0, orderkey_broadcast_max=10_000_000
-    ).to_pandas()
+    # both joins bucketed: the custkey join real TPC-H SF>=35 takes and
+    # the orderkey join (each join's branches are also pinned on their
+    # own in tests/test_exchange.py)
+    with force_bucketed():
+        b = q5_local_supplier_volume(SF).to_pandas()
     a = a.sort_values("n_name", ignore_index=True)
-    for other in (b, c, d):
-        assert a.equals(other.sort_values("n_name", ignore_index=True))
+    assert a.equals(b.sort_values("n_name", ignore_index=True))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -564,7 +560,7 @@ def test_q13_vs_duckdb_and_paths(duck, force_shuffle):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q4_vs_duckdb_and_paths(duck):
+def test_q4_vs_duckdb_and_paths(duck, force_bucketed):
     from crawler_ai_ray.pipelines.relational import q4_order_priority
 
     eng = (
@@ -586,11 +582,12 @@ def test_q4_vs_duckdb_and_paths(duck):
     assert_frames_equal(eng, ora)
 
     # forced-bucketed semi-join agrees with the broadcast path
-    bucketed = (
-        q4_order_priority(SF, broadcast_max_keys=0)
-        .to_pandas()
-        .sort_values("o_orderpriority", ignore_index=True)
-    )
+    with force_bucketed():
+        bucketed = (
+            q4_order_priority(SF)
+            .to_pandas()
+            .sort_values("o_orderpriority", ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
 
@@ -699,7 +696,7 @@ def test_q15_vs_duckdb_and_paths(duck, force_shuffle):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_q22_vs_duckdb_and_paths(duck):
+def test_q22_vs_duckdb_and_paths(duck, force_bucketed):
     from crawler_ai_ray.pipelines.relational import q22_inactive_customers
 
     eng = (
@@ -727,11 +724,12 @@ def test_q22_vs_duckdb_and_paths(duck):
     assert_frames_equal(eng, ora)
 
     # forced-bucketed anti-join ≡ broadcast searchsorted path
-    bucketed = (
-        q22_inactive_customers(SF, broadcast_max_keys=0)
-        .to_pandas()
-        .sort_values("c_mktsegment", ignore_index=True)
-    )
+    with force_bucketed():
+        bucketed = (
+            q22_inactive_customers(SF)
+            .to_pandas()
+            .sort_values("c_mktsegment", ignore_index=True)
+        )
     assert eng.equals(bucketed)
 
 

@@ -332,7 +332,7 @@ def test_multimodal_stages(ray_session):
         fn_constructor_kwargs={"out_w": 16, "out_h": 16},
         batch_format="pyarrow",
         batch_size=8,
-        concurrency=2,
+        concurrency=(1, 2),
     ).to_pandas()
     assert len(feat) == 24
     assert (feat.width == 16).all()
@@ -345,7 +345,7 @@ def test_multimodal_stages(ray_session):
         fn_constructor_kwargs={"out_w": 16, "out_h": 16},
         batch_format="pyarrow",
         batch_size=8,
-        concurrency=2,
+        concurrency=(1, 2),
     ).to_pandas()
     assert (
         feat.sort_values("media_id").mean_luma.values
@@ -357,13 +357,13 @@ def test_multimodal_stages(ray_session):
         VideoFrameSample,
         fn_constructor_kwargs={"every_n": 10},
         batch_format="pyarrow",
-        concurrency=2,
+        concurrency=(1, 2),
     ).to_pandas()
     assert (frames.frame_idx % 10 == 0).all()
 
     auds = ray.data.from_arrow(synth_media_table(8, "audio"))
     af = auds.map_batches(
-        AudioFeatures, batch_format="pyarrow", concurrency=2
+        AudioFeatures, batch_format="pyarrow", concurrency=(1, 2)
     ).to_pandas()
     assert len(af) == 8
     assert af.duration_s.between(0.4, 2.1).all()
@@ -1326,7 +1326,7 @@ def test_image_phash_neardup_planted(ray_session):
 
     tbl = synth_media_neardup_table(32)
     hashed = ray.data.from_arrow(tbl).map_batches(
-        ImagePHash, batch_format="pyarrow", concurrency=2, batch_size=16
+        ImagePHash, batch_format="pyarrow", concurrency=(1, 2), batch_size=16
     )
     pairs = hash64_neardup_pairs(
         hashed, id_col="media_id", hash_col="phash"
@@ -1355,7 +1355,7 @@ def test_audio_fp_neardup_planted(ray_session):
 
     tbl = synth_audio_neardup_table(32)
     hashed = ray.data.from_arrow(tbl).map_batches(
-        AudioFingerprint, batch_format="pyarrow", concurrency=2,
+        AudioFingerprint, batch_format="pyarrow", concurrency=(1, 2),
         batch_size=16,
     )
     pairs = hash64_neardup_pairs(
