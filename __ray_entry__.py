@@ -4216,17 +4216,14 @@ def _q_doc_lsh_recall_eval(sf_dir: str):
     SQL inverted index + signature-golden banding) and the same
     ppm divisions."""
     import pyarrow as pa
-    import ray
+
+    from crawler_ai_ray.stages import exchange
 
     def pairs(r):
         if isinstance(r, pa.Table):
             t = r
         else:
-            bl = [
-                b
-                for b in ray.get(r.to_arrow_refs())
-                if b.num_rows and "doc_a" in b.column_names
-            ]
+            bl = exchange.blocks(r)
             t = (
                 pa.concat_tables([b.select(["doc_a", "doc_b"]) for b in bl])
                 if bl

@@ -32,10 +32,11 @@ Pipeline shape / scale notes (10^10-doc framing):
   assembly).  At cluster scale this is the stage checkpoint a
   resumable pipeline writes as hash-partitioned Parquet; in-object-
   store materialization is the single-node analogue of that artifact.
-* The only shuffles are (a) the LSH band-bucket exchange inside
-  ``minhash_pairs_from_sigs`` (512-way uniform hash buckets) and
-  (b) one md5-bucket exchange for decision assembly — both on uniform
-  hash keys, both carrying hashes/booleans, never text.
+* The only shuffles are (a) the LSH band exchange inside
+  ``minhash_pairs_from_sigs`` (a sort on the uniform band hash, one
+  run sweep per sorted block) and (b) one md5-bucket exchange for
+  decision assembly — both on uniform hash keys, both carrying
+  hashes/booleans, never text.
 * The near-dup label map is O(paired docs) — LSH *output*, orders of
   magnitude smaller than the corpus — broadcast zero-copy via
   ``ray.put`` (same pattern as ``minhash_cluster_labels``).

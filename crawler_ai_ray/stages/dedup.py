@@ -34,7 +34,9 @@ deterministic across the Ray engine and the DuckDB oracle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 
 import numpy as np
 import pyarrow as pa
@@ -265,10 +267,8 @@ def bloom_membership(
             )
         return pa.table({"bm": pa.array([bm.tobytes()], pa.binary())})
 
-    parts = ray.get(
-        ds_ref.map_batches(
-            ref_partial, batch_format="pyarrow"
-        ).to_arrow_refs()
+    parts = exchange.blocks(
+        ds_ref.map_batches(ref_partial, batch_format="pyarrow")
     )
     merged = np.zeros(nbytes, np.uint8)
     for t in parts:
@@ -438,10 +438,8 @@ def decontaminate(docs_ds, eval_ds, n: int = 3, text_col: str = "text"):
             ngs |= _doc_ngrams(t, n)
         return pa.table({"ngram": pa.array(sorted(ngs), pa.string())})
 
-    ev_parts = ray.get(
-        eval_ds.map_batches(
-            eval_ngrams, batch_format="pyarrow"
-        ).to_arrow_refs()
+    ev_parts = exchange.blocks(
+        eval_ds.map_batches(eval_ngrams, batch_format="pyarrow")
     )
     ev_set = frozenset(
         x for t in ev_parts for x in t["ngram"].to_pylist()
@@ -751,96 +749,112 @@ def minhash_signature(text: str, n: int = 3) -> np.ndarray:
     return vals.min(axis=1)
 
 
-def _sig_chunk(
-    sel: np.ndarray,
-    bases: list[np.ndarray],
-    sizes: np.ndarray,
-    sig_mat: np.ndarray,
-    buf: np.ndarray | None = None,
-    hibuf: np.ndarray | None = None,
-) -> None:
-    """Apply all 128 permutations to one chunk of docs and write their
-    signature rows into ``sig_mat[sel]`` (disjoint rows per chunk, so
-    concurrent calls are race-free).  ``buf``/``hibuf`` are optional
-    reusable (128, cap) scratch arrays."""
-    allb = np.concatenate([bases[i] for i in sel])
-    if buf is not None and allb.size <= buf.shape[1]:
-        vals = buf[:, : allb.size]
-        hi = hibuf[:, : allb.size]
-    else:  # no scratch given, or a single giant doc exceeds the cap
-        vals = np.empty((_N_PERM, allb.size), dtype=np.uint64)
-        hi = np.empty_like(vals)
-    with np.errstate(over="ignore"):
-        np.multiply(_PERM_A[:, None], allb[None, :], out=vals)
-        vals += _PERM_B[:, None]
-        # in-place M61 fold (see _mod_m61_inplace; bit-identical)
-        np.right_shift(vals, np.uint64(61), out=hi)
-        vals &= _MERSENNE
-        vals += hi
-        np.subtract(vals, _MERSENNE, out=vals, where=vals >= _MERSENNE)
-    bounds = np.zeros(sel.size, dtype=np.int64)
-    np.cumsum(sizes[sel[:-1]], out=bounds[1:])
-    sig_mat[sel] = np.minimum.reduceat(vals, bounds, axis=1).T
-
-
 def minhash_sig_batch(
     batch: pa.Table, n: int = 3, text_col: str = "text"
 ) -> pa.Table:
-    """Batch-vectorized ``minhash_signature``: shingle hashes of ALL
-    docs concatenate into one array, the 128 permutations apply as a
-    single (128, Σshingles) broadcast, and per-doc minima fall out of
-    ``np.minimum.reduceat`` at doc boundaries — bit-identical to the
-    per-doc function (same wraparound mul + M61 mod per element), with
-    no per-doc Python matrix setup and no int→list→Arrow round-trip.
+    """Batch ``minhash_signature``, bit-identical to stacking it per doc
+    (for shingle length ``n`` ≥ 1).
 
-    Docs chunk at 2^13 shingles and the two (128, 2^13) scratch
-    buffers (8 MiB each) are REUSED across chunks: this box (and any
-    ballooned VM) backs fresh pages so slowly that first-touch faults
-    on big temporaries cost up to 18 s/GiB — a 2^16 cap with per-chunk
-    temporaries measured 1.4-4.4 s for the same 0.33 s of arithmetic,
-    and was the real cause of BENCH r02's 7.4 s minhash recording.
-    Small reused buffers also stay L2/L3-resident."""
+    Each doc's distinct shingle strings go through one C-level
+    pipeline (``set`` of joined token windows → ``encode`` → 8-byte
+    blake2b → ``digest``, then ``b"".join``), so a doc costs a few
+    Python calls however many shingles it has; the little-endian bytes
+    read back as the same uint64 values ``_shingle_hashes`` builds with
+    ``int.from_bytes`` (hashing distinct strings instead of keeping
+    distinct hashes can only repeat a value, which a minimum ignores).
+
+    Then, per chunk of docs, the permutations run one at a time over
+    the chunk's concatenated shingle vector: the wraparound
+    ``a·x + b``, the M61 fold, the last conditional subtract as
+    ``min(v, v − M)`` (``v − M`` wraps above ``v`` when ``v < M``) and
+    ``np.minimum.reduceat`` at the doc starts — the same per-element
+    math as ``minhash_signature``.  A chunk holds at most 2^17 shingles
+    (docs never split; one larger doc is a chunk of its own), so the
+    two reused scratch vectors are 1 MiB each and stay cache-resident.
+    Broadcasting all 128 permutations as one (128, chunk) matrix
+    streams that matrix through memory once per operation: on a
+    160-page block (4-vCPU VM, one process) the arithmetic took
+    ~0.14 s that way and ~0.03 s as this row loop, and the 8-byte
+    blake2b calls (~0.1 s) are now most of the kernel.
+    """
     ids = batch["doc_id"].to_pylist()
     texts = batch[text_col].to_pylist()
-    bases = [_shingle_hashes(t, n) for t in texts]
-    n_docs = len(bases)
+    blake = functools.partial(hashlib.blake2b, digest_size=8)
+    digest = operator.methodcaller("digest")
+    hashed = []
+    for t in texts:
+        toks = (t or "").lower().split()
+        grams = set(map(" ".join, zip(*[toks[k:] for k in range(n)])))
+        hashed.append(b"".join(map(digest, map(blake, map(str.encode, grams)))))
+    sizes = np.array([len(h) >> 3 for h in hashed], dtype=np.int64)
     sig_mat = np.full(
-        (n_docs, _N_PERM), np.iinfo(np.uint64).max, dtype=np.uint64
+        (len(texts), _N_PERM), np.iinfo(np.uint64).max, dtype=np.uint64
     )
-    sizes = np.array([b.size for b in bases], dtype=np.int64)
-    nz = np.flatnonzero(sizes > 0)
-    chunk_cap = 1 << 13
-    buf = np.empty((_N_PERM, chunk_cap), dtype=np.uint64)
-    hibuf = np.empty((_N_PERM, chunk_cap), dtype=np.uint64)
+    nz = np.flatnonzero(sizes)
+    chunk_cap = 1 << 17
+    v = np.empty(min(chunk_cap, int(sizes.sum())), dtype=np.uint64)
+    w = np.empty_like(v)
     pos = 0
     while pos < nz.size:
-        end = pos
-        tot = 0
+        end, tot = pos, 0
         while end < nz.size and (tot == 0 or tot + sizes[nz[end]] <= chunk_cap):
             tot += sizes[nz[end]]
             end += 1
-        _sig_chunk(nz[pos:end], bases, sizes, sig_mat, buf, hibuf)
+        sel = nz[pos:end]
+        x = np.frombuffer(b"".join([hashed[i] for i in sel]), dtype="<u8")
+        if x.size > v.size:  # one doc above the cap
+            v = np.empty(x.size, dtype=np.uint64)
+            w = np.empty_like(v)
+        vv, ww = v[: x.size], w[: x.size]
+        starts = np.zeros(sel.size, dtype=np.int64)
+        np.cumsum(sizes[sel[:-1]], out=starts[1:])
+        out = np.empty((_N_PERM, sel.size), dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            for p in range(_N_PERM):
+                np.multiply(x, _PERM_A[p], out=vv)
+                vv += _PERM_B[p]
+                np.right_shift(vv, np.uint64(61), out=ww)
+                vv &= _MERSENNE
+                vv += ww
+                np.subtract(vv, _MERSENNE, out=ww)
+                np.minimum(vv, ww, out=vv)
+                np.minimum.reduceat(vv, starts, out=out[p])
+        sig_mat[sel] = out.T
         pos = end
     sig_col = pa.FixedSizeListArray.from_arrays(
-        pa.array(sig_mat.astype(np.int64).reshape(-1), pa.int64()), _N_PERM
+        pa.array(sig_mat.view(np.int64).reshape(-1), pa.int64()), _N_PERM
     )
     return pa.table(
         {"doc_id": pa.array(ids, type=pa.int64()), "sig": sig_col}
     )
 
 
+def _band_hashes(mat: np.ndarray) -> np.ndarray:
+    """(n, 8·k) signature matrix → (n, k) int64 hashes of its k bands:
+    an FNV-1a fold over each band's 8 components (numpy wraparound
+    mul/xor across all n×k bands at once), shifted into int64's
+    non-negative range.  The hash function choice is free: equal
+    chunks collide under ANY hash (no true candidate is ever lost),
+    unequal chunks collide with p≈2⁻⁶³ and a false candidate must
+    still pass the est≥τ verify."""
+    n, width = mat.shape
+    chunks = np.ascontiguousarray(mat).view(np.uint64).reshape(
+        n, width // _ROWS_PER_BAND, _ROWS_PER_BAND
+    )
+    with np.errstate(over="ignore"):
+        h = np.full(chunks.shape[:2], np.uint64(0xCBF29CE484222325), np.uint64)
+        for r in range(_ROWS_PER_BAND):
+            h = (h ^ chunks[:, :, r]) * np.uint64(0x100000001B3)
+    return (h >> np.uint64(1)).astype(np.int64)
+
+
 def _band_rows(batch: pa.Table) -> pa.Table:
     """signature rows → (band, band_hash, doc_id, sig) LSH bucket rows.
 
     Fully vectorized: the sig column reads as an (N, 128) int64 matrix
-    (FixedSizeList → one reshape, no Python lists), band hashes are an
-    FNV-1a fold over each band's 8 components (numpy wraparound mul/xor
-    across all N×16 bands at once), and the 16× sig duplication is one
-    ``np.repeat``.  The hash function choice is free: equal chunks
-    collide under ANY hash (no true candidate is ever lost), unequal
-    chunks collide with p≈2⁻⁶³ and a false candidate must still pass
-    the est≥τ verify — so the emitted pair set is unchanged vs the
-    previous per-chunk blake2b."""
+    (FixedSizeList → one reshape, no Python lists), band hashes come
+    from ``_band_hashes`` and the 16× sig duplication is one
+    ``np.repeat``."""
     n_docs = batch.num_rows
     if n_docs == 0:
         return pa.table(
@@ -857,14 +871,7 @@ def _band_rows(batch: pa.Table) -> pa.Table:
     sig_arr = batch["sig"].combine_chunks()
     flat = sig_arr.flatten().to_numpy(zero_copy_only=False)
     mat = flat.reshape(n_docs, _N_PERM)
-    chunks = mat.astype(np.uint64).reshape(n_docs, _N_BANDS, _ROWS_PER_BAND)
-    with np.errstate(over="ignore"):
-        h = np.full(
-            (n_docs, _N_BANDS), np.uint64(0xCBF29CE484222325), np.uint64
-        )
-        for r in range(_ROWS_PER_BAND):
-            h = (h ^ chunks[:, :, r]) * np.uint64(0x100000001B3)
-    band_hash = (h >> np.uint64(1)).astype(np.int64).reshape(-1)
+    band_hash = _band_hashes(mat).reshape(-1)
     return pa.table(
         {
             "band": pa.array(
@@ -887,9 +894,9 @@ def minhash_lsh_pairs(ds, n: int = 3, threshold: float = 0.8, text_col: str = "t
     """documents → near-dup pairs (doc_a, doc_b, est_jaccard ≥ τ).
 
     est_jaccard = fraction of matching signature components — verified
-    inside the bucket group (sigs travel with the bucket rows, so no
-    second pass over text).  Pairs can surface in several bands; the
-    final groupby(pair) dedups them (keep max — all estimates equal)."""
+    inside the band sweep (sigs travel with the band rows, so no second
+    pass over text).  Each pair is emitted once, from the lowest band
+    its two docs share (``_run_pairs``), so no pair dedup follows."""
     sigs = ds.map_batches(
         lambda b: minhash_sig_batch(b, n=n, text_col=text_col),
         batch_format="pyarrow",
@@ -899,38 +906,58 @@ def minhash_lsh_pairs(ds, n: int = 3, threshold: float = 0.8, text_col: str = "t
 
 # A (band, band_hash) run of k identical docs is a k² triu sweep in ONE
 # task — at 100 TB a boilerplate page class makes k huge.  Above this
-# run length the sweep collapses identical-signature classes: star
-# edges (min-doc canonical → member, est 1.0) inside each class plus a
-# verified triu over the class REPRESENTATIVES.  Pair-set CLOSURE (the
-# union-find clusters) is provably unchanged — est(u,v) depends only on
-# (sig_u, sig_v), so every ≥τ cross-class pair maps to an emitted
-# rep-rep edge and every member reaches its rep via the star — but the
-# emitted pair LIST shrinks (no full cliques), so the cap sits above
-# any oracle-compared corpus and a dedicated fuzz test pins the
-# degenerate path.
+# run length the sweep collapses identical-signature classes (see
+# ``_run_pairs``); the cap sits above any oracle-compared corpus and a
+# dedicated fuzz test pins the degenerate path.
 _MAX_CLIQUE_RUN = 256
 
 
+def _clique_pairs(
+    did: np.ndarray, mat: np.ndarray, band: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verified triu over one run's rows (sorted by doc_id) in ``band``,
+    keeping a pair only if ``band`` is the lowest band whose hash its
+    two docs share.  Band hashes are recomputed from the signatures,
+    not compared as chunks, so a pair whose only shared band is a hash
+    collision still comes out exactly once."""
+    x, y = np.triu_indices(len(did), k=1)
+    keep = did[x] != did[y]
+    x, y = x[keep], y[keep]
+    est = (mat[x] == mat[y]).mean(axis=1)
+    hit = est >= threshold
+    x, y, est = x[hit], y[hit], est[hit]
+    if band and x.size:
+        lower = _band_hashes(mat[:, : band * _ROWS_PER_BAND])
+        own = (lower[x] != lower[y]).all(axis=1)
+        x, y, est = x[own], y[own], est[own]
+    return did[x], did[y], est
+
+
 def _run_pairs(
-    run_did: np.ndarray, run_mat: np.ndarray, threshold: float
+    run_did: np.ndarray, run_mat: np.ndarray, band: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One (band, band_hash) run (rows sorted by doc_id) → verified
-    (doc_a, doc_b, est_jaccard) arrays.  Full triu clique up to
-    ``_MAX_CLIQUE_RUN`` rows; identical-sig class collapse above."""
+    (doc_a, doc_b, est_jaccard) arrays, each pair only from the lowest
+    band its docs share, so a pair sharing several bands is emitted
+    once.  Full triu clique up to ``_MAX_CLIQUE_RUN`` rows.
+
+    Above it, identical-signature classes collapse: star edges
+    (min-doc canonical → member, est 1.0) inside each class plus a
+    verified triu over the class REPRESENTATIVES.  Identical signatures
+    share every band hash, so stars come from band 0 only.  The pair
+    LIST shrinks (no full cliques) but the CLOSURE (the union-find
+    clusters) stays that of every ≥τ pair sharing a band hash.  A class
+    shares every band hash, so a run holding a doc holds its whole
+    class, and the class minimum is its representative in every run.
+    Take a ≥τ pair (u, v) and its lowest shared band b*: in b* it is a
+    clique pair, or the run emits the pair of u's and v's
+    representatives — the same est, since est depends only on the two
+    signatures, and the same lowest shared band — while u and v reach
+    their representatives through their class's band-0 clique or
+    stars."""
     r = len(run_did)
     if r <= _MAX_CLIQUE_RUN:
-        x, y = np.triu_indices(r, k=1)
-        keep = run_did[x] != run_did[y]
-        x, y = x[keep], y[keep]
-        if not x.size:
-            return (
-                np.zeros(0, np.int64),
-                np.zeros(0, np.int64),
-                np.zeros(0, np.float64),
-            )
-        est = (run_mat[x] == run_mat[y]).mean(axis=1)
-        hit = est >= threshold
-        return run_did[x[hit]], run_did[y[hit]], est[hit]
+        return _clique_pairs(run_did, run_mat, band, threshold)
     # degenerate run: O(r log r) class grouping instead of O(r²) pairs
     uniq, inv = np.unique(run_mat, axis=0, return_inverse=True)
     a_parts: list[np.ndarray] = []
@@ -943,61 +970,60 @@ def _run_pairs(
     np.not_equal(inv_s[1:], inv_s[:-1], out=new[1:])
     starts = np.append(np.flatnonzero(new), r)
     rep_did = np.empty(len(uniq), dtype=np.int64)
-    for ci, (p, q) in enumerate(zip(starts[:-1], starts[1:])):
+    for p, q in zip(starts[:-1], starts[1:]):
         members = np.unique(did_s[p:q])
         rep_did[inv_s[p]] = members[0]
-        if len(members) > 1:
+        if band == 0 and len(members) > 1:
             a_parts.append(np.full(len(members) - 1, members[0], np.int64))
             b_parts.append(members[1:].astype(np.int64))
             j_parts.append(np.ones(len(members) - 1, np.float64))
-    # verified sweep over class representatives (recurses: if even the
-    # DISTINCT-sig count is oversized the collapse has already done all
-    # it can — fall through to the triu branch on the reps)
+    # verified sweep over class representatives (if even the DISTINCT-
+    # sig count is oversized the collapse has done all it can)
     ro = np.argsort(rep_did)
-    rd, rm = rep_did[ro], uniq[ro]
-    if len(rd) > 1:
-        if len(rd) <= _MAX_CLIQUE_RUN:
-            ra, rb, rj = _run_pairs(rd, rm, threshold)
-        else:
-            x, y = np.triu_indices(len(rd), k=1)
-            keep = rd[x] != rd[y]
-            x, y = x[keep], y[keep]
-            est = (rm[x] == rm[y]).mean(axis=1) if x.size else np.zeros(0)
-            hit = est >= threshold
-            ra, rb, rj = rd[x[hit]], rd[y[hit]], est[hit]
-        a_parts.append(ra)
-        b_parts.append(rb)
-        j_parts.append(rj)
-    if not a_parts:
-        return (
-            np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
-            np.zeros(0, np.float64),
-        )
+    ra, rb, rj = _clique_pairs(rep_did[ro], uniq[ro], band, threshold)
     return (
-        np.concatenate(a_parts),
-        np.concatenate(b_parts),
-        np.concatenate(j_parts),
+        np.concatenate(a_parts + [ra]),
+        np.concatenate(b_parts + [rb]),
+        np.concatenate(j_parts + [rj]),
+    )
+
+
+def _sweep_runs(
+    band: np.ndarray, bh: np.ndarray, did: np.ndarray, row: np.ndarray,
+    mat: np.ndarray, threshold: float,
+) -> pa.Table:
+    """Band rows (band, band_hash, doc_id, row of the doc's signature in
+    ``mat``) → verified near-dup pairs, one ``_run_pairs`` per sorted
+    (band, band_hash) run of two or more rows.  Exact on any set of
+    rows that holds each of its runs whole."""
+    order = np.lexsort((did, bh, band))
+    band, bh, did, row = band[order], bh[order], did[order], row[order]
+    new = np.ones(len(band), dtype=bool)
+    new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
+    starts = np.append(np.flatnonzero(new), len(band))
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for k in np.flatnonzero(np.diff(starts) > 1):
+        i, j = starts[k], starts[k + 1]
+        parts.append(
+            _run_pairs(did[i:j], mat[row[i:j]], int(band[i]), threshold)
+        )
+    a, b, e = (np.concatenate(c) for c in zip(*parts))
+    return pa.table(
+        {
+            "doc_a": pa.array(a, pa.int64()),
+            "doc_b": pa.array(b, pa.int64()),
+            "est_jaccard": pa.array(e, pa.float64()),
+        }
     )
 
 
 def _bucket_pairs(group: pa.Table, threshold: float) -> pa.Table:
-    """(band, band_hash, doc_id, sig) rows → verified near-dup pairs.
-    Pure table→table: runs inside a shuffle-bucket group task on the
-    distributed path and once over the whole band table on the local
-    path — both sweep sorted (band, band_hash) runs identically."""
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "est_jaccard": pa.array([], pa.float64()),
-        }
-    )
-    if group.num_rows == 0:
-        return empty
-    band = group["band"].to_numpy(zero_copy_only=False)
-    bh = group["band_hash"].to_numpy(zero_copy_only=False)
-    did = group["doc_id"].to_numpy(zero_copy_only=False)
+    """(band, band_hash, doc_id, sig) rows → verified near-dup pairs:
+    one call per sorted block of the distributed sweep, which holds
+    every run whose band_hash it holds."""
+    if group.num_rows == 0:  # Ray's schema-less empty blocks
+        z = np.zeros(0, np.int64)
+        return _sweep_runs(z, z, z, z, np.zeros((0, _N_PERM)), threshold)
     mat = (
         group["sig"]
         .combine_chunks()
@@ -1005,44 +1031,14 @@ def _bucket_pairs(group: pa.Table, threshold: float) -> pa.Table:
         .to_numpy(zero_copy_only=False)
         .reshape(group.num_rows, _N_PERM)
     )
-    order = np.lexsort((did, bh, band))
-    band, bh, did = band[order], bh[order], did[order]
-    mat = mat[order]
-    new = np.empty(len(band), dtype=bool)
-    new[0] = True
-    new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-    starts = np.append(np.flatnonzero(new), len(band))
-    a_out, b_out, j_out = [], [], []
-    for i, j in zip(starts[:-1], starts[1:]):
-        if j - i < 2:
-            continue
-        a, b, e = _run_pairs(did[i:j], mat[i:j], threshold)
-        if len(a):
-            a_out.append(a)
-            b_out.append(b)
-            j_out.append(e)
-    if not a_out:
-        return empty
-    return pa.table(
-        {
-            "doc_a": pa.array(np.concatenate(a_out), pa.int64()),
-            "doc_b": pa.array(np.concatenate(b_out), pa.int64()),
-            "est_jaccard": pa.array(
-                np.concatenate(j_out), pa.float64()
-            ),
-        }
+    return _sweep_runs(
+        group["band"].to_numpy(zero_copy_only=False),
+        group["band_hash"].to_numpy(zero_copy_only=False),
+        group["doc_id"].to_numpy(zero_copy_only=False),
+        np.arange(group.num_rows),
+        mat,
+        threshold,
     )
-
-
-def _dedup_pairs_table(pairs: pa.Table) -> pa.Table:
-    """cross-band duplicate pairs collapse with group_by(pair) max
-    (all of a pair's estimates are equal — the max is just the dedup)."""
-    if pairs.num_rows == 0:
-        return pairs
-    agg = pairs.group_by(["doc_a", "doc_b"]).aggregate(
-        [("est_jaccard", "max")]
-    )
-    return agg.rename_columns(["doc_a", "doc_b", "est_jaccard"])
 
 
 def _pairs_from_sig_matrix(
@@ -1051,59 +1047,19 @@ def _pairs_from_sig_matrix(
     """(n_docs, 128) signature matrix → verified near-dup pairs,
     without materializing band rows: the distributed path must carry a
     full sig copy in every one of the 16 band rows (the shuffle needs
-    it), but locally that 16× duplication is ~33× the input size in
-    fresh allocations — on this box's slow-page-backing VM that cost
-    multiples of the arithmetic.  Here band hashes are an (n, 16)
-    FNV fold (same math as ``_band_rows``), candidates come from
-    lexsorted (band, hash) runs over 3 skinny index arrays, and the
-    est-jaccard verify indexes the ORIGINAL matrix.  Emits the same
-    pair set as ``_bucket_pairs`` over ``_band_rows`` by construction
-    (same candidate buckets, same verify) — the path-agreement test
-    pins it."""
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "est_jaccard": pa.array([], pa.float64()),
-        }
-    )
+    it), but locally the runs index the ORIGINAL matrix through each
+    band row's doc index.  Same band hashes (``_band_hashes``), same
+    runs, same ``_run_pairs`` and so the same pairs, each once, as the
+    distributed sweep — the path-agreement test pins it."""
     n_docs = mat.shape[0]
-    if n_docs == 0:
-        return empty
-    chunks = mat.astype(np.uint64).reshape(n_docs, _N_BANDS, _ROWS_PER_BAND)
-    with np.errstate(over="ignore"):
-        h = np.full(
-            (n_docs, _N_BANDS), np.uint64(0xCBF29CE484222325), np.uint64
-        )
-        for r in range(_ROWS_PER_BAND):
-            h = (h ^ chunks[:, :, r]) * np.uint64(0x100000001B3)
-    bh = (h >> np.uint64(1)).astype(np.int64).reshape(-1)  # doc-major
-    band = np.tile(np.arange(_N_BANDS, dtype=np.int32), n_docs)
     idx = np.repeat(np.arange(n_docs, dtype=np.int64), _N_BANDS)
-    dids = did[idx]
-    order = np.lexsort((dids, bh, band))
-    band, bh, dids, idx = band[order], bh[order], dids[order], idx[order]
-    new = np.empty(len(band), dtype=bool)
-    new[0] = True
-    new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
-    starts = np.append(np.flatnonzero(new), len(band))
-    a_out, b_out, j_out = [], [], []
-    for i, j in zip(starts[:-1], starts[1:]):
-        if j - i < 2:
-            continue
-        a, b, e = _run_pairs(dids[i:j], mat[idx[i:j]], threshold)
-        if len(a):
-            a_out.append(a)
-            b_out.append(b)
-            j_out.append(e)
-    if not a_out:
-        return empty
-    return pa.table(
-        {
-            "doc_a": pa.array(np.concatenate(a_out), pa.int64()),
-            "doc_b": pa.array(np.concatenate(b_out), pa.int64()),
-            "est_jaccard": pa.array(np.concatenate(j_out), pa.float64()),
-        }
+    return _sweep_runs(
+        np.tile(np.arange(_N_BANDS, dtype=np.int32), n_docs),
+        _band_hashes(mat).reshape(-1),  # doc-major, like idx
+        did[idx],
+        idx,
+        mat,
+        threshold,
     )
 
 
@@ -1129,66 +1085,28 @@ def minhash_lsh_pairs_local(
         .reshape(sigs.num_rows, _N_PERM)
     )
     did = sigs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _dedup_pairs_table(
-        _pairs_from_sig_matrix(mat, did, threshold)
-    )
+    return _pairs_from_sig_matrix(mat, did, threshold)
 
 
 def minhash_pairs_from_sigs(sigs, threshold: float = 0.8):
-    """(doc_id, sig) dataset → near-dup pairs.  Split out of
-    ``minhash_lsh_pairs`` so pipelines that already carry signatures
+    """(doc_id, sig) dataset → lazy near-dup pairs dataset.  Split out
+    of ``minhash_lsh_pairs`` so pipelines that already carry signatures
     (e.g. the curation chain's stage-1 checkpoint) skip re-shingling
-    the text."""
-    import functools
+    the text.
 
-    import ray.data
-
-    buckets = sigs.map_batches(_band_rows, batch_format="pyarrow")
-
-    # group by a 512-way hash bucket of the LSH key, not the key itself:
-    # per-(band,band_hash) map_groups is one Python call per LSH bucket
-    # (O(docs·bands) calls — pathological at scale); per-shuffle-bucket,
-    # each call sweeps its sorted runs locally.
-    n_sbuckets = 512
-
-    def add_sbucket(batch: pa.Table) -> pa.Table:
-        bh = batch["band_hash"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "sbucket",
-            pa.array((bh % n_sbuckets).astype(np.int32), pa.int32()),
+    The band rows sort on ``band_hash``: Ray's sort range-partitions on
+    the key, so all rows of a (band, band_hash) run land in one sorted
+    block (the property ``groupby().map_groups`` itself rests on), and
+    ``_bucket_pairs`` sweeps each block in ONE call.  Each pair comes
+    out of one band only, so no pair dedup or aggregate follows."""
+    return (
+        sigs.map_batches(_band_rows, batch_format="pyarrow")
+        .sort("band_hash")
+        .map_batches(
+            functools.partial(_bucket_pairs, threshold=threshold),
+            batch_size=None,
+            batch_format="pyarrow",
         )
-
-    bucket_pairs = functools.partial(_bucket_pairs, threshold=threshold)
-
-    pairs = (
-        buckets.map_batches(add_sbucket, batch_format="pyarrow")
-        .groupby("sbucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .materialize()
-    )
-    # cross-band duplicates collapse with a groupby(pair) max (all of a
-    # pair's estimates are equal — the max is just the dedup).  The
-    # pair set is LSH OUTPUT — O(duplicate pairs) — so up to
-    # exchange.DRIVER_FINISH_MAX rows ONE driver-side Arrow hash-agg
-    # replaces a Ray shuffle whose fixed cost (~1.5 s) dwarfs the data;
-    # the Ray groupby stays as the above-threshold branch.
-    if pairs.count() <= exchange.DRIVER_FINISH_MAX:
-        import ray
-
-        blocks = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-        if not blocks:
-            tbl = pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "est_jaccard": pa.array([], pa.float64()),
-                }
-            )
-        else:
-            tbl = _dedup_pairs_table(pa.concat_tables(blocks))
-        return ray.data.from_arrow(tbl)
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(
-        ray.data.aggregate.Max("est_jaccard", alias_name="est_jaccard")
     )
 
 
@@ -1277,9 +1195,8 @@ def hash64_neardup_pairs(
             }
         )
 
-    # same shuffle-bucket trick as minhash_lsh_pairs: one Python group
-    # call per 512-way bucket, runs of equal (band, band_val) swept
-    # locally — not one call per LSH key.
+    # one Python group call per 512-way shuffle bucket, runs of equal
+    # (band, band_val) swept locally — not one call per LSH key.
     n_sbuckets = 512
 
     def add_sbucket(batch: pa.Table) -> pa.Table:
@@ -1722,9 +1639,11 @@ def pair_labels(pairs_ds) -> tuple[np.ndarray, np.ndarray]:
         )
 
     merge_task = ray.remote(num_cpus=1)(_forest64)
+    # materialized first: to_arrow_refs on a lazy Dataset re-runs the
+    # whole pair plan under a limit-1 schema probe
     refs = pairs_ds.map_batches(
         batch_forest, batch_format="pyarrow"
-    ).to_arrow_refs()
+    ).materialize().to_arrow_refs()
     while len(refs) > 1:
         refs = [
             merge_task.remote(*refs[i : i + 8])
@@ -1911,7 +1830,6 @@ def _probe_hot_u64(
     uniformly-blocked dataset is top-20 in essentially every batch.
     Returns a SORTED uint64 array (possibly empty)."""
     import pyarrow.compute as pc
-    import ray
 
     def topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1946,13 +1864,7 @@ def _probe_hot_u64(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            rows.map_batches(topk, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(rows.map_batches(topk, batch_format="pyarrow"))
     if not parts:
         return np.zeros(0, np.uint64)
     allp = pa.concat_tables(parts)
@@ -2012,7 +1924,6 @@ def dup_span_stats(
     same per-doc rollup.  Exact either way; a missed hot key only
     costs one heavy bucket (the status quo)."""
     import pyarrow.compute as pc
-    import ray
 
     rows = ds.map_batches(
         lambda b: dup_ngram_rows_batch(b, n=n, text_col=text_col),
@@ -2121,10 +2032,8 @@ def dup_span_stats(
         )
 
     hot_df = np.zeros(len(hot), dtype=np.int64)
-    for t in ray.get(
-        rows.map_batches(
-            hot_df_partial, batch_format="pyarrow"
-        ).to_arrow_refs()
+    for t in exchange.blocks(
+        rows.map_batches(hot_df_partial, batch_format="pyarrow")
     ):
         if t.num_rows:
             hot_df[t["i"].to_numpy(zero_copy_only=False)] += t[
@@ -2356,10 +2265,8 @@ def segment_dedup(
             )
 
         hot_min = np.full(len(hot), np.iinfo(np.uint64).max, np.uint64)
-        for t in ray.get(
-            rows.map_batches(
-                hot_min_partial, batch_format="pyarrow"
-            ).to_arrow_refs()
+        for t in exchange.blocks(
+            rows.map_batches(hot_min_partial, batch_format="pyarrow")
         ):
             if t.num_rows:
                 ii = t["i"].to_numpy(zero_copy_only=False)
@@ -2396,8 +2303,7 @@ def segment_dedup(
         )
     parts = [
         t["k"].to_numpy(zero_copy_only=False)
-        for t in ray.get(dropped.to_arrow_refs())
-        if t.num_rows
+        for t in exchange.blocks(dropped)
     ]
     drop = np.sort(np.concatenate(parts)) if parts else np.zeros(
         0, dtype=np.uint64
@@ -2533,8 +2439,7 @@ def dup_span_removal(
     )
     parts = [
         t["h"].to_numpy(zero_copy_only=False)
-        for t in ray.get(dupped.to_arrow_refs())
-        if t.num_rows
+        for t in exchange.blocks(dupped)
     ]
     dup = (
         np.sort(np.concatenate(parts))
@@ -3249,13 +3154,7 @@ def boilerplate_stats(
             schema=part_schema,
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
     if not parts:
         cat = part_schema.empty_table()
     else:
@@ -3966,7 +3865,6 @@ def paragraph_dedup_stats(
        pass re-splits each doc locally (text moves once, partitioned
        by doc — the deboiler rebuild shape) to count + fingerprint the
        surviving lines."""
-    import ray
 
     def line_rows(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "doc_id" not in batch.column_names:
@@ -4130,12 +4028,12 @@ def paragraph_dedup_stats(
 
     parts = [
         t
-        for t in ray.get(
-            both.groupby("doc_bucket")
-            .map_groups(rebuild, batch_format="pyarrow")
-            .to_arrow_refs()
+        for t in exchange.blocks(
+            both.groupby("doc_bucket").map_groups(
+                rebuild, batch_format="pyarrow"
+            )
         )
-        if t.num_rows and "doc_id" in t.column_names
+        if "doc_id" in t.column_names
     ]
     if not parts:
         return _PARA_SCHEMA.empty_table()

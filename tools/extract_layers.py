@@ -1,6 +1,7 @@
 """Per-function extraction cost, unprofiled: µs/page for each layer of
 the crawl's per-page extraction, the single-core URLs/s of
-``extract_pages_crawl_batch``, and a same-code MinHash control.
+``extract_pages_crawl_batch``, and a same-code MinHash control next to
+the batch signature kernel's µs/doc over the same sample.
 
 Usage: python3 tools/extract_layers.py [CORPUS] [--pages N] [--loops K]
 
@@ -24,11 +25,12 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
 from crawler_ai_ray.functions import classify, contacts, htmltext  # noqa: E402
 from crawler_ai_ray.stages import extract  # noqa: E402
-from crawler_ai_ray.stages.dedup import minhash_signature  # noqa: E402
+from crawler_ai_ray.stages.dedup import minhash_sig_batch, minhash_signature  # noqa: E402
 
 
 def _pages(corpus: str, n: int):
@@ -90,6 +92,10 @@ def measure(tbl, loops: int) -> dict[str, float | None]:
     out["control_minhash_docs_per_s"] = len(sample) / _median_loop(
         minhash_signature, sample, loops
     )
+    docs = pa.table({"doc_id": pa.array(range(len(sample)), pa.int64()), "text": sample})
+    out["minhash_batch_us"] = (
+        _median_loop(minhash_sig_batch, [docs], loops) / len(sample) * 1e6
+    )
     return out
 
 
@@ -103,7 +109,7 @@ def main() -> None:
     res = measure(tbl, args.loops)
     print(f"pages={tbl.num_rows} loops={args.loops} nproc={len(os.sched_getaffinity(0))}")
     for name, v in res.items():
-        unit = "" if name.endswith("_per_s") else " us/page"
+        unit = "" if name.endswith("_per_s") else " us/doc" if name.startswith("minhash") else " us/page"
         print(f"{name:28s} " + ("n/a" if v is None else f"{v:10.1f}{unit}"))
 
 
