@@ -4958,10 +4958,11 @@ def _q_mm_audio_fp(sf_dir: str):
 def _collect_small_ds(ds):
     """Materialize a KNOWN-SMALL Dataset (e.g. fingerprint rows — a few
     KB) to one Arrow table, with the typed-empty-block guard."""
-    import ray
     import pyarrow as pa
 
-    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    from crawler_ai_ray.stages import exchange
+
+    parts = exchange.blocks(ds)
     return pa.concat_tables(parts) if parts else None
 
 

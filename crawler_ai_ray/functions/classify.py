@@ -15,7 +15,7 @@ Pinned deviations from the reference (all documented):
 from __future__ import annotations
 
 import re
-from urllib.parse import urlparse
+from urllib.parse import urlparse, urlsplit
 
 __all__ = [
     "is_valid_link",
@@ -56,19 +56,6 @@ _EXCLUDE_MENU_KEYWORDS = (
     "login", "register", "signup", "dashboard",
 )
 
-_EXCLUDE_MENU_PATTERNS = tuple(
-    re.compile(p)
-    for p in (
-        r".*/(about|company|team|leadership).*",
-        r".*/(contact|support|help).*",
-        r".*/(marketing|advertising|seo).*",
-        r".*/(api|docs|documentation).*",
-        r".*/(pricing|plans|features).*",
-        r".*/(privacy|terms|policy).*",
-        r".*/(login|register|signup).*",
-    )
-)
-
 _NON_JOB_SUBSTRINGS = (
     "google.com/maps", "facebook.com", "twitter.com", "linkedin.com",
     "youtube.com", "instagram.com", "tiktok.com",
@@ -88,15 +75,21 @@ _NON_JOB_SUBSTRINGS = (
 )
 
 
+def _any_of(words) -> re.Pattern:
+    """One alternation of escaped literals: it matches somewhere exactly
+    when one of ``words`` is a substring."""
+    return re.compile("|".join(map(re.escape, words)))
+
+
+# every alternative of the reference's seven menu regexes is one of
+# these keywords after a "/", and ``endswith("/kw")`` implies "/kw" in
+_EXCLUDE_MENU_RE = _any_of(f"/{kw}" for kw in _EXCLUDE_MENU_KEYWORDS)
+_NON_JOB_RE = _any_of(_NON_JOB_SUBSTRINGS)
+
+
 def _should_exclude_url(url_lower: str) -> bool:
     """scrapy_career_spider.py:297-311 — menu-tab exclusion."""
-    for kw in _EXCLUDE_MENU_KEYWORDS:
-        if f"/{kw}" in url_lower or url_lower.endswith(f"/{kw}"):
-            return True
-    for pat in _EXCLUDE_MENU_PATTERNS:
-        if pat.match(url_lower):
-            return True
-    return False
+    return _EXCLUDE_MENU_RE.search(url_lower) is not None
 
 
 def is_valid_link(link: str, domain: str) -> bool:
@@ -107,12 +100,7 @@ def is_valid_link(link: str, domain: str) -> bool:
     if link.startswith("http") and domain not in link:
         return False
     link_lower = link.lower()
-    if _should_exclude_url(link_lower):
-        return False
-    for pat in _NON_JOB_SUBSTRINGS:
-        if pat in link_lower:
-            return False
-    return True
+    return not (_should_exclude_url(link_lower) or _NON_JOB_RE.search(link_lower))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +161,19 @@ _CONTENT_KEYWORDS = (
 PRIORITY_LINK_CAPS = {100: 5, 80: 3, 50: 2, 10: 2}
 
 
+_CAREER_RE = _any_of(_CAREER_KEYWORDS)
+_NAV_RE = _any_of(_NAV_KEYWORDS)
+_CONTENT_RE = _any_of(_CONTENT_KEYWORDS)
+
+
 def priority_for_link(link: str) -> int:
     """Bucket a link into priority 100/80/50/10 by keyword substring."""
     link_lower = link.lower()
-    if any(kw in link_lower for kw in _CAREER_KEYWORDS):
+    if _CAREER_RE.search(link_lower):
         return 100
-    if any(kw in link_lower for kw in _NAV_KEYWORDS):
+    if _NAV_RE.search(link_lower):
         return 80
-    if any(kw in link_lower for kw in _CONTENT_KEYWORDS):
+    if _CONTENT_RE.search(link_lower):
         return 50
     return 10
 
@@ -327,57 +320,26 @@ _JOB_QUERY_PARAMS = (
     "search=", "q=", "keyword=", "title=", "location=",
 )
 
-_OBVIOUS_NON_JOB = (
-    "google.com/maps", "facebook.com", "twitter.com", "linkedin.com",
-    "youtube.com", "instagram.com", "tiktok.com",
-    ".jpg", ".jpeg", ".png", ".gif", ".svg", ".ico",
-    ".css", ".js", ".woff", ".woff2", ".ttf", ".eot",
-    "/admin/", "/dashboard/", "/login/", "/register/", "/signup/",
-    "/privacy/", "/terms/", "/cookie/", "/sitemap/",
-    "/about/", "/company/", "/team/", "/contact/", "/services/",
-    "/products/", "/solutions/", "/portfolio/", "/news/", "/blog/",
-    "/press/", "/media/", "/investor/", "/career/", "/careers/",
-    "/gioi-thieu/", "/cong-ty/", "/doi-ngu/", "/lien-he/",
-    "/dich-vu/", "/san-pham/", "/giai-phap/", "/tin-tuc/",
-    "/bai-viet/", "/thong-cao/", "/truyen-thong/",
-)
+_JOBURL_SKIP_RE = _any_of(_JOBURL_SKIP + _JOBURL_SKIP_FILES)
+_JOB_URL_RE = _any_of(_JOB_URL_PATTERNS)
+_JOB_QUERY_RE = _any_of(_JOB_QUERY_PARAMS)
 
 
 def is_job_url(url: str) -> bool:
-    """M13 — the spider's job-detail-URL predicate, rule order preserved."""
+    """M13 — the spider's job-detail-URL predicate, rule order preserved.
+    The reference's rules after the numeric-tail check all return False."""
     url_lower = url.lower()
-    for pat in _JOBURL_SKIP:
-        if pat in url_lower:
-            return False
-    if any(ext in url_lower for ext in _JOBURL_SKIP_FILES):
+    if _JOBURL_SKIP_RE.search(url_lower):
         return False
     if not url.startswith(("http://", "https://")):
         return False
-    parsed = urlparse(url)
-    domain = parsed.netloc.lower()
-    for sub in _CAREER_SUBDOMAINS:
-        if domain.startswith(sub):
-            path = parsed.path.strip("/")
-            if path and len(path.split("/")) >= 1:
-                return True
-    for pat in _JOB_URL_PATTERNS:
-        if pat in url_lower:
-            return True
-    if "?" in url and any(p in url_lower for p in _JOB_QUERY_PARAMS):
-        return True
+    # urlparse differs from urlsplit only by cutting ";params" off the path
+    parsed = urlparse(url) if ";" in url else urlsplit(url)
     path = parsed.path.strip("/")
-    if path:
-        parts = path.split("/")
-        if parts and parts[-1].isdigit():
-            return True
-    for pat in _OBVIOUS_NON_JOB:
-        if pat in url_lower:
-            return False
-    if (
-        url_lower.endswith(("/career", "/careers", "/jobs", "/"))
-        or url_lower.rstrip("/").split("/")[-1] in ("career", "careers", "jobs")
-    ):
-        return False
-    if not path or len(path.split("/")) < 2:
-        return False
-    return False
+    if path and parsed.netloc.lower().startswith(_CAREER_SUBDOMAINS):
+        return True
+    if _JOB_URL_RE.search(url_lower):
+        return True
+    if "?" in url and _JOB_QUERY_RE.search(url_lower):
+        return True
+    return path.rsplit("/", 1)[-1].isdigit()

@@ -43,6 +43,12 @@ position order, the ones one end tag ends are a tail of that list, and
 they finish in creation order.  The parser's line/offset bookkeeping
 (``getpos``) is switched off: nothing reads it.
 
+Both passes tokenize with :meth:`_CoreParser.scan`, one compiled
+pattern over a strict subset of HTML that makes the same handler calls
+as ``HTMLParser.feed(html); close()``.  A page with anything outside
+that subset is parsed again from the start by a fresh parser through
+``feed``/``close``: the stdlib tokenizer stays the definition.
+
 The independent oracle implementation lives in
 :mod:`crawler_ai_ray.oracle.extract_oracle` (a DOM-tree builder +
 recursive walker — deliberately different code); tests assert byte
@@ -58,7 +64,8 @@ is ``crawler_ai_ray.stages.extract``.
 from __future__ import annotations
 
 import re
-from html.parser import HTMLParser
+from html import unescape
+from html.parser import HTMLParser, endtagfind
 from urllib.parse import urljoin, urlparse
 
 __all__ = [
@@ -93,6 +100,34 @@ _HIDDEN_STYLE_RE = re.compile(r"display\s*:\s*none|visibility\s*:\s*hidden", re.
 
 # ``_excl_at`` when no decomposed element is open (above any stack position)
 _NO_EXCL = 1 << 62
+
+# The grammar ``_CoreParser.scan`` accepts.  Inside a tag only ASCII
+# whitespace separates; every other character the stdlib would read
+# differently (a Unicode space, ``\v``, ``=`` or a quote in a bare
+# value, ``<a/b>``) fails the match and sends the page to the stdlib.
+_WS = r"[ \t\n\r\f]"
+_ATTR = (
+    _WS + r"++([a-zA-Z_:][-a-zA-Z0-9_:.]*+)"
+    r"(?:(" + _WS + r"*+=" + _WS + r"*+)"
+    r"""(?:"([^"]*+)"|'([^']*+)'|([^\s"'=<>`]++)))?"""
+)
+_ATTR_RE = re.compile(_ATTR)
+_TOKEN_RE = re.compile(
+    r"([^<]++)"                                          # 1 text run
+    r"|(<([a-zA-Z][a-zA-Z0-9]*+)"                        # 2 start tag, 3 name
+    # 4 attributes, their groups made non-capturing so 5.. stay fixed
+    r"((?:" + re.sub(r"\((?!\?)", "(?:", _ATTR) + r")*+)"
+    + _WS + r"*+(/?)>)"                                  # 5 self-closing slash
+    r"|(" + endtagfind.pattern + ")"                      # 6 end tag, 7 name
+    r"|(<!--(.*?)--\s*>)"                                # 8 comment, 9 body
+    r"|(<!([dD][oO][cC][tT][yY][pP][eE][^>]*+)>)"        # 10 doctype, 11 decl
+    r"|(<\?([^>]*+)>)",                                  # 12 pi, 13 body
+    re.S,
+)
+# HTMLParser.set_cdata_mode: where a script/style body ends
+_RAWTEXT_END = {
+    t: re.compile(r"</\s*%s\s*>" % t, re.I) for t in HTMLParser.CDATA_CONTENT_ELEMENTS
+}
 
 
 class CoreFacts:
@@ -212,6 +247,65 @@ class _CoreParser(HTMLParser):
     def updatepos(self, i: int, j: int) -> int:
         # skips the line/offset bookkeeping behind getpos(), unused here
         return j
+
+    def scan(self, html: str) -> bool:
+        """Make the handler calls ``feed(html); close()`` makes, if
+        ``html`` is in the strict grammar: text runs; start tags with
+        double-quoted, single-quoted or bare attribute values; a
+        script/style body up to its closing tag; ``endtagfind`` end
+        tags; ``<!--…-->`` comments, ``<!doctype…>`` and ``<?…>``.
+        Returns False, partway through, on any other ``<``: the caller
+        starts over on a fresh parser."""
+        match = _TOKEN_RE.match
+        data, start, end = self.handle_data, self.handle_starttag, self.handle_endtag
+        pos, n = 0, len(html)
+        while pos < n:
+            m = match(html, pos)
+            if m is None:
+                return False
+            pos = m.end()
+            k = m.lastindex
+            if k == 1:
+                s = m.group(1)
+                data(unescape(s) if "&" in s else s)
+            elif k == 2:
+                tag, a, slash = m.group(3, 4, 5)
+                tag = tag.lower()
+                attrs = []
+                if a:
+                    for name, eq, dq, sq, bare in _ATTR_RE.findall(a):
+                        v = (dq or sq or bare) if eq else None
+                        if v and "&" in v:
+                            v = unescape(v)
+                        attrs.append((name.lower(), v))
+                if slash:
+                    self.handle_startendtag(tag, attrs)
+                    continue
+                start(tag, attrs)
+                rawtext = _RAWTEXT_END.get(tag)
+                if rawtext is not None:
+                    e = rawtext.search(html, pos)
+                    if e is None:
+                        return False
+                    j = e.start()
+                    if j > pos:
+                        data(html[pos:j])
+                    # the stdlib re-reads the close with endtagfind; a
+                    # case-folded non-ASCII name (``</ſcript>``) differs
+                    e = endtagfind.match(html, j)
+                    if e is None or e.group(1).lower() != tag:
+                        return False
+                    end(tag)
+                    pos = e.end()
+            elif k == 6:
+                end(m.group(7).lower())
+            elif k == 8:
+                self.handle_comment(m.group(9))
+            elif k == 10:
+                self.handle_decl(m.group(11))
+            else:
+                self.handle_pi(m.group(13))
+        return True
 
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _VOID:
@@ -431,21 +525,24 @@ class _FactParser(_CoreParser):
                 f.hidden_texts.append(t)
 
 
+def _parse(parser_cls, html: str):
+    p = parser_cls()
+    if not p.scan(html):
+        p = parser_cls()
+        p.feed(html)
+        p.close()
+    return p.facts
+
+
 def parse_core(html: str) -> CoreFacts:
     """Parse ``html`` for the crawl's fields only: ``title``,
     ``text_pieces`` and ``anchors`` (equal to :func:`parse_page`'s)."""
-    p = _CoreParser()
-    p.feed(html)
-    p.close()
-    return p.facts
+    return _parse(_CoreParser, html)
 
 
 def parse_page(html: str) -> PageFacts:
     """Parse ``html`` once and return all extracted facts."""
-    p = _FactParser()
-    p.feed(html)
-    p.close()
-    return p.facts
+    return _parse(_FactParser, html)
 
 
 def collapse_ws(s: str) -> str:
@@ -456,11 +553,22 @@ def collapse_ws(s: str) -> str:
     return " ".join(s.split())
 
 
+_TEXT_CAP = 5000
+# collapse_ws of a prefix is a prefix of collapse_ws of the whole text
+# (only its last word can be cut short), so when this window alone
+# collapses to the cap, the cap's worth of it is the answer
+_TEXT_WINDOW = 5500
+
+
 def finalize_jobdetail_text(raw: str) -> str:
     """Whitespace-collapse + length gate (job_extraction_service.py:1733-1737)."""
+    if len(raw) > _TEXT_WINDOW:
+        head = collapse_ws(raw[:_TEXT_WINDOW])
+        if len(head) >= _TEXT_CAP:
+            return head[:_TEXT_CAP]
     text = collapse_ws(raw)
     if len(text) > 50:
-        return text[:5000]
+        return text[:_TEXT_CAP]
     return ""
 
 

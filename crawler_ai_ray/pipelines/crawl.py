@@ -303,6 +303,9 @@ def _fetch_extract_rows(
     import ray
 
     from ..state.pagestore import store_shard_for_host
+    # imported at call time: the benchmark's trace patches these two on
+    # stages.extract
+    from ..stages.extract import _all_links, _join_anchors
 
     by_shard: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
@@ -332,8 +335,6 @@ def _fetch_extract_rows(
             url = r["url"]
             title = (facts.title or "").strip()
             text = facts_jobdetail_text(facts)
-            from ..stages.extract import _all_links, _join_anchors
-
             all_links = _all_links(_join_anchors(facts, url))
             r.update(
                 success=True,

@@ -3,6 +3,12 @@ the crawl's per-page extraction, the single-core URLs/s of
 ``extract_pages_crawl_batch``, and a same-code MinHash control next to
 the batch signature kernel's µs/doc over the same sample.
 
+``parse_core_stdlib`` forces the core pass through the stdlib tokenizer
+(``HTMLParser.feed``/``close``) on the same pages, next to
+``parse_core``; ``fallback_pages`` counts the pages the fast tokenizer
+hands to the stdlib; ``is_job_url_per_link_us`` is ``is_job_url`` per
+call over every link the sample's pages hold.
+
 Usage: python3 tools/extract_layers.py [CORPUS] [--pages N] [--loops K]
 
 CORPUS is a corpus directory holding ``pages.parquet`` or a scale tag
@@ -62,6 +68,13 @@ def _classify(args) -> None:
     classify.is_job_url(url)
 
 
+def _parse_core_stdlib(html: str):
+    p = htmltext._CoreParser()
+    p.feed(html)
+    p.close()
+    return p.facts
+
+
 def measure(tbl, loops: int) -> dict[str, float | None]:
     urls = tbl["url"].to_pylist()
     htmls = [h.decode("utf-8", errors="ignore") for h in tbl["html"].to_pylist()]
@@ -74,13 +87,25 @@ def measure(tbl, loops: int) -> dict[str, float | None]:
         return _median_loop(fn, items, loops) / n * 1e6
 
     parse_core = getattr(htmltext, "parse_core", None)
+    has_scan = hasattr(getattr(htmltext, "_CoreParser", None), "scan")
+    links = [
+        u for f, url in zip(facts, urls)
+        for u in extract._all_links(extract._join_anchors(f, url))
+    ]
     out: dict[str, float | None] = {
         "parse_core": us(parse_core, htmls) if parse_core else None,
+        "parse_core_stdlib": us(_parse_core_stdlib, htmls) if parse_core else None,
+        "fallback_pages": (
+            sum(not htmltext._CoreParser().scan(h) for h in htmls) if has_scan else None
+        ),
         "parse_page": us(htmltext.parse_page, htmls),
         "emails": us(contacts.extract_emails, htmls),
         "phones_vn": us(contacts.extract_phones_vn, texts),
         "finalize": us(htmltext.facts_jobdetail_text, facts),
         "classify": us(_classify, list(zip(urls, titles, htmls))),
+        "is_job_url_per_link_us": (
+            _median_loop(classify.is_job_url, links, loops) / len(links) * 1e6
+        ),
         "link_join": us(
             lambda a: extract._all_links(extract._join_anchors(*a)),
             list(zip(facts, urls)),
@@ -109,8 +134,17 @@ def main() -> None:
     res = measure(tbl, args.loops)
     print(f"pages={tbl.num_rows} loops={args.loops} nproc={len(os.sched_getaffinity(0))}")
     for name, v in res.items():
-        unit = "" if name.endswith("_per_s") else " us/doc" if name.startswith("minhash") else " us/page"
-        print(f"{name:28s} " + ("n/a" if v is None else f"{v:10.1f}{unit}"))
+        unit = (
+            "" if name.endswith("_per_s")
+            else " us/doc" if name.startswith("minhash")
+            else " us/link" if name.endswith("_per_link_us")
+            else " us/page"
+        )
+        fmt = (
+            "n/a" if v is None else f"{v:10d}" if isinstance(v, int)
+            else f"{v:10.1f}{unit}"
+        )
+        print(f"{name:28s} {fmt}")
 
 
 if __name__ == "__main__":
