@@ -1,21 +1,22 @@
-"""Reference copies of the per-link classifiers and the jobdetail text
-finalize, as they stood before ``functions/classify.py`` and
-``functions/htmltext.py`` rewrote them as compiled alternations and a
-windowed collapse.
+"""Reference copies of the per-link classifiers, the anchor join and the
+jobdetail text finalize, as they stood before ``functions/classify.py``
+and ``functions/htmltext.py`` rewrote them as compiled alternations and
+a windowed collapse, and before ``stages/extract.py`` resolved plain
+hrefs without ``urljoin``.
 
 They are the ground truth for the differential tests: the engine's
 ``is_job_url``, ``is_valid_link``, ``_should_exclude_url``,
-``priority_for_link`` and ``finalize_jobdetail_text`` must return what
-these return on every input.  The keyword tuples are the engine's own;
-the two the rewrite deleted (the seven menu regexes and the
-``_OBVIOUS_NON_JOB`` list, which only fed rules that return False
-either way) are kept here with the code that read them.
+``priority_for_link``, ``_join_anchors`` and ``finalize_jobdetail_text``
+must return what these return on every input.  The keyword tuples are
+the engine's own; the two the rewrite deleted (the seven menu regexes
+and the ``_OBVIOUS_NON_JOB`` list, which only fed rules that return
+False either way) are kept here with the code that read them.
 """
 
 from __future__ import annotations
 
 import re
-from urllib.parse import urlparse
+from urllib.parse import urljoin, urlparse
 
 from ..functions.classify import (
     _CAREER_KEYWORDS,
@@ -137,6 +138,23 @@ def is_job_url(url: str) -> bool:
     if not path or len(path.split("/")) < 2:
         return False
     return False
+
+
+def join_anchors(facts, url: str) -> list[str | None]:
+    """``urljoin`` each anchor's href against the page URL, once per
+    distinct href; None for an empty href."""
+    cache: dict[str, str] = {}
+    out: list[str | None] = []
+    for href, _t in facts.anchors:
+        if not href:
+            out.append(None)
+            continue
+        full = cache.get(href)
+        if full is None:
+            full = urljoin(url, href)
+            cache[href] = full
+        out.append(full)
+    return out
 
 
 def finalize_jobdetail_text(raw: str) -> str:

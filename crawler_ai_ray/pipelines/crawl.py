@@ -307,6 +307,9 @@ def _fetch_extract_rows(
     # stages.extract
     from ..stages.extract import _all_links, _join_anchors
 
+    # is_job_url per link over the wave: a host's pages share their
+    # navigation links
+    job: dict[str, bool] = {}
     by_shard: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
         sh = store_shard_for_host(r["host"], num_store_shards)
@@ -336,13 +339,16 @@ def _fetch_extract_rows(
             title = (facts.title or "").strip()
             text = facts_jobdetail_text(facts)
             all_links = _all_links(_join_anchors(facts, url))
+            for u in all_links:
+                if u not in job:
+                    job[u] = classify.is_job_url(u)
             r.update(
                 success=True,
                 is_career=classify.is_career_listing_page(url, html),
                 career_score=classify.career_page_score(url, title, html),
                 is_job_url=classify.is_job_url(url),
                 all_links=all_links,
-                job_urls=[u for u in all_links if classify.is_job_url(u)],
+                job_urls=[u for u in all_links if job[u]],
                 text=text,
                 title=title,
                 emails=contacts.extract_emails(html),
@@ -387,6 +393,7 @@ def _expand_rows(
             if policy.obey_robots
             else None
         )
+        verdicts: dict = {}
         for r in wave[i:j]:
             o = dict(r)
             o["kind"] = "o"
@@ -402,7 +409,7 @@ def _expand_rows(
             if crawled >= max_pages or career_found >= policy.career_stop:
                 continue  # expansion gated (queued fetches continue)
             for cand, cprio in candidate_links(
-                r["all_links"] or [], host, robots
+                r["all_links"] or [], host, robots, verdicts
             ):
                 cands.append(
                     {
@@ -546,6 +553,17 @@ def read_crawl_metrics(out_dir: str) -> pa.Table:
                 }
             )
     return pa.Table.from_pylist(rows)
+
+
+def _crawl_tallies(out_dir: str) -> dict[str, int]:
+    """Successful and failed fetches over every completed round, summed
+    from the manifests' per-partition o-row counts (no checkpoint part
+    is reopened)."""
+    m = read_crawl_metrics(out_dir)
+    return {
+        k: sum(m[k].to_pylist()) if m.num_rows else 0
+        for k in ("fetched", "errors")
+    }
 
 
 def read_crawl_output(out_dir: str, columns=None, filter=None) -> pa.Table:
@@ -790,18 +808,22 @@ def run_crawl(
                 )
             with open(os.path.join(d, "_MANIFEST.json"), "w") as f:
                 json.dump({"round": -1, "rows": init.num_rows}, f)
-            start_round = 0
+            # q rows entering the round, and all rows of its input
+            # checkpoint
+            in_rows = init.filter(pc.field("kind") == "q").num_rows
+            ck_rows = init.num_rows
+        else:
+            # a resumed run reads both from the last round's manifest
+            with open(
+                os.path.join(
+                    _round_dir(cfg.out_dir, start_round - 1), "_MANIFEST.json"
+                )
+            ) as f:
+                pm = json.load(f)
+            in_rows, ck_rows = pm["q"], pm["q"] + pm["s"] + pm["o"]
 
         totals = {"fetched": 0, "errors": 0, "rounds": 0}
         n_buckets = cfg.buckets
-        # q-rows entering the first round need one footer scan; every
-        # later round reuses its predecessor's manifest count (the scan
-        # over 32 bucket dirs cost ~50-100 ms/round for a number the
-        # loop already computed)
-        in_rows = pads.dataset(
-            crawl_output_files(cfg.out_dir, only_round=start_round - 1),
-            format="parquet",
-        ).count_rows(filter=pc.field("kind") == "q")
         for rnd in range(start_round, cfg.max_rounds):
             t0 = time.time()
             prev = _round_dir(cfg.out_dir, rnd - 1)
@@ -820,11 +842,12 @@ def run_crawl(
             else:
                 # explicit skew repartitioning: oversized bucket queues
                 # (parquet-footer row counts, no decode) fan out into
-                # salted-host sub-tasks
+                # salted-host sub-tasks; no bucket can be oversized
+                # while the whole checkpoint is not
                 work: list[dict] = []
                 for b in range(n_buckets):
                     k = 1
-                    if cfg.split_queue_rows:
+                    if cfg.split_queue_rows and ck_rows > cfg.split_queue_rows:
                         rows_b = _bucket_queue_rows(prev, b)
                         if rows_b > cfg.split_queue_rows:
                             k = min(
@@ -862,6 +885,7 @@ def run_crawl(
                 k: sum(c[k] for c in bucket_counts) for k in ("q", "s", "o")
             }
             in_rows = counts["q"]  # next round's queue size, no re-scan
+            ck_rows = counts["q"] + counts["s"] + counts["o"]
             wall_ms = (time.time() - t0) * 1000
             manifest = {
                 "round": rnd,
@@ -884,14 +908,7 @@ def run_crawl(
             if counts["q"] == 0:
                 break
 
-        # final tallies over all o-rows
-        all_o = pads.dataset(crawl_output_files(cfg.out_dir), format="parquet")
-        totals["fetched"] = all_o.count_rows(
-            filter=(pc.field("kind") == "o") & pc.field("success")
-        )
-        totals["errors"] = all_o.count_rows(
-            filter=(pc.field("kind") == "o") & ~pc.field("success")
-        )
+        totals.update(_crawl_tallies(cfg.out_dir))
         totals["seen_total"] = seen.total_seen()
         return totals
     finally:
@@ -1073,15 +1090,7 @@ def run_recrawl(
             totals["rounds"] = start_round
             if start_round > 0 and pm.get("q", 0) == 0:
                 # crawl already finished: recount tallies and return
-                all_o = pads.dataset(
-                    crawl_output_files(out_dir), format="parquet"
-                )
-                totals["fetched"] = all_o.count_rows(
-                    filter=(pc.field("kind") == "o") & pc.field("success")
-                )
-                totals["errors"] = all_o.count_rows(
-                    filter=(pc.field("kind") == "o") & ~pc.field("success")
-                )
+                totals.update(_crawl_tallies(out_dir))
                 return totals
 
         bucket_task = _get_bucket_task()
@@ -1130,15 +1139,7 @@ def run_recrawl(
             totals["rounds"] = rnd + 1
             if counts["q"] == 0:
                 break
-        all_o = pads.dataset(
-            crawl_output_files(out_dir), format="parquet"
-        )
-        totals["fetched"] = all_o.count_rows(
-            filter=(pc.field("kind") == "o") & pc.field("success")
-        )
-        totals["errors"] = all_o.count_rows(
-            filter=(pc.field("kind") == "o") & ~pc.field("success")
-        )
+        totals.update(_crawl_tallies(out_dir))
         return totals
     finally:
         if own_store:

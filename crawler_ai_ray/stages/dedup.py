@@ -472,28 +472,6 @@ def decontaminate(docs_ds, eval_ds, n: int = 3, text_col: str = "text"):
     return docs_ds.map_batches(flag, batch_format="pyarrow")
 
 
-def _pairs_from_group(group: pa.Table) -> pa.Table:
-    """One inverted-index posting list → co-occurring doc pairs."""
-    rows = sorted(
-        zip(group["doc_id"].to_pylist(), group["set_size"].to_pylist())
-    )
-    a_ids, b_ids, a_sz, b_sz = [], [], [], []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a_ids.append(rows[i][0])
-            b_ids.append(rows[j][0])
-            a_sz.append(rows[i][1])
-            b_sz.append(rows[j][1])
-    return pa.table(
-        {
-            "doc_a": pa.array(a_ids, type=pa.int64()),
-            "doc_b": pa.array(b_ids, type=pa.int64()),
-            "size_a": pa.array(a_sz, type=pa.int64()),
-            "size_b": pa.array(b_sz, type=pa.int64()),
-        }
-    )
-
-
 def _ngram_shared_counts(
     ds,
     n: int = 3,

@@ -24,6 +24,9 @@ batches in the single-digit-MB range.
 
 from __future__ import annotations
 
+import re
+from urllib.parse import urljoin
+
 import pyarrow as pa
 
 from ..functions import classify, contacts
@@ -81,11 +84,44 @@ def _decode(v) -> str:
     return v.decode("utf-8", errors="ignore") if isinstance(v, (bytes, bytearray)) else v
 
 
+# An href that ``_resolve_plain`` joins exactly: printable ASCII without
+# ``;``, ``\``, ``[`` or ``]`` (so ``urlsplit`` strips, splits off and
+# rejects nothing), no ``.``/``..`` path segment, no empty query or
+# fragment (which ``urlunsplit`` drops), and either an absolute lowercase
+# ``http(s)://`` URL with a netloc (group 1) or a root-relative path
+# (``/x``, not ``//``).
+_PLAIN_URL = re.compile(
+    r"(?!.*(?:^|/)\.\.?(?:[/?#]|\Z))"
+    r"(?!.*[?#](?:[?#]|\Z))"
+    r"(?:(https?://[!\"$-.0-:<->@-Z^-~]+)|/(?!/))"
+    r"[!-:<-Z^-~]*"
+)
+# The origin (``scheme://netloc``) of a page URL in the same grammar:
+# for the two href forms above, ``urljoin`` reads nothing else of it.
+_PLAIN_ORIGIN = re.compile(r"https?://[!\"$-.0-:<->@-Z^-~]+(?=[/?#]|\Z)")
+
+
+def _resolve_plain(origin: str | None, href: str) -> str | None:
+    """``urljoin(base, href)`` for a plain ``href`` against a base whose
+    plain origin is ``origin``; None outside that grammar.  A
+    root-relative href replaces the base's path, query and fragment; an
+    absolute one comes back verbatim: ``urljoin`` returns an href of
+    another scheme as it is, and ``urlunsplit`` rebuilds one of the same
+    scheme unchanged."""
+    if origin is None:
+        return None
+    m = _PLAIN_URL.fullmatch(href)
+    if m is None:
+        return None
+    return href if m.group(1) else origin + href
+
+
 def _join_anchors(facts, url: str) -> list[str | None]:
     """urljoin each anchor once (memoized per page — nav hrefs repeat);
-    both the all-links and out-links views derive from this list."""
-    from urllib.parse import urljoin
-
+    both the all-links and out-links views derive from this list.
+    Plain hrefs resolve without ``urljoin`` (``_resolve_plain``)."""
+    m = _PLAIN_ORIGIN.match(url)
+    origin = m.group() if m else None
     cache: dict[str, str] = {}
     out: list[str | None] = []
     for href, _t in facts.anchors:
@@ -94,7 +130,7 @@ def _join_anchors(facts, url: str) -> list[str | None]:
             continue
         full = cache.get(href)
         if full is None:
-            full = urljoin(url, href)
+            full = _resolve_plain(origin, href) or urljoin(url, href)
             cache[href] = full
         out.append(full)
     return out

@@ -49,17 +49,6 @@ TAGGED_SCHEMA = pa.schema(
     ]
 )
 
-_DIFF_SCHEMA = pa.schema(
-    [("url", pa.string()), ("status", pa.string())]
-)
-
-
-def _empty_diff() -> pa.Table:
-    return pa.table(
-        {"url": pa.array([], pa.string()), "status": pa.array([], pa.string())}
-    )
-
-
 def snapshot_diff(ds_a, ds_b, key_col: str = "url", fp_col: str = "fp",
                   num_buckets: int = 64):
     """old snapshot ``ds_a`` vs new snapshot ``ds_b`` (each

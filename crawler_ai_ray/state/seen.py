@@ -9,12 +9,15 @@ hash-partitioned across shards"):
   **all of a host's URLs live in one shard**, so the per-host
   check-and-add during frontier expansion is a single batched actor call
   and per-host exactness needs no cross-shard coordination.
-* Each shard holds a :class:`CuckooFilter` (approximate membership,
-  ~16 bits/URL — the scale structure: 10^10 URLs ≈ 20 GB across the
-  pool) and, in ``exact`` mode (default in-sandbox), a plain ``set`` that
-  is consulted first so conformance tests are byte-exact.  Cuckoo false
-  positives make the crawl *skip* a URL (crawl-safe direction); false
-  negatives cannot occur.
+* Each shard holds one structure per mode.  ``exact`` mode (the default
+  in-sandbox, so conformance tests are byte-exact) keeps a plain
+  ``set``.  Approximate mode keeps a :class:`ScalableCuckooFilter`
+  (~16 bits/URL — the scale structure: 10^10 URLs ≈ 20 GB across the
+  pool): a chain of cuckoo filters, where a URL the newest filter cannot
+  place goes to a new, twice larger one.  No URL is ever dropped, so
+  false negatives (a seen URL fetched again) cannot occur; a false
+  positive makes the crawl *skip* a URL (crawl-safe direction), at a
+  rate of at most 8/2^16 per filter in the chain.
 * ``dump()``/``restore()`` round-trip the shard through Arrow for the
   Parquet checkpoint (FIXTURES.md F5 resume semantics).
 
@@ -29,7 +32,10 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["CuckooFilter", "UrlSeenShard", "SeenPool", "shard_for_host"]
+__all__ = [
+    "CuckooFilter", "ScalableCuckooFilter", "UrlSeenShard", "SeenPool",
+    "shard_for_host",
+]
 
 
 def shard_for_host(host: str, num_shards: int) -> int:
@@ -79,6 +85,8 @@ class CuckooFilter:
         return ((t[i1] == fpc).any(axis=1)) | ((t[i2] == fpc).any(axis=1))
 
     def _insert_one(self, i1: int, i2: int, fp: int) -> bool:
+        """Place ``fp`` in bucket ``i1`` or ``i2``; False, with the table
+        as it was, when the eviction walk finds no free slot."""
         for i in (i1, i2):
             row = self.table[i]
             empty = np.nonzero(row == 0)[0]
@@ -90,8 +98,10 @@ class CuckooFilter:
         i = int(self.rng.choice((i1, i2)))
         cur = np.uint16(fp)
         mask = self.n_buckets - 1
+        walk = []
         for _ in range(self.MAX_KICKS):
             slot = int(self.rng.integers(0, 4))
+            walk.append((i, slot))
             cur, self.table[i, slot] = self.table[i, slot], cur
             i = int(i ^ ((int(cur) * 0x5BD1E995) & mask))
             row = self.table[i]
@@ -100,14 +110,66 @@ class CuckooFilter:
                 row[empty[0]] = cur
                 self.count += 1
                 return True
-        self.overflowed = True  # caller should resize; we fail open (drop)
+        # undo the walk: every evicted fingerprint goes back to its slot
+        for i, slot in reversed(walk):
+            cur, self.table[i, slot] = self.table[i, slot], cur
+        self.overflowed = True
         return False
 
-    def add_many(self, h: np.ndarray) -> None:
+    def add_many(self, h: np.ndarray) -> np.ndarray:
+        """Insert in order up to the first key that finds no slot; returns
+        that key and the ones after it (empty when all fit)."""
         fp = _fingerprints(h)
         i1, i2 = self._indices(h, fp)
-        for a, b, f in zip(i1, i2, fp):
-            self._insert_one(int(a), int(b), int(f))
+        for k, (a, b, f) in enumerate(zip(i1, i2, fp)):
+            if not self._insert_one(int(a), int(b), int(f)):
+                return h[k:]
+        return h[:0]
+
+
+class ScalableCuckooFilter:
+    """A chain of :class:`CuckooFilter` s, each twice the capacity of the
+    one before.  Inserts go to the newest filter; a key it cannot place
+    starts the next one, so no key is lost.  A lookup probes every
+    filter, which bounds the false-positive rate by 8/2^16 per filter."""
+
+    def __init__(self, capacity: int = 1 << 16, seed: int = 7) -> None:
+        self.seed = seed
+        self.filters = [CuckooFilter(capacity, seed)]
+
+    @property
+    def count(self) -> int:
+        return sum(f.count for f in self.filters)
+
+    def contains_many(self, h: np.ndarray) -> np.ndarray:
+        out = self.filters[0].contains_many(h)
+        for f in self.filters[1:]:
+            out |= f.contains_many(h)
+        return out
+
+    def add_many(self, h: np.ndarray) -> None:
+        rest = self.filters[-1].add_many(h)
+        while len(rest):
+            grown = CuckooFilter(self.filters[-1].n_buckets * 8, self.seed)
+            self.filters.append(grown)
+            rest = grown.add_many(rest)
+
+    def dump(self) -> pa.Table:
+        """One row per filter: its slot table, flattened."""
+        flat = [f.table.reshape(-1) for f in self.filters]
+        offsets = np.cumsum([0] + [len(t) for t in flat], dtype=np.int64)
+        slots = pa.LargeListArray.from_arrays(
+            pa.array(offsets), pa.array(np.concatenate(flat), pa.uint16())
+        )
+        return pa.table({"slots": slots})
+
+    def restore(self, table: pa.Table) -> None:
+        self.filters = []
+        for slots in table["slots"].to_numpy(zero_copy_only=False):
+            f = CuckooFilter(len(slots), self.seed)
+            f.table = np.asarray(slots, dtype=np.uint16).reshape(f.n_buckets, 4)
+            f.count = int(np.count_nonzero(f.table))
+            self.filters.append(f)
 
 
 def _hash_urls(urls: list[str]) -> np.ndarray:
@@ -126,8 +188,9 @@ class UrlSeenShard:
     also drive it locally."""
 
     def __init__(self, capacity: int = 1 << 18, exact: bool = True) -> None:
-        self.filter = CuckooFilter(capacity)
+        self.capacity = capacity
         self.exact: set[str] | None = set() if exact else None
+        self.filter = None if exact else ScalableCuckooFilter(capacity)
         # urls added since the last delta dump (per-round incremental
         # checkpoints: O(new) per round instead of O(seen))
         self._journal: list[str] = []
@@ -143,9 +206,7 @@ class UrlSeenShard:
         """Blank ALL state (filter, exact set, journal, epoch cache) —
         a persistent service pool starts each crawl job from the same
         state a fresh actor would, without paying actor spin-up."""
-        self.__init__(
-            self.filter.n_buckets * 4, exact=self.exact is not None
-        )
+        self.__init__(self.capacity, exact=self.exact is not None)
 
     def check_and_add(
         self, urls: list[str], epoch: str | None = None
@@ -171,17 +232,12 @@ class UrlSeenShard:
     def _check_and_add(self, urls: list[str]) -> list[bool]:
         if self.exact is not None:
             out = []
-            h_new = []
             for u in urls:
-                if u in self.exact:
-                    out.append(False)
-                else:
+                fresh = u not in self.exact
+                if fresh:
                     self.exact.add(u)
-                    out.append(True)
-                    h_new.append(u)
-            if h_new:
-                self.filter.add_many(_hash_urls(h_new))
-                self._journal.extend(h_new)
+                    self._journal.append(u)
+                out.append(fresh)
             return out
         h = _hash_urls(urls)
         seen = self.filter.contains_many(h)
@@ -202,11 +258,11 @@ class UrlSeenShard:
         return len(self.exact) if self.exact is not None else self.filter.count
 
     def dump(self) -> pa.Table:
-        """Full checkpoint.  Exact mode dumps urls; filter-only mode dumps
-        the raw cuckoo table."""
+        """Full checkpoint.  Exact mode dumps urls; approximate mode dumps
+        every filter of the chain."""
         if self.exact is not None:
             return pa.table({"url": pa.array(sorted(self.exact), pa.string())})
-        return pa.table({"slot": pa.array(self.table_bytes(), pa.uint16())})
+        return self.filter.dump()
 
     def dump_delta(self) -> pa.Table:
         """Incremental checkpoint: urls added since the previous delta
@@ -215,20 +271,15 @@ class UrlSeenShard:
         self._journal = []
         return t
 
-    def table_bytes(self):
-        return self.filter.table.reshape(-1)
-
     def restore(self, table: pa.Table) -> None:
-        if "url" in table.column_names:
-            urls = table["url"].to_pylist()
-            if self.exact is None:
-                self.exact = set()
-            self.exact.update(urls)
-            if urls:
-                self.filter.add_many(_hash_urls(urls))
-        else:
-            flat = np.asarray(table["slot"].to_numpy(zero_copy_only=False), dtype=np.uint16)
-            self.filter.table = flat.reshape(self.filter.n_buckets, 4)
+        """Replay a url dump or delta into this shard's structure, or load
+        an approximate-mode filter dump."""
+        if "url" not in table.column_names:
+            self.filter.restore(table)
+        elif self.exact is not None:
+            self.exact.update(table["url"].to_pylist())
+        elif table.num_rows:
+            self.filter.add_many(_hash_urls(table["url"].to_pylist()))
 
 
 class SeenPool:

@@ -379,3 +379,41 @@ def test_recrawl_resume_matches_uninterrupted(unit_corpus, tmp_path):
         unit_corpus, crawl_dir, part_dir, store_shards=2, resume=True
     )
     assert again["fetched"] == totals["fetched"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_tallies_match_o_row_scan(unit_corpus, tmp_path):
+    """``fetched`` / ``errors`` come from the round manifests; they must
+    equal a scan of every checkpoint's o-rows after a fresh crawl, a
+    resumed crawl, a recrawl and a resume of a finished recrawl."""
+    from crawler_ai_ray.pipelines.crawl import (
+        CrawlConfig,
+        read_crawl_output,
+        run_crawl,
+        run_recrawl,
+    )
+
+    def scan(out_dir):
+        ok = read_crawl_output(
+            out_dir, columns=["success"], filter=pc.field("kind") == "o"
+        )["success"].to_pylist()
+        return {"fetched": sum(ok), "errors": len(ok) - sum(ok)}
+
+    def tallies(totals):
+        return {k: totals[k] for k in ("fetched", "errors")}
+
+    crawl_dir = str(tmp_path / "crawl")
+    cfg = dict(policy=CrawlPolicy(), seen_shards=4, store_shards=2)
+    fresh = run_crawl(CrawlConfig(unit_corpus, crawl_dir, max_rounds=3, **cfg))
+    assert tallies(fresh) == scan(crawl_dir)
+    resumed = run_crawl(CrawlConfig(unit_corpus, crawl_dir, **cfg), resume=True)
+    assert tallies(resumed) == scan(crawl_dir)
+    assert resumed["fetched"] > fresh["fetched"] and resumed["errors"] > 0
+
+    rc_dir = str(tmp_path / "recrawl")
+    recrawl = run_recrawl(unit_corpus, crawl_dir, rc_dir, store_shards=2)
+    assert recrawl["fetched"] > 0 and tallies(recrawl) == scan(rc_dir)
+    again = run_recrawl(
+        unit_corpus, crawl_dir, rc_dir, store_shards=2, resume=True
+    )
+    assert tallies(again) == tallies(recrawl)

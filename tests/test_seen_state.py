@@ -1,5 +1,6 @@
 """URL-seen state: cuckoo-filter properties (no false negatives,
-bounded false positives, dump/restore), shard semantics, and an
+bounded false positives, dump/restore), the scalable chain past its
+capacity, shard semantics (exact mode holds no filter), and an
 approximate-seen crawl run (ST1 scale path)."""
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import pytest
 
 from crawler_ai_ray.state.seen import (
     CuckooFilter,
+    ScalableCuckooFilter,
     UrlSeenShard,
     _hash_urls,
     shard_for_host,
@@ -40,6 +42,44 @@ class TestCuckooFilter:
         assert np.array_equal(a.table, b.table)
 
 
+    def test_failed_insert_keeps_every_placed_key(self):
+        """A key the eviction walk cannot place comes back with the rest
+        of the batch, and the walk's evictions are undone."""
+        f = CuckooFilter(capacity=64)
+        h = _hash_urls([f"https://a.vn/{i}" for i in range(200)])
+        rest = f.add_many(h)
+        placed = h[: len(h) - len(rest)]
+        assert f.overflowed and len(rest) and f.count == len(placed)
+        assert f.contains_many(placed).all()
+
+
+class TestScalableCuckooFilter:
+    def test_ten_times_capacity_no_false_negatives(self):
+        cap = 1 << 10
+        f = ScalableCuckooFilter(capacity=cap)
+        h = _hash_urls([f"https://a.vn/{i}" for i in range(10 * cap)])
+        for i in range(0, len(h), 500):
+            f.add_many(h[i:i + 500])
+        assert len(f.filters) > 1
+        assert f.count == len(h)
+        assert f.contains_many(h).all()
+        other = _hash_urls([f"https://b.vn/{i}" for i in range(200_000)])
+        # 16-bit fingerprints, 8 slots probed per filter
+        assert f.contains_many(other).mean() <= len(f.filters) * 8 / 2**16
+
+    def test_dump_restore_carries_every_filter(self):
+        f = ScalableCuckooFilter(capacity=256)
+        h = _hash_urls([f"u{i}" for i in range(3000)])
+        f.add_many(h)
+        g = ScalableCuckooFilter(capacity=256)
+        g.restore(f.dump())
+        assert len(g.filters) == len(f.filters) > 1
+        for a, b in zip(f.filters, g.filters):
+            assert np.array_equal(a.table, b.table)
+        assert g.count == f.count
+        assert g.contains_many(h).all()
+
+
 class TestUrlSeenShard:
     def test_exact_anti_join_and_within_batch_dedup(self):
         s = UrlSeenShard(exact=True)
@@ -66,6 +106,34 @@ class TestUrlSeenShard:
         r.restore(d1)
         r.restore(d2)
         assert r.check_and_add(["a", "c", "new"]) == [False, False, True]
+
+    def test_exact_mode_holds_no_filter(self):
+        s = UrlSeenShard(capacity=1 << 12, exact=True)
+        s.check_and_add(["a", "b"])
+        s.restore(s.dump())
+        assert s.filter is None
+        s.reset()
+        assert s.filter is None and s.capacity == 1 << 12 and s.n_seen() == 0
+
+    def test_approximate_reset_keeps_capacity(self):
+        s = UrlSeenShard(capacity=1 << 12, exact=False)
+        s.check_and_add([f"u{i}" for i in range(1 << 13)])
+        assert len(s.filter.filters) > 1
+        s.reset()
+        assert [f.n_buckets * 4 for f in s.filter.filters] == [1 << 12]
+        assert s.n_seen() == 0
+
+    def test_approximate_no_false_negatives_past_capacity(self):
+        s = UrlSeenShard(capacity=1 << 10, exact=False)
+        urls = [f"https://h.vn/p/{i}" for i in range(1100)]
+        assert all(s.check_and_add(urls))
+        assert not any(s.check_and_add(urls))
+        r = UrlSeenShard(capacity=1 << 10, exact=False)
+        r.restore(s.dump())
+        assert not any(r.check_and_add(urls))
+        d = UrlSeenShard(capacity=1 << 10, exact=False)
+        d.restore(s.dump_delta())
+        assert d.exact is None and not any(d.check_and_add(urls))
 
     def test_shard_routing_stable(self):
         assert shard_for_host("acme.vn", 8) == shard_for_host("acme.vn", 8)

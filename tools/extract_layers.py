@@ -7,7 +7,10 @@ the batch signature kernel's µs/doc over the same sample.
 (``HTMLParser.feed``/``close``) on the same pages, next to
 ``parse_core``; ``fallback_pages`` counts the pages the fast tokenizer
 hands to the stdlib; ``is_job_url_per_link_us`` is ``is_job_url`` per
-call over every link the sample's pages hold.
+call over every link the sample's pages hold.  ``candidate_links`` is
+the crawl's frontier rules (``frontier_rules.candidate_links``) over
+each page's joined links; ``link_join_fast_share`` is the share of the
+distinct hrefs per page that ``link_join`` resolves without ``urljoin``.
 
 Usage: python3 tools/extract_layers.py [CORPUS] [--pages N] [--loops K]
 
@@ -35,6 +38,7 @@ import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
 from crawler_ai_ray.functions import classify, contacts, htmltext  # noqa: E402
+from crawler_ai_ray.functions.frontier_rules import candidate_links  # noqa: E402
 from crawler_ai_ray.stages import extract  # noqa: E402
 from crawler_ai_ray.stages.dedup import minhash_sig_batch, minhash_signature  # noqa: E402
 
@@ -75,6 +79,20 @@ def _parse_core_stdlib(html: str):
     return p.facts
 
 
+def _fast_share(facts, urls) -> float | None:
+    """Share of distinct hrefs per page inside the resolver's grammar."""
+    resolve = getattr(extract, "_resolve_plain", None)
+    if resolve is None:
+        return None
+    n = fast = 0
+    for f, url in zip(facts, urls):
+        m = extract._PLAIN_ORIGIN.match(url)
+        for href in {h for h, _t in f.anchors if h}:
+            n += 1
+            fast += resolve(m and m.group(), href) is not None
+    return fast / n
+
+
 def measure(tbl, loops: int) -> dict[str, float | None]:
     urls = tbl["url"].to_pylist()
     htmls = [h.decode("utf-8", errors="ignore") for h in tbl["html"].to_pylist()]
@@ -88,10 +106,11 @@ def measure(tbl, loops: int) -> dict[str, float | None]:
 
     parse_core = getattr(htmltext, "parse_core", None)
     has_scan = hasattr(getattr(htmltext, "_CoreParser", None), "scan")
-    links = [
-        u for f, url in zip(facts, urls)
-        for u in extract._all_links(extract._join_anchors(f, url))
+    page_links = [
+        extract._all_links(extract._join_anchors(f, url))
+        for f, url in zip(facts, urls)
     ]
+    links = [u for ls in page_links for u in ls]
     out: dict[str, float | None] = {
         "parse_core": us(parse_core, htmls) if parse_core else None,
         "parse_core_stdlib": us(_parse_core_stdlib, htmls) if parse_core else None,
@@ -109,6 +128,11 @@ def measure(tbl, loops: int) -> dict[str, float | None]:
         "link_join": us(
             lambda a: extract._all_links(extract._join_anchors(*a)),
             list(zip(facts, urls)),
+        ),
+        "link_join_fast_share": _fast_share(facts, urls),
+        "candidate_links": us(
+            lambda a: candidate_links(*a),
+            [(ls, classify.host_of(u)) for ls, u in zip(page_links, urls)],
         ),
     }
     batch_s = _median_loop(extract.extract_pages_crawl_batch, [tbl], loops)
@@ -142,6 +166,7 @@ def main() -> None:
         )
         fmt = (
             "n/a" if v is None else f"{v:10d}" if isinstance(v, int)
+            else f"{v:10.3f}" if name.endswith("_share")
             else f"{v:10.1f}{unit}"
         )
         print(f"{name:28s} {fmt}")
