@@ -20,6 +20,8 @@ money sums travel as integer cents).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 from collections.abc import Callable
 from typing import Any
@@ -41,14 +43,50 @@ def _corpus(sf_dir: str) -> str:
     return _CORPUS_CACHE[key]
 
 
+@functools.lru_cache(maxsize=None)
+def _src_digest(pkg_dir: str) -> str:
+    """Short digest of every ``*.py`` source under ``pkg_dir`` (paths
+    and bytes, in sorted order)."""
+    h = hashlib.blake2b(digest_size=5)
+    for root, dirs, names in os.walk(pkg_dir):
+        dirs.sort()
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                h.update(os.path.relpath(path, pkg_dir).encode() + b"\0")
+                with open(path, "rb") as f:
+                    h.update(f.read())
+    return h.hexdigest()
+
+
 def _q_dir(kind: str, corpus: str) -> str:
     """On-disk derived state (WARC archives, crawl / recrawl checkpoints)
     for one corpus, named by the corpus path's last two components
-    (``{CORPUS_VERSION}/{tag}``): ``write_warc(resume=True)`` and the
-    finished-crawl check trust what they find there, so a version bump
-    must land in a fresh directory."""
+    (``{CORPUS_VERSION}/{tag}``) and a digest of the engine's sources:
+    ``write_warc(resume=True)`` and the finished-crawl check trust what
+    they find there, so a version bump or an engine change must land in
+    a fresh directory."""
     version = os.path.basename(os.path.dirname(corpus))
-    return f"/tmp/crawler_ai_ray_q/{kind}-{version}-{os.path.basename(corpus)}"
+    src = _src_digest(os.path.dirname(crawler_ai_ray.__file__))
+    return (
+        f"/tmp/crawler_ai_ray_q/{kind}-{version}-{os.path.basename(corpus)}"
+        f"-{src}"
+    )
+
+
+def _finished(out_dir: str) -> bool:
+    """Whether a crawl or recrawl checkpoint directory holds a finished
+    run: its last round manifest shows an empty queue (``q == 0``)."""
+    import json
+
+    if not os.path.isdir(out_dir):
+        return False
+    for d in sorted(os.listdir(out_dir), reverse=True):
+        m = os.path.join(out_dir, d, "_MANIFEST.json")
+        if d.startswith("round=") and "-" not in d and os.path.exists(m):
+            with open(m) as f:
+                return json.load(f).get("q") == 0
+    return False
 
 
 _PROJ_CACHE: dict[tuple, Any] = {}
@@ -2723,19 +2761,10 @@ def _q_crawl_contacts_by_host(sf_dir: str):
 def _ensure_crawl(sf_dir: str) -> str:
     from crawler_ai_ray.pipelines.crawl import CrawlConfig, run_crawl
 
-    import json
-
     corpus = _corpus(sf_dir)
     out_dir = _q_dir("crawl", corpus)
-    # idempotent per process sweep: a finished run ends with a q==0 round
-    if os.path.isdir(out_dir):
-        for d in sorted(os.listdir(out_dir), reverse=True):
-            m = os.path.join(out_dir, d, "_MANIFEST.json")
-            if d.startswith("round=") and os.path.exists(m):
-                with open(m) as f:
-                    if json.load(f).get("q") == 0:
-                        return out_dir
-                break
+    if _finished(out_dir):
+        return out_dir
     cfg = CrawlConfig(corpus, out_dir, seen_shards=4, store_shards=4)
     run_crawl(cfg)
     return out_dir
@@ -2757,21 +2786,13 @@ def _q_crawl_loop(sf_dir: str):
 def _ensure_recrawl(sf_dir: str) -> str:
     """Idempotent λ-scheduled refresh crawl over the first crawl's
     checkpoints (`pipelines/crawl.py::run_recrawl`)."""
-    import json
-
     from crawler_ai_ray.pipelines.crawl import run_recrawl
 
     crawl_out = _ensure_crawl(sf_dir)
     corpus = _corpus(sf_dir)
     out_dir = _q_dir("recrawl", corpus)
-    if os.path.isdir(out_dir):
-        for d in sorted(os.listdir(out_dir), reverse=True):
-            m = os.path.join(out_dir, d, "_MANIFEST.json")
-            if d.startswith("round=") and "-" not in d and os.path.exists(m):
-                with open(m) as f:
-                    if json.load(f).get("q") == 0:
-                        return out_dir
-                break
+    if _finished(out_dir):
+        return out_dir
     run_recrawl(corpus, crawl_out, out_dir, store_shards=4)
     return out_dir
 
@@ -3888,8 +3909,10 @@ def _q_doc_search_bm25(sf_dir: str):
 def _q_doc_commonness(sf_dir: str):
     """Mean corpus unigram frequency per doc (ppm) — integer-exact
     unigram-LM-lite quality signal (CCNet filters on LM perplexity;
-    low commonness = rare/noisy vocabulary).  Vocab counts reduce
-    driver-side and broadcast; two streaming passes, no shuffle."""
+    low commonness = rare/noisy vocabulary).  Runs the shared n-gram
+    count-and-score plan: token counts merge in token-hash buckets,
+    one count join, a per-doc integer finish (exchange gates pick the
+    driver or shuffle, broadcast or bucketed branch)."""
     from crawler_ai_ray.stages.textstats import doc_commonness
 
     return doc_commonness(
@@ -3900,8 +3923,9 @@ def _q_doc_commonness(sf_dir: str):
 def _q_doc_bigram_fluency(sf_dir: str):
     """Mean corpus bigram conditional probability per doc (ppm) —
     integer-exact bigram-LM fluency signal (CCNet/Gopher filter on
-    n-gram-LM perplexity).  Bigram counts reduce driver-side and
-    broadcast; two streaming passes, no shuffle."""
+    n-gram-LM perplexity).  Runs the shared n-gram count-and-score
+    plan: pair and prefix counts merge in key-hash buckets, two count
+    joins, a per-doc integer finish."""
     from crawler_ai_ray.stages.textstats import bigram_fluency
 
     return bigram_fluency(
@@ -3914,9 +3938,10 @@ def _q_doc_trigram_backoff(sf_dir: str):
     backoff share per doc, integer ppm.  The LM trains on the
     ``doc_id % 5 != 0`` slice and scores every doc (CCNet
     train-on-reference shape) so held-out docs exercise the full
-    backoff chain.  Counts broadcast below a vocab threshold; above
-    it every count join rides key-hash buckets (no vocab-sized driver
-    state) — tiers bit-equal, forced-path pinned."""
+    backoff chain.  Runs the shared n-gram count-and-score plan:
+    train-slice counts of three orders merge in key-hash buckets, five
+    count joins, a per-doc integer finish — every exchange branch
+    bit-equal, forced-path pinned."""
     from crawler_ai_ray.stages.textstats import trigram_backoff_fluency
 
     return trigram_backoff_fluency(

@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import exchange
+
 __all__ = [
     "token_stats_batch",
     "quality_batch",
@@ -236,9 +238,6 @@ def top_terms(ds, k: int = 100, num_buckets: int = 64,
     the SQL side reproduces it byte-for-byte."""
     import zlib
 
-    import ray
-    import ray.data
-
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
             pc.utf8_lower(batch[text_col]), "[^a-z]+"
@@ -272,16 +271,11 @@ def top_terms(ds, k: int = 100, num_buckets: int = 64,
         ).slice(0, k)
         return pa.table({"term": top["term"], "n": top["n_sum"]})
 
-    cand = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(bucket_topk, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    cand = exchange.blocks(
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(bucket_topk, batch_format="pyarrow")
+    )
     if not cand:  # empty / all-blank corpus: typed empty result
         return pa.table(
             {"term": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
@@ -757,7 +751,6 @@ def grouped_quantiles(
     quantiles at once.  An unbounded/continuous column takes the
     sketch path instead — `ddsketch_quantiles` below (deterministic,
     mergeable, α relative-error bound)."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"k": batch[key_col], "v": batch[value_col]})
@@ -770,10 +763,8 @@ def grouped_quantiles(
             }
         )
 
-    parts = ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-    )
-    hist = pa.concat_tables([p for p in parts if p.num_rows])
+    parts = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
+    hist = pa.concat_tables(parts)
     hist = hist.group_by(["k", "v"]).aggregate([("cnt", "sum")])
     hist = hist.sort_by([("k", "ascending"), ("v", "ascending")])
 
@@ -828,7 +819,6 @@ def mix_weights(ds, target_ppm: dict[str, int] | None = None,
     vectorized RE2 kernel as ``token_stats_batch``), partials reduce
     driver-side — languages are a tiny domain, so no Ray shuffle at
     all (house rule: never shuffle a combiner-sized set)."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -847,13 +837,7 @@ def mix_weights(ds, target_ppm: dict[str, int] | None = None,
         )
         return agg.rename_columns(["lang", "n_tokens", "n_docs"])
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
     if not parts:
         return pa.table(
             {
@@ -910,7 +894,6 @@ def _lang_token_totals(ds, text_col: str):
     the RE2 token counter), partials reduce driver-side — languages
     are a tiny domain, so no Ray shuffle at all.  → lang-sorted
     (langs, toks, docs) python lists."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -929,13 +912,7 @@ def _lang_token_totals(ds, text_col: str):
         )
         return agg.rename_columns(["lang", "n_tokens", "n_docs"])
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
     if not parts:
         return [], [], []
     agg = (
@@ -1113,8 +1090,6 @@ def source_cap(
 
     import hashlib
 
-    import ray
-
     def manifest(batch: pa.Table) -> pa.Table:
         empty = pa.table(
             {
@@ -1157,8 +1132,7 @@ def source_cap(
     man = ds.map_batches(manifest, batch_format="pyarrow").materialize()
     total = sum(
         pc.sum(t["n_tokens"]).as_py() or 0
-        for t in ray.get(man.to_arrow_refs())
-        if t.num_rows
+        for t in exchange.blocks(man)
     )
     cap = total * cap_ppm // 1_000_000
 
@@ -1206,8 +1180,8 @@ def source_cap(
 
 
 def _term_h64_arr(terms: list) -> np.ndarray:
-    """64-bit blake2b per term (little-endian), vocab-sized loop —
-    shared by both `doc_commonness` tiers."""
+    """64-bit blake2b per term (little-endian), vocab-sized loop — the
+    term hash of the naive-Bayes tiers."""
     import hashlib
 
     return np.array(
@@ -1222,235 +1196,7 @@ def _term_h64_arr(terms: list) -> np.ndarray:
     )
 
 
-def doc_commonness(
-    ds, text_col: str = "text", vocab_broadcast_max: int = 2_000_000
-):
-    """documents → (doc_id, n_tokens, commonness_ppm): mean corpus
-    unigram frequency of each document's token positions, in ppm —
-    the integer-exact cousin of a unigram-LM perplexity filter (CCNet,
-    arXiv:1911.00359, filters on LM perplexity; low commonness = rare/
-    noisy vocabulary).  All arithmetic is integer two-step division
-    ``((Σ_pos count(tok) // n_tokens) · 10⁶) // total_tokens``, mirrored
-    verbatim by the oracle, so no float log ever enters the compare
-    (a float NLL would hash-mismatch on cross-library ln()).
-
-    Scale shape: two streaming passes over TF rows.
-    1. per-batch (term-hash u64, count) partials (terms never leave as
-       strings).  Below ``vocab_broadcast_max`` partial rows they
-       reduce driver-side into the sorted vocab-count state and
-       broadcast via ``ray.put``; ABOVE it the whole query switches to
-       `_commonness_bucketed` — counts merge and join the TF rows
-       inside term-hash buckets (the `distinctive_terms` treatment),
-       so no vocab-sized state ever lands on the driver.  The two
-       tiers are bit-equal (integer sums; forced-path agreement test).
-    2. each batch maps its TF rows through ``searchsorted`` and emits
-       per-doc integer sums.  A term-hash collision merges two counts
-       — the oracle compares term STRINGS, so the gate would catch
-       one.
-    Tokenization: lowercased ``[a-z]+`` runs (same as the TF/DF
-    machinery — ``_tf_rows_batch``)."""
-    import ray
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        tf = _tf_rows_batch(batch, num_buckets=1)
-        hh = _term_h64_arr(tf["term"].to_pylist())
-        t = pa.table(
-            {
-                "h": pa.array(hh, pa.uint64()),
-                "c": tf["tf"],
-            }
-        )
-        agg = t.group_by("h").aggregate([("c", "sum")])
-        return pa.table({"h": agg["h"], "c": agg["c_sum"]})
-
-    partials = ds.map_batches(
-        count_partial, batch_format="pyarrow"
-    ).materialize()
-    # block-metadata count — free after materialize()
-    if partials.count() > vocab_broadcast_max:
-        return _commonness_bucketed(ds, partials, text_col)
-    parts = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "commonness_ppm": pa.array([], pa.int64()),
-            }
-        )
-    agg = pa.concat_tables(parts).group_by("h").aggregate([("c", "sum")])
-    hh = agg["h"].to_numpy(zero_copy_only=False)
-    cc = agg["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(hh)
-    keys, counts = hh[order], cc[order]
-    total = int(counts.sum())
-    ref = ray.put((keys, counts))
-
-    def score(batch: pa.Table) -> pa.Table:
-        k, c = ray.get(ref)
-        tf = _tf_rows_batch(batch, num_buckets=1)
-        if not tf.num_rows:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "commonness_ppm": pa.array([], pa.int64()),
-                }
-            )
-        hh = _term_h64_arr(tf["term"].to_pylist())
-        cnt = c[np.searchsorted(k, hh)]
-        tfv = tf["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = pa.table(
-            {
-                "doc_id": tf["doc_id"],
-                "s": pa.array(tfv * cnt, pa.int64()),
-                "n": pa.array(tfv, pa.int64()),
-            }
-        )
-        g = t.group_by("doc_id").aggregate([("s", "sum"), ("n", "sum")])
-        s = g["s_sum"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "n_tokens": pa.array(n, pa.int64()),
-                "commonness_ppm": pa.array(
-                    ((s // n) * 1_000_000) // total, pa.int64()
-                ),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def _commonness_bucketed(ds, partials, text_col: str, num_buckets: int = 64):
-    """Above-threshold tier of `doc_commonness` — the unigram count
-    state never lands on the driver (the r03 VERDICT's declared vocab
-    boundary, closed).  Shape:
-      * count (h, c) partials and TF (doc_id, h, tf) rows union-tag
-        into ``h % B`` buckets; a term's counts and its TF rows meet in
-        exactly one bucket, so the in-bucket searchsorted attach is
-        exact and pre-aggregates (doc, Σ tf·cnt, Σ tf) before any doc
-        exchange;
-      * per-doc rollup inside ``doc_id % B`` buckets;
-      * the only driver state is the total-token SCALAR
-        (``partials.sum``).
-    Integer sums ⇒ bit-equal to the broadcast tier under any
-    partitioning (forced-path agreement test)."""
-    total = int(partials.sum("c") or 0)
-    nb = num_buckets
-
-    def _empty_tagged() -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "h": pa.array([], pa.uint64()),
-                "v": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int32()),
-            }
-        )
-
-    def tag_counts(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_tagged()
-        h = batch["h"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": pa.array(
-                    np.full(len(h), -1, np.int64), pa.int64()
-                ),
-                "h": batch["h"],
-                "v": pc.cast(batch["c"], pa.int64()),
-                "bucket": pa.array(
-                    (h % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def tag_tf(batch: pa.Table) -> pa.Table:
-        tf = _tf_rows_batch(batch, num_buckets=1)
-        if tf.num_rows == 0:
-            return _empty_tagged()
-        hh = _term_h64_arr(tf["term"].to_pylist())
-        return pa.table(
-            {
-                "doc_id": pc.cast(tf["doc_id"], pa.int64()),
-                "h": pa.array(hh, pa.uint64()),
-                "v": pc.cast(tf["tf"], pa.int64()),
-                "bucket": pa.array(
-                    (hh % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    unioned = partials.map_batches(
-        tag_counts, batch_format="pyarrow"
-    ).union(ds.map_batches(tag_tf, batch_format="pyarrow"))
-
-    def join_group(group: pa.Table) -> pa.Table:
-        doc = group["doc_id"].to_numpy(zero_copy_only=False)
-        h = group["h"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_cnt = doc < 0
-        ch, cv = h[is_cnt], v[is_cnt]
-        o = np.argsort(ch, kind="stable")
-        ch, cv = ch[o], cv[o]
-        new = np.empty(len(ch), dtype=bool)
-        if len(ch):
-            new[0] = True
-            np.not_equal(ch[1:], ch[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        keys = ch[starts]
-        sums = (
-            np.add.reduceat(cv, starts)
-            if len(starts)
-            else np.zeros(0, np.int64)
-        )
-        td, th, tv = doc[~is_cnt], h[~is_cnt], v[~is_cnt]
-        cnt = sums[np.searchsorted(keys, th)] if len(td) else tv
-        t = pa.table(
-            {
-                "doc_id": pa.array(td, pa.int64()),
-                "s": pa.array(tv * cnt, pa.int64()),
-                "n": pa.array(tv, pa.int64()),
-            }
-        )
-        agg = t.group_by("doc_id").aggregate([("s", "sum"), ("n", "sum")])
-        dids = agg["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": agg["doc_id"],
-                "s": agg["s_sum"],
-                "n": agg["n_sum"],
-                "dbucket": pa.array(
-                    (dids % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def rollup(group: pa.Table) -> pa.Table:
-        agg = group.group_by("doc_id").aggregate(
-            [("s", "sum"), ("n", "sum")]
-        )
-        s = agg["s_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = agg["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": agg["doc_id"],
-                "n_tokens": pa.array(n, pa.int64()),
-                "commonness_ppm": pa.array(
-                    ((s // n) * 1_000_000) // total, pa.int64()
-                ),
-            }
-        )
-
-    return (
-        unioned.groupby("bucket")
-        .map_groups(join_group, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(rollup, batch_format="pyarrow")
-    )
-
+# --- n-gram LM scorers: one count-and-score plan ---------------------------
 
 _BG_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
@@ -1469,9 +1215,12 @@ def _token_hash_rows(batch: pa.Table, text_col: str):
     if isinstance(lists, pa.ChunkedArray):
         lists = lists.combine_chunks()
     # list_flatten/list_value_length respect any array offset (raw
-    # .values/.offsets would mis-align on sliced arrays)
+    # .values/.offsets would mis-align on sliced arrays); a null text
+    # has no tokens
     flat = pc.list_flatten(lists)
-    lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+    lens = pc.fill_null(pc.list_value_length(lists), 0).to_numpy(
+        zero_copy_only=False
+    )
     doc_idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64), lens)
     keep = pc.greater(pc.utf8_length(flat), 0)
     keep_np = keep.to_numpy(zero_copy_only=False)
@@ -1510,380 +1259,6 @@ def _bigram_rows(batch: pa.Table, text_col: str):
     return doc_idx[1:][m], hprev, hpair
 
 
-def bigram_fluency(
-    ds, text_col: str = "text", vocab_broadcast_max: int = 2_000_000
-):
-    """documents → (doc_id, n_pairs, fluency_ppm): mean corpus bigram
-    conditional probability over each document's adjacent token pairs,
-    in integer ppm — the bigram-LM fluency filter (CCNet / Gopher
-    filter on n-gram-LM perplexity, arXiv:1911.00359 / 2112.11446;
-    low fluency = token sequences the corpus LM finds improbable).
-    The per-pair score is ``(10⁶ · c(prev,tok)) // c(prev·)`` — exact
-    integer MLE of P(tok|prev) in ppm, and ``fluency_ppm =
-    Σ pair_ppm // n_pairs`` — both divisions mirrored verbatim by the
-    oracle, so no float log/exp enters the compare.
-
-    Scale shape (``doc_commonness`` doctrine, one n-gram order up):
-    two streaming passes.  Pass 1 reduces per-batch (pair-hash,
-    prev-hash, count) partials; below ``vocab_broadcast_max`` partial
-    rows they merge driver-side into the bigram-count state and
-    broadcast as two sorted count vectors; ABOVE it the whole query
-    switches to `_bigram_fluency_bucketed` — counts merge inside
-    pair-hash buckets, prev totals inside prev-hash buckets, and the
-    per-occurrence score join rides the same buckets, so no
-    bigram-vocab-sized state ever lands on the driver.  The tiers are
-    bit-equal (integer sums; forced-path agreement test).  A 64-bit
-    pair-hash collision merges two counts — the oracle compares pair
-    STRINGS, so the gate would catch one."""
-    import ray
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        _, hprev, hpair = _bigram_rows(batch, text_col)
-        if len(hpair) == 0:
-            return pa.table(
-                {
-                    "hp": pa.array([], pa.uint64()),
-                    "hprev": pa.array([], pa.uint64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        u, first, counts = np.unique(
-            hpair, return_index=True, return_counts=True
-        )
-        return pa.table(
-            {
-                "hp": pa.array(u, pa.uint64()),
-                "hprev": pa.array(hprev[first], pa.uint64()),
-                "c": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_pairs": pa.array([], pa.int64()),
-            "fluency_ppm": pa.array([], pa.int64()),
-        }
-    )
-    partials = ds.map_batches(
-        count_partial, batch_format="pyarrow"
-    ).materialize()
-    if partials.count() > vocab_broadcast_max:
-        return _bigram_fluency_bucketed(ds, partials, text_col)
-    parts = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return empty
-    agg = (
-        pa.concat_tables(parts)
-        .group_by("hp")
-        .aggregate([("c", "sum"), ("hprev", "min")])
-    )
-    hp = agg["hp"].to_numpy(zero_copy_only=False)
-    cp = agg["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-    o = np.argsort(hp)
-    pair_keys, pair_counts = hp[o], cp[o]
-    pre = (
-        pa.table({"h": agg["hprev_min"], "c": agg["c_sum"]})
-        .group_by("h")
-        .aggregate([("c", "sum")])
-    )
-    ph = pre["h"].to_numpy(zero_copy_only=False)
-    pn = pre["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-    po = np.argsort(ph)
-    ref = ray.put((pair_keys, pair_counts, ph[po], pn[po]))
-
-    def score(batch: pa.Table) -> pa.Table:
-        pk, pcn, qk, qn = ray.get(ref)
-        di, hprev, hpair = _bigram_rows(batch, text_col)
-        if len(hpair) == 0:
-            return empty
-        c_pair = pcn[np.searchsorted(pk, hpair)]
-        c_pre = qn[np.searchsorted(qk, hprev)]
-        pmic = (1_000_000 * c_pair) // c_pre
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "doc_id": pa.array(doc_ids[di], pa.int64()),
-                "s": pa.array(pmic, pa.int64()),
-                "one": pa.array(np.ones(len(pmic), np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by("doc_id").aggregate([("s", "sum"), ("one", "sum")])
-        s = g["s_sum"].to_numpy(zero_copy_only=False)
-        n = g["one_sum"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "n_pairs": pa.array(n, pa.int64()),
-                "fluency_ppm": pa.array(s // n, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def _bigram_fluency_bucketed(ds, partials, text_col: str, num_buckets: int = 64):
-    """Above-threshold tier of `bigram_fluency` — the bigram count
-    state never lands on the driver (the r03 VERDICT's declared vocab
-    boundary, closed).  Four bounded exchanges of skinny hash rows:
-      1. (hp, hprev, c) partials merge into FINAL pair counts inside
-         ``hp % B`` buckets (a pair lives in one bucket → exact);
-      2. prev totals Σ c_pair inside ``hprev % B`` buckets;
-      3. per-doc occurrence rows (doc, hp, hprev, m) attach c_pair in
-         ``hp % B`` buckets, then c_prev in ``hprev % B`` buckets —
-         per-occurrence score ``(10⁶·c_pair) // c_prev`` identical to
-         the broadcast tier — pre-aggregating (doc, Σ m·ppm, Σ m)
-         before the doc exchange;
-      4. per-doc rollup inside ``doc_id % B`` buckets.
-    Integer sums ⇒ bit-equal to the broadcast tier (forced-path
-    agreement test)."""
-    nb = num_buckets
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_pairs": pa.array([], pa.int64()),
-            "fluency_ppm": pa.array([], pa.int64()),
-        }
-    )
-    if partials.count() == 0:
-        import ray.data
-
-        return ray.data.from_arrow(empty)
-
-    # stage 1: final pair counts (hp → hprev, c_pair)
-    def bucket_hp(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("bucket", pa.array([], pa.int32()))
-        h = batch["hp"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array((h % nb).astype(np.int32), pa.int32())
-        )
-
-    def merge_pairs(group: pa.Table) -> pa.Table:
-        agg = group.group_by("hp").aggregate(
-            [("c", "sum"), ("hprev", "min")]
-        )
-        return pa.table(
-            {
-                "hp": agg["hp"],
-                "hprev": agg["hprev_min"],
-                "c": pc.cast(agg["c_sum"], pa.int64()),
-            }
-        )
-
-    pairc = (
-        partials.map_batches(bucket_hp, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_pairs, batch_format="pyarrow")
-        .materialize()
-    )
-
-    # stage 2: prev totals (hprev → c_prev)
-    def bucket_hprev(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("bucket", pa.array([], pa.int32()))
-        h = batch["hprev"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array((h % nb).astype(np.int32), pa.int32())
-        )
-
-    def merge_prev(group: pa.Table) -> pa.Table:
-        agg = group.group_by("hprev").aggregate([("c", "sum")])
-        return pa.table(
-            {
-                "hprev": agg["hprev"],
-                "c": pc.cast(agg["c_sum"], pa.int64()),
-            }
-        )
-
-    prevc = (
-        pairc.map_batches(bucket_hprev, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_prev, batch_format="pyarrow")
-    )
-
-    # stage 3a: occurrence rows ⋈ c_pair in hp buckets
-    def _empty_j1() -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "hp": pa.array([], pa.uint64()),
-                "hx": pa.array([], pa.uint64()),
-                "v": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int32()),
-            }
-        )
-
-    def occ_rows(batch: pa.Table) -> pa.Table:
-        di, hprev, hpair = _bigram_rows(batch, text_col)
-        if len(hpair) == 0:
-            return _empty_j1()
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[di]
-        order = np.lexsort((doc_ids, hpair))
-        d_s, hp_s, hx_s = doc_ids[order], hpair[order], hprev[order]
-        new = np.empty(len(hp_s), dtype=bool)
-        new[0] = True
-        new[1:] = (hp_s[1:] != hp_s[:-1]) | (d_s[1:] != d_s[:-1])
-        starts = np.flatnonzero(new)
-        m = np.diff(np.append(starts, len(hp_s)))
-        return pa.table(
-            {
-                "doc_id": pa.array(d_s[starts], pa.int64()),
-                "hp": pa.array(hp_s[starts], pa.uint64()),
-                "hx": pa.array(hx_s[starts], pa.uint64()),
-                "v": pa.array(m.astype(np.int64), pa.int64()),
-                "bucket": pa.array(
-                    (hp_s[starts] % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def tag_pairc(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_j1()
-        h = batch["hp"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": pa.array(np.full(n, -1, np.int64), pa.int64()),
-                "hp": batch["hp"],
-                "hx": pa.array(np.zeros(n, np.uint64), pa.uint64()),
-                "v": batch["c"],
-                "bucket": pa.array(
-                    (h % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def join_cpair(group: pa.Table) -> pa.Table:
-        doc = group["doc_id"].to_numpy(zero_copy_only=False)
-        hp = group["hp"].to_numpy(zero_copy_only=False)
-        hx = group["hx"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_cnt = doc < 0
-        keys, cv = hp[is_cnt], v[is_cnt]
-        o = np.argsort(keys, kind="stable")
-        keys, cv = keys[o], cv[o]
-        od, ohx, om = doc[~is_cnt], hx[~is_cnt], v[~is_cnt]
-        cp = cv[np.searchsorted(keys, hp[~is_cnt])] if len(od) else om
-        return pa.table(
-            {
-                "doc_id": pa.array(od, pa.int64()),
-                "hx": pa.array(ohx, pa.uint64()),
-                "m": pa.array(om, pa.int64()),
-                "cp": pa.array(cp, pa.int64()),
-                "bucket": pa.array(
-                    (ohx % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    occ_cp = (
-        ds.map_batches(occ_rows, batch_format="pyarrow")
-        .union(pairc.map_batches(tag_pairc, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join_cpair, batch_format="pyarrow")
-    )
-
-    # stage 3b: ⋈ c_prev in hprev buckets → per-doc partials
-    def _empty_j2() -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "hx": pa.array([], pa.uint64()),
-                "m": pa.array([], pa.int64()),
-                "cp": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int32()),
-            }
-        )
-
-    def tag_prevc(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_j2()
-        h = batch["hprev"].to_numpy(zero_copy_only=False)
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": pa.array(np.full(n, -1, np.int64), pa.int64()),
-                "hx": batch["hprev"],
-                "m": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "cp": batch["c"],
-                "bucket": pa.array(
-                    (h % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def join_cprev(group: pa.Table) -> pa.Table:
-        doc = group["doc_id"].to_numpy(zero_copy_only=False)
-        hx = group["hx"].to_numpy(zero_copy_only=False)
-        m = group["m"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cp = group["cp"].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_cnt = doc < 0
-        keys, cv = hx[is_cnt], cp[is_cnt]
-        o = np.argsort(keys, kind="stable")
-        keys, cv = keys[o], cv[o]
-        od, om, ocp = doc[~is_cnt], m[~is_cnt], cp[~is_cnt]
-        if len(od):
-            cprev = cv[np.searchsorted(keys, hx[~is_cnt])]
-            pmic = (1_000_000 * ocp) // cprev
-        else:
-            pmic = om
-        t = pa.table(
-            {
-                "doc_id": pa.array(od, pa.int64()),
-                "s": pa.array(om * pmic, pa.int64()),
-                "n": pa.array(om, pa.int64()),
-            }
-        )
-        agg = t.group_by("doc_id").aggregate([("s", "sum"), ("n", "sum")])
-        dids = agg["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": agg["doc_id"],
-                "s": agg["s_sum"],
-                "n": agg["n_sum"],
-                "dbucket": pa.array(
-                    (dids % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def rollup(group: pa.Table) -> pa.Table:
-        agg = group.group_by("doc_id").aggregate(
-            [("s", "sum"), ("n", "sum")]
-        )
-        s = agg["s_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = agg["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": agg["doc_id"],
-                "n_pairs": pa.array(n, pa.int64()),
-                "fluency_ppm": pa.array(s // n, pa.int64()),
-            }
-        )
-
-    return (
-        occ_cp.union(prevc.map_batches(tag_prevc, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join_cprev, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(rollup, batch_format="pyarrow")
-    )
-
-
-# --- trigram Stupid-Backoff LM (Brants et al., EMNLP 2007) -----------------
-
-_TRIGRAM_OUT_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("n_tri", pa.int64()),
-        ("fluency3_ppm", pa.int64()),
-        ("backoff_ppm", pa.int64()),
-    ]
-)
-
-
 def _trigram_rows(batch: pa.Table, text_col: str):
     """consecutive-triple rows → (local doc index, h3, h2ctx, h2,
     h1ctx, h1): every hash a trigram-LM score probe needs —
@@ -1905,14 +1280,274 @@ def _trigram_rows(batch: pa.Table, text_col: str):
     return doc_idx[2:][m], h3, h2ctx, h2, hp, hw
 
 
-def _sorted_lookup(keys: np.ndarray, vals: np.ndarray, probe: np.ndarray):
-    """count of each probe key in the sorted (keys, vals) state; keys
-    absent from the state count 0 (this is what makes held-out scoring
-    — and hence backoff — possible)."""
-    if len(keys) == 0 or len(probe) == 0:
-        return np.zeros(len(probe), np.int64)
-    idx = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    return np.where(keys[idx] == probe, vals[idx], 0)
+def _ngram_score_plan(ds, grams, occurrences, probes, score, finish,
+                      out_schema: pa.Schema):
+    """The count-and-score plan every n-gram LM scorer runs, built only
+    from the `exchange` primitives (so the driver-or-shuffle and
+    broadcast-or-bucketed decisions are theirs alone):
+
+    1. count — ``grams(batch)`` gives ``{order: u64 key per n-gram
+       occurrence}``; each batch counts its own keys and
+       ``exchange.bucket_finish`` merges the (ordr, key, c) partials on
+       ``key % B`` into one count per (order, key);
+    2. occurrences — ``occurrences(batch)`` gives (doc ids, ``{probe:
+       u64 key}``) per scored occurrence; repeats of a (doc, first
+       probe) pair collapse into one row of multiplicity ``m`` (equal
+       first probes mean equal probe tuples);
+    3. attach — each ``(probe, order, col)`` of ``probes`` gains ``col``
+       = the count of its key among that order's counts through one
+       left-outer ``exchange.join``; an absent key counts 0;
+    4. score and roll up — ``score(cols, n1)`` maps the int64 count
+       columns and ``m`` to per-occurrence integer sums (already
+       × ``m``), pre-aggregated per doc map-side; ``finish(doc_id,
+       sums, n1)`` turns each doc's total sums into its output row,
+       per ``doc_id % B`` bucket through ``exchange.bucket_finish``.
+
+    ``n1`` is the total count of order 1.  Keys travel as their low 63
+    bits (int64 ≥ 0, the exchange's bucket key domain).  Every sum is
+    an integer sum, so the output is the same under any partitioning
+    and either branch of each gate.  Returns a Dataset of
+    ``out_schema`` rows."""
+    nb = 64
+    count_schema = pa.schema(
+        [("ordr", pa.int32()), ("key", pa.int64()), ("c", pa.int64())]
+    )
+
+    def key63(h: np.ndarray) -> np.ndarray:
+        return (h & np.uint64(2**63 - 1)).astype(np.int64)
+
+    def count_partial(batch: pa.Table) -> pa.Table:
+        ordr, keys, cnts = [], [], []
+        for o, k in grams(batch).items():
+            u, c = np.unique(key63(k), return_counts=True)
+            ordr.append(np.full(len(u), o, np.int32))
+            keys.append(u)
+            cnts.append(c.astype(np.int64))
+        key = pa.array(np.concatenate(keys), pa.int64())
+        return pa.table(
+            {
+                "ordr": pa.array(np.concatenate(ordr), pa.int32()),
+                "key": key,
+                "c": pa.array(np.concatenate(cnts), pa.int64()),
+                "bucket": exchange.bucket_of(key, nb),
+            }
+        )
+
+    def merge_counts(t: pa.Table) -> pa.Table:
+        g = t.group_by(["ordr", "key"]).aggregate([("c", "sum")])
+        return pa.table(
+            {"ordr": g["ordr"], "key": g["key"], "c": g["c_sum"]},
+            schema=count_schema,
+        )
+
+    counts = exchange.bucket_finish(
+        ds.map_batches(count_partial, batch_format="pyarrow"),
+        merge_counts, count_schema, lazy=True,
+    ).materialize()
+
+    def of_order(o: int, key: str, col: str):
+        def pick(b: pa.Table) -> pa.Table:
+            b = b.filter(pc.equal(b["ordr"], o))
+            return pa.table({key: b["key"], col: b["c"]})
+
+        return counts.map_batches(pick, batch_format="pyarrow")
+
+    def total1(b: pa.Table) -> pa.Table:
+        c = b["c"].filter(pc.equal(b["ordr"], 1))
+        return pa.table({"n": pa.array([pc.sum(c).as_py() or 0], pa.int64())})
+
+    n1 = sum(
+        pc.sum(t["n"]).as_py()
+        for t in exchange.blocks(
+            counts.map_batches(total1, batch_format="pyarrow")
+        )
+    )
+
+    names = [p for p, _, _ in probes]
+    occ_schema = pa.schema(
+        [("doc_id", pa.int64())]
+        + [(p, pa.int64()) for p in names]
+        + [("m", pa.int64())]
+    )
+
+    def occ_rows(batch: pa.Table) -> pa.Table:
+        doc, keys = occurrences(batch)
+        if len(doc) == 0:
+            return occ_schema.empty_table()
+        doc = doc.astype(np.int64)
+        keys = {p: key63(keys[p]) for p in names}
+        order = np.lexsort((doc, keys[names[0]]))
+        d, h = doc[order], keys[names[0]][order]
+        new = np.empty(len(d), dtype=bool)
+        new[0] = True
+        new[1:] = (h[1:] != h[:-1]) | (d[1:] != d[:-1])
+        starts = np.flatnonzero(new)
+        cols = {"doc_id": d[starts]}
+        for p in names:
+            cols[p] = keys[p][order][starts]
+        cols["m"] = np.diff(np.append(starts, len(d)))
+        return pa.table(
+            {f.name: pa.array(cols[f.name], f.type) for f in occ_schema}
+        )
+
+    occ, schema = ds.map_batches(occ_rows, batch_format="pyarrow"), occ_schema
+    for probe, o, col in probes:
+        right = pa.schema([(probe, pa.int64()), (col, pa.int64())])
+        occ = exchange.join(
+            occ, of_order(o, probe, col), on=probe, how="left outer",
+            left_schema=schema, right_schema=right, lazy=True,
+        )
+        schema = schema.append(right.field(col))
+
+    def doc_partials(batch: pa.Table) -> pa.Table:
+        cols = {
+            c: pc.fill_null(batch[c], 0).to_numpy(zero_copy_only=False)
+            for _, _, c in probes
+        }
+        cols["m"] = batch["m"].to_numpy(zero_copy_only=False)
+        sums = score(cols, n1)
+        t = pa.table(
+            {"doc_id": batch["doc_id"]}
+            | {k: pa.array(v, pa.int64()) for k, v in sums.items()}
+        )
+        g = t.group_by("doc_id").aggregate([(k, "sum") for k in sums])
+        return pa.table(
+            {"doc_id": g["doc_id"]}
+            | {k: g[f"{k}_sum"] for k in sums}
+            | {"bucket": exchange.bucket_of(g["doc_id"], nb)}
+        )
+
+    def finish_docs(t: pa.Table) -> pa.Table:
+        ks = [c for c in t.column_names if c != "doc_id"]
+        g = t.group_by("doc_id").aggregate([(k, "sum") for k in ks])
+        sums = {k: g[f"{k}_sum"].to_numpy(zero_copy_only=False) for k in ks}
+        return finish(g["doc_id"], sums, n1)
+
+    return exchange.bucket_finish(
+        occ.map_batches(doc_partials, batch_format="pyarrow"),
+        finish_docs, out_schema, lazy=True,
+    )
+
+
+def doc_commonness(ds, text_col: str = "text"):
+    """documents → (doc_id, n_tokens, commonness_ppm): mean corpus
+    unigram frequency of each document's token positions, in ppm —
+    the integer-exact cousin of a unigram-LM perplexity filter (CCNet,
+    arXiv:1911.00359, filters on LM perplexity; low commonness = rare/
+    noisy vocabulary).  All arithmetic is integer two-step division
+    ``((Σ_pos count(tok) // n_tokens) · 10⁶) // total_tokens``, mirrored
+    verbatim by the oracle, so no float log ever enters the compare
+    (a float NLL would hash-mismatch on cross-library ln()).
+
+    Scale shape: `_ngram_score_plan` with one order and one probe —
+    token counts merge in token-hash buckets, each (doc, token) row
+    attaches its token's count through one left-outer
+    `exchange.join`, and ``Σ tf·count`` / ``Σ tf`` roll up per doc;
+    ``total_tokens`` is the plan's order-1 total.  A token-hash
+    collision merges two counts — the oracle compares token STRINGS,
+    so the gate would catch one.  Tokenization: lowercased ``[a-z]+``
+    runs of ``text_col`` (`_token_hash_rows`)."""
+
+    def grams(batch: pa.Table) -> dict:
+        return {1: _token_hash_rows(batch, text_col)[1]}
+
+    def occurrences(batch: pa.Table):
+        di, htok = _token_hash_rows(batch, text_col)
+        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[di]
+        return doc_ids, {"h": htok}
+
+    def score(cols: dict, n1: int) -> dict:
+        return {"s": cols["m"] * cols["cnt"], "n": cols["m"]}
+
+    def finish(doc_id, sums: dict, total: int) -> pa.Table:
+        s, n = sums["s"], sums["n"]
+        return pa.table(
+            {
+                "doc_id": doc_id,
+                "n_tokens": pa.array(n, pa.int64()),
+                "commonness_ppm": pa.array(
+                    ((s // n) * 1_000_000) // total, pa.int64()
+                ),
+            }
+        )
+
+    return _ngram_score_plan(
+        ds, grams, occurrences, [("h", 1, "cnt")], score, finish,
+        pa.schema(
+            [
+                ("doc_id", pa.int64()),
+                ("n_tokens", pa.int64()),
+                ("commonness_ppm", pa.int64()),
+            ]
+        ),
+    )
+
+
+def bigram_fluency(ds, text_col: str = "text"):
+    """documents → (doc_id, n_pairs, fluency_ppm): mean corpus bigram
+    conditional probability over each document's adjacent token pairs,
+    in integer ppm — the bigram-LM fluency filter (CCNet / Gopher
+    filter on n-gram-LM perplexity, arXiv:1911.00359 / 2112.11446;
+    low fluency = token sequences the corpus LM finds improbable).
+    The per-pair score is ``(10⁶ · c(prev,tok)) // c(prev·)`` — exact
+    integer MLE of P(tok|prev) in ppm, and ``fluency_ppm =
+    Σ pair_ppm // n_pairs`` — both divisions mirrored verbatim by the
+    oracle, so no float log/exp enters the compare.
+
+    Scale shape: `_ngram_score_plan` with two orders — pair counts
+    (order 2, keyed by the pair hash) and prefix counts ``c(prev·)``
+    (order 1, keyed by the prev-token hash, counted once per pair
+    occurrence) — and two probes, one left-outer `exchange.join`
+    each; per-pair ppm sums roll up per doc.  A 64-bit pair-hash
+    collision merges two counts — the oracle compares pair STRINGS, so
+    the gate would catch one."""
+
+    def grams(batch: pa.Table) -> dict:
+        _, hprev, hpair = _bigram_rows(batch, text_col)
+        return {2: hpair, 1: hprev}
+
+    def occurrences(batch: pa.Table):
+        di, hprev, hpair = _bigram_rows(batch, text_col)
+        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)[di]
+        return doc_ids, {"hp": hpair, "hprev": hprev}
+
+    def score(cols: dict, n1: int) -> dict:
+        ppm = (1_000_000 * cols["cp"]) // cols["cx"]
+        return {"s": cols["m"] * ppm, "n": cols["m"]}
+
+    def finish(doc_id, sums: dict, n1: int) -> pa.Table:
+        s, n = sums["s"], sums["n"]
+        return pa.table(
+            {
+                "doc_id": doc_id,
+                "n_pairs": pa.array(n, pa.int64()),
+                "fluency_ppm": pa.array(s // n, pa.int64()),
+            }
+        )
+
+    return _ngram_score_plan(
+        ds, grams, occurrences, [("hp", 2, "cp"), ("hprev", 1, "cx")],
+        score, finish,
+        pa.schema(
+            [
+                ("doc_id", pa.int64()),
+                ("n_pairs", pa.int64()),
+                ("fluency_ppm", pa.int64()),
+            ]
+        ),
+    )
+
+
+# --- trigram Stupid-Backoff LM (Brants et al., EMNLP 2007) -----------------
+
+_TRIGRAM_OUT_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_tri", pa.int64()),
+        ("fluency3_ppm", pa.int64()),
+        ("backoff_ppm", pa.int64()),
+    ]
+)
 
 
 def _backoff_scores(c3, c2ctx, c2, c1ctx, c1, n_train: int):
@@ -1929,27 +1564,16 @@ def _backoff_scores(c3, c2ctx, c2, c1ctx, c1, n_train: int):
     return s, boff
 
 
-def _trigram_doc_rollup(doc_ids, s, boff) -> pa.Table:
-    t = pa.table(
-        {
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "s": pa.array(s, pa.int64()),
-            "b": pa.array(boff, pa.int64()),
-            "one": pa.array(np.ones(len(s), np.int64), pa.int64()),
-        }
-    )
-    g = t.group_by("doc_id").aggregate(
-        [("s", "sum"), ("b", "sum"), ("one", "sum")]
-    )
-    sv = g["s_sum"].to_numpy(zero_copy_only=False)
-    bv = g["b_sum"].to_numpy(zero_copy_only=False)
-    nv = g["one_sum"].to_numpy(zero_copy_only=False)
+def _trigram_doc_rollup(doc_id, sums: dict) -> pa.Table:
+    """one row per doc from its summed score ``s``, backoff count ``b``
+    and triple count ``n``."""
+    s, b, n = sums["s"], sums["b"], sums["n"]
     return pa.table(
         {
-            "doc_id": g["doc_id"],
-            "n_tri": pa.array(nv, pa.int64()),
-            "fluency3_ppm": pa.array(sv // nv, pa.int64()),
-            "backoff_ppm": pa.array((bv * 1_000_000) // nv, pa.int64()),
+            "doc_id": doc_id,
+            "n_tri": pa.array(n, pa.int64()),
+            "fluency3_ppm": pa.array(s // n, pa.int64()),
+            "backoff_ppm": pa.array((b * 1_000_000) // n, pa.int64()),
         },
         schema=_TRIGRAM_OUT_SCHEMA,
     )
@@ -1960,7 +1584,6 @@ def trigram_backoff_fluency(
     text_col: str = "text",
     id_col: str = "doc_id",
     train_mod: int = 5,
-    vocab_broadcast_max: int = 2_000_000,
 ):
     """documents → (doc_id, n_tri, fluency3_ppm, backoff_ppm): mean
     Stupid-Backoff trigram score (Brants, Popat, Xu, Och & Dean,
@@ -1972,34 +1595,20 @@ def trigram_backoff_fluency(
     shape, arXiv:1911.00359) — held-out docs exercise the whole
     backoff chain instead of the degenerate everything-seen case.
 
-    Scale shape (`bigram_fluency` doctrine, one order up): pass 1
-    reduces (order, key-hash, count) partials over the TRAIN slice;
-    below ``vocab_broadcast_max`` partial rows the merged counts
-    broadcast as sorted vectors; above it the whole query switches to
-    `_trigram_backoff_bucketed` — counts merge and every probe joins
-    inside key-hash buckets, so no n-gram-vocab-sized state ever lands
-    on the driver.  Tiers are bit-equal (integer sums; forced-path
-    agreement test).  A 64-bit fold collision merges two counts — the
-    oracle compares n-gram STRINGS, so the gate would catch one."""
-    import ray
+    Scale shape: `_ngram_score_plan` with three orders counted over
+    the TRAIN slice and five probes per scored triple (trigram, its
+    context bigram, the backoff bigram, its context token, the last
+    token), one left-outer `exchange.join` each — an unseen n-gram
+    counts 0, which is what lets held-out triples back off.  The
+    per-occurrence score is `_backoff_scores` with N = the plan's
+    order-1 total (the train tokens); `_trigram_doc_rollup` finishes
+    each doc.  A 64-bit fold collision merges two counts — the oracle
+    compares n-gram STRINGS, so the gate would catch one."""
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "ordr": pa.array([], pa.int32()),
-                "key": pa.array([], pa.uint64()),
-                "c": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0 or id_col not in batch.column_names:
-            return empty
+    def grams(batch: pa.Table) -> dict:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         train = batch.filter(pa.array(ids % train_mod != 0))
-        if train.num_rows == 0:
-            return empty
         di, htok = _token_hash_rows(train, text_col)
-        if len(htok) == 0:
-            return empty
         m2 = di[1:] == di[:-1]
         h2 = (htok[:-1] * _BG_GOLD ^ htok[1:])[m2]
         m3 = (di[2:] == di[1:-1]) & (di[1:-1] == di[:-2])
@@ -2007,333 +1616,35 @@ def trigram_backoff_fluency(
             (htok[:-2] * _BG_GOLD ^ htok[1:-1])[m3] * _BG_GOLD
             ^ htok[2:][m3]
         )
-        ordr = np.concatenate(
-            [
-                np.full(len(htok), 1, np.int32),
-                np.full(len(h2), 2, np.int32),
-                np.full(len(h3), 3, np.int32),
-            ]
-        )
-        key = np.concatenate([htok, h2, h3])
-        t = pa.table(
-            {
-                "ordr": pa.array(ordr, pa.int32()),
-                "key": pa.array(key, pa.uint64()),
-                "c": pa.array(np.ones(len(key), np.int64), pa.int64()),
-            }
-        )
-        agg = t.group_by(["ordr", "key"]).aggregate([("c", "sum")])
-        return pa.table(
-            {
-                "ordr": agg["ordr"],
-                "key": agg["key"],
-                "c": pc.cast(agg["c_sum"], pa.int64()),
-            }
-        )
+        return {1: htok, 2: h2, 3: h3}
 
-    partials = ds.map_batches(
-        count_partial, batch_format="pyarrow"
-    ).materialize()
-    if partials.count() > vocab_broadcast_max:
-        return _trigram_backoff_bucketed(
-            ds, partials, text_col=text_col, id_col=id_col
-        )
-    parts = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        import ray.data
-
-        return ray.data.from_arrow(_TRIGRAM_OUT_SCHEMA.empty_table())
-    agg = (
-        pa.concat_tables(parts)
-        .group_by(["ordr", "key"])
-        .aggregate([("c", "sum")])
-    )
-    state = {}
-    ordv = agg["ordr"].to_numpy(zero_copy_only=False)
-    keyv = agg["key"].to_numpy(zero_copy_only=False)
-    cv = agg["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-    for o in (1, 2, 3):
-        sel = ordv == o
-        k, v = keyv[sel], cv[sel]
-        srt = np.argsort(k)
-        state[o] = (k[srt], v[srt])
-    n_train = int(state[1][1].sum())
-    ref = ray.put((state[1], state[2], state[3], n_train))
-
-    def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or id_col not in batch.column_names:
-            return _TRIGRAM_OUT_SCHEMA.empty_table()
-        (k1, v1), (k2, v2), (k3, v3), n_tok = ray.get(ref)
+    def occurrences(batch: pa.Table):
         di, h3, h2ctx, h2, h1ctx, h1 = _trigram_rows(batch, text_col)
-        if len(h3) == 0:
-            return _TRIGRAM_OUT_SCHEMA.empty_table()
-        s, boff = _backoff_scores(
-            _sorted_lookup(k3, v3, h3),
-            _sorted_lookup(k2, v2, h2ctx),
-            _sorted_lookup(k2, v2, h2),
-            _sorted_lookup(k1, v1, h1ctx),
-            _sorted_lookup(k1, v1, h1),
-            n_tok,
-        )
         doc_ids = batch[id_col].to_numpy(zero_copy_only=False)[di]
-        return _trigram_doc_rollup(doc_ids, s, boff)
-
-    return ds.map_batches(score, batch_format="pyarrow")
-
-
-def _trigram_backoff_bucketed(
-    ds,
-    partials,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_buckets: int = 64,
-):
-    """Above-threshold tier of `trigram_backoff_fluency` — no
-    n-gram-vocab-sized state on the driver (the closed vocab
-    boundary).  Skinny-row exchanges only:
-      1. (ordr, key, c) partials merge to final counts inside
-         ``key % B`` buckets (a key lives in one bucket → exact);
-      2. occurrence rows (doc, h3, h2ctx, h2, h1ctx, h1, m) attach
-         each of the five counts through five successive key-hash
-         bucket joins (`_attach_counts_bucketed` — union + in-bucket
-         sorted probe, absent key → 0, exactly the broadcast
-         `_sorted_lookup` rule);
-      3. per-occurrence score = `_backoff_scores` (shared fn), per-doc
-         rollup inside ``doc_id % B`` buckets.
-    Integer sums ⇒ bit-equal to the broadcast tier (forced-path
-    agreement test).  N (train token total) is the one driver scalar —
-    O(1) state."""
-    import ray
-    import ray.data
-
-    nb = num_buckets
-    if partials.count() == 0:
-        return ray.data.from_arrow(_TRIGRAM_OUT_SCHEMA.empty_table())
-
-    def bucket_key(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "key" not in batch.column_names:
-            return pa.table(
-                {
-                    "ordr": pa.array([], pa.int32()),
-                    "key": pa.array([], pa.uint64()),
-                    "c": pa.array([], pa.int64()),
-                    "bucket": pa.array([], pa.int32()),
-                }
-            )
-        h = batch["key"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array((h % nb).astype(np.int32), pa.int32())
-        )
-
-    def merge_counts(group: pa.Table) -> pa.Table:
-        agg = group.group_by(["ordr", "key"]).aggregate([("c", "sum")])
-        return pa.table(
-            {
-                "ordr": agg["ordr"],
-                "key": agg["key"],
-                "c": pc.cast(agg["c_sum"], pa.int64()),
-            }
-        )
-
-    counts = (
-        partials.map_batches(bucket_key, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pyarrow")
-        .materialize()
-    )
-    # N: train token total — one tiny reduce over the unigram rows
-    n_train = 0
-    for t in ray.get(counts.to_arrow_refs()):
-        if t.num_rows and "ordr" in t.column_names:
-            sel = t.filter(pc.equal(t["ordr"], 1))
-            n_train += int(pc.sum(sel["c"]).as_py() or 0)
-
-    occ_cols = {
-        "doc_id": pa.int64(),
-        "h3": pa.uint64(),
-        "h2ctx": pa.uint64(),
-        "h2": pa.uint64(),
-        "h1ctx": pa.uint64(),
-        "h1": pa.uint64(),
-        "m": pa.int64(),
-    }
-
-    def occ_rows(batch: pa.Table) -> pa.Table:
-        cols = dict(occ_cols)
-        if batch.num_rows == 0 or id_col not in batch.column_names:
-            return pa.table(
-                {k: pa.array([], t) for k, t in cols.items()}
-            )
-        di, h3, h2ctx, h2, h1ctx, h1 = _trigram_rows(batch, text_col)
-        if len(h3) == 0:
-            return pa.table(
-                {k: pa.array([], t) for k, t in cols.items()}
-            )
-        doc_ids = batch[id_col].to_numpy(zero_copy_only=False)[di]
-        # multiplicity-compress repeated (doc, trigram) occurrences —
-        # identical h3 ⇒ identical probe tuple, so m rides along
-        order = np.lexsort((doc_ids, h3))
-        d_s = doc_ids[order]
-        arrs = [h3[order], h2ctx[order], h2[order], h1ctx[order], h1[order]]
-        new = np.empty(len(d_s), dtype=bool)
-        new[0] = True
-        new[1:] = (arrs[0][1:] != arrs[0][:-1]) | (d_s[1:] != d_s[:-1])
-        starts = np.flatnonzero(new)
-        m = np.diff(np.append(starts, len(d_s))).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(d_s[starts], pa.int64()),
-                "h3": pa.array(arrs[0][starts], pa.uint64()),
-                "h2ctx": pa.array(arrs[1][starts], pa.uint64()),
-                "h2": pa.array(arrs[2][starts], pa.uint64()),
-                "h1ctx": pa.array(arrs[3][starts], pa.uint64()),
-                "h1": pa.array(arrs[4][starts], pa.uint64()),
-                "m": pa.array(m, pa.int64()),
-            }
-        )
-
-    occ = ds.map_batches(occ_rows, batch_format="pyarrow")
-    cols = dict(occ_cols)
-    for probe, out_col, ordr in (
-        ("h3", "c3", 3),
-        ("h2ctx", "c2ctx", 2),
-        ("h2", "c2", 2),
-        ("h1ctx", "c1ctx", 1),
-        ("h1", "c1", 1),
-    ):
-        occ = _attach_counts_bucketed(
-            occ,
-            counts.filter(expr=f"ordr == {ordr}"),
-            cols,
-            probe,
-            out_col,
-            nb,
-        )
-        cols = cols | {out_col: pa.int64()}
-
-    def score_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "c3" not in batch.column_names:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "dbucket": pa.array([], pa.int32()),
-                }
-            )
-        g = {
-            k: batch[k].to_numpy(zero_copy_only=False).astype(np.int64)
-            for k in ("c3", "c2ctx", "c2", "c1ctx", "c1", "m")
+        return doc_ids, {
+            "h3": h3, "h2ctx": h2ctx, "h2": h2, "h1ctx": h1ctx, "h1": h1,
         }
+
+    def score(cols: dict, n_train: int) -> dict:
         s, boff = _backoff_scores(
-            g["c3"], g["c2ctx"], g["c2"], g["c1ctx"], g["c1"], n_train
+            cols["c3"], cols["c2ctx"], cols["c2"], cols["c1ctx"],
+            cols["c1"], n_train,
         )
-        dids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "doc_id": pa.array(dids, pa.int64()),
-                "s": pa.array(g["m"] * s, pa.int64()),
-                "b": pa.array(g["m"] * boff, pa.int64()),
-                "n": pa.array(g["m"], pa.int64()),
-                "dbucket": pa.array(
-                    (dids % nb).astype(np.int32), pa.int32()
-                ),
-            }
-        )
+        m = cols["m"]
+        return {"s": m * s, "b": m * boff, "n": m}
 
-    def rollup(group: pa.Table) -> pa.Table:
-        agg = group.group_by("doc_id").aggregate(
-            [("s", "sum"), ("b", "sum"), ("n", "sum")]
-        )
-        sv = agg["s_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bv = agg["b_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nv = agg["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": agg["doc_id"],
-                "n_tri": pa.array(nv, pa.int64()),
-                "fluency3_ppm": pa.array(sv // nv, pa.int64()),
-                "backoff_ppm": pa.array(
-                    (bv * 1_000_000) // nv, pa.int64()
-                ),
-            },
-            schema=_TRIGRAM_OUT_SCHEMA,
-        )
-
-    return (
-        occ.map_batches(score_rows, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(rollup, batch_format="pyarrow")
-    )
-
-
-def _attach_counts_bucketed(
-    occ_ds, counts_ds, occ_cols: dict, probe_col: str, out_col: str, nb: int
-):
-    """generic in-bucket count attach: every occ row gains
-    ``out_col`` = the count of its ``probe_col`` key in ``counts_ds``
-    ((ordr, key, c) rows), 0 when absent — a broadcast-free hash join
-    where both sides exchange only skinny u64/int64 rows.  The probe
-    key lives in exactly one ``key % nb`` bucket, so the in-bucket
-    sorted lookup is globally exact.  ``occ_cols`` is the STATIC occ
-    schema (never probes a lazy Dataset for it)."""
-    union_names = list(occ_cols) + [out_col, "__tag", "bucket"]
-
-    def empty_union() -> pa.Table:
-        arrs = {k: pa.array([], t) for k, t in occ_cols.items()}
-        arrs[out_col] = pa.array([], pa.int64())
-        arrs["__tag"] = pa.array([], pa.int8())
-        arrs["bucket"] = pa.array([], pa.int32())
-        return pa.table({k: arrs[k] for k in union_names})
-
-    def prep_occ(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or probe_col not in batch.column_names:
-            return empty_union()
-        n = batch.num_rows
-        h = batch[probe_col].to_numpy(zero_copy_only=False)
-        arrs = {k: batch[k] for k in occ_cols}
-        arrs[out_col] = pa.array(np.zeros(n, np.int64), pa.int64())
-        arrs["__tag"] = pa.array(np.zeros(n, np.int8), pa.int8())
-        arrs["bucket"] = pa.array((h % nb).astype(np.int32), pa.int32())
-        return pa.table({k: arrs[k] for k in union_names})
-
-    def prep_cnt(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "key" not in batch.column_names:
-            return empty_union()
-        n = batch.num_rows
-        key = batch["key"].to_numpy(zero_copy_only=False)
-        arrs = {}
-        for k, t in occ_cols.items():
-            if k == probe_col:
-                arrs[k] = batch["key"]
-            elif t == pa.uint64():
-                arrs[k] = pa.array(np.zeros(n, np.uint64), pa.uint64())
-            else:
-                arrs[k] = pa.array(np.zeros(n, np.int64), t)
-        arrs[out_col] = pc.cast(batch["c"], pa.int64())
-        arrs["__tag"] = pa.array(np.ones(n, np.int8), pa.int8())
-        arrs["bucket"] = pa.array((key % nb).astype(np.int32), pa.int32())
-        return pa.table({k: arrs[k] for k in union_names})
-
-    def join(group: pa.Table) -> pa.Table:
-        tag = group["__tag"].to_numpy(zero_copy_only=False)
-        probe = group[probe_col].to_numpy(zero_copy_only=False)
-        val = group[out_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        is_cnt = tag == 1
-        keys, cv = probe[is_cnt], val[is_cnt]
-        srt = np.argsort(keys, kind="stable")
-        attached = _sorted_lookup(keys[srt], cv[srt], probe[~is_cnt])
-        occ = group.filter(pa.array(~is_cnt))
-        cols = {k: occ[k] for k in occ_cols}
-        cols[out_col] = pa.array(attached, pa.int64())
-        return pa.table(cols)
-
-    return (
-        occ_ds.map_batches(prep_occ, batch_format="pyarrow")
-        .union(counts_ds.map_batches(prep_cnt, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join, batch_format="pyarrow")
+    return _ngram_score_plan(
+        ds, grams, occurrences,
+        [
+            ("h3", 3, "c3"),
+            ("h2ctx", 2, "c2ctx"),
+            ("h2", 2, "c2"),
+            ("h1ctx", 1, "c1ctx"),
+            ("h1", 1, "c1"),
+        ],
+        score,
+        lambda doc_id, sums, n_train: _trigram_doc_rollup(doc_id, sums),
+        _TRIGRAM_OUT_SCHEMA,
     )
 
 
@@ -2440,8 +1751,6 @@ def weighted_sample(
     shuffle, no text movement."""
     import hashlib
 
-    import ray
-
     def topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table(
@@ -2478,13 +1787,7 @@ def weighted_sample(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(topk, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(ds.map_batches(topk, batch_format="pyarrow"))
     if not parts:
         return topk(
             pa.table(
@@ -2530,8 +1833,6 @@ def cooccurrence_topk(
     to ``term_a < term_b``.
     """
     import zlib
-
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -2619,16 +1920,11 @@ def cooccurrence_topk(
             }
         )
 
-    cand = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(bucket_topk, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    cand = exchange.blocks(
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(bucket_topk, batch_format="pyarrow")
+    )
     if not cand:
         return pa.table(
             {
@@ -2700,7 +1996,6 @@ def ddsketch_quantiles(
     tiny partials merge driver-side, one cumsum walk per key emits all
     quantiles.  Rank convention = ``percentile_disc``: smallest bin
     whose cumulative count reaches ``ceil(p·n)``."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(
@@ -2721,13 +2016,7 @@ def ddsketch_quantiles(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
     empty = pa.table(
         {
             "key": pa.array([], pa.string()),
@@ -2841,7 +2130,6 @@ def corpus_word_counts(ds, text_col: str = "text") -> dict[str, int]:
     holds DISTINCT words only — the same bounded vocab-state boundary
     `doc_commonness` declares (HF tokenizer training works off exactly
     this table, never the token stream)."""
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -2863,11 +2151,7 @@ def corpus_word_counts(ds, text_col: str = "text") -> dict[str, int]:
         )
 
     counts: dict[str, int] = {}
-    for t in ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-    ):
-        if not t.num_rows:
-            continue
+    for t in exchange.blocks(ds.map_batches(partial, batch_format="pyarrow")):
         for w, n in zip(t["w"].to_pylist(), t["n"].to_pylist()):
             counts[w] = counts.get(w, 0) + n
     return counts
@@ -2946,19 +2230,17 @@ def nb_train(ds, text_col: str = "text", lang_col: str = "lang"):
 
     Boundary note: here the vocab-sized state IS the return value (the
     trained model the caller broadcasts into `nb_classify`), so unlike
-    `doc_commonness`/`bigram_fluency` — whose above-threshold tiers
-    (`_commonness_bucketed`, `_bigram_fluency_bucketed`) keep all count
-    state in term-hash buckets — a driver-free variant would have to
-    change the API to return a sparse (lang, term, weight) Dataset and
+    `doc_commonness`/`bigram_fluency` — whose count plan
+    (`_ngram_score_plan`) merges counts in key-hash buckets once they
+    outgrow the driver — a driver-free variant would have to change
+    the API to return a sparse (lang, term, weight) Dataset and
     re-express classify as the same bucketed score join.  The count
-    MERGE would follow those tiers verbatim; per-lang totals and V are
+    MERGE would follow that plan verbatim; per-lang totals and V are
     scalars.
 
     Returns ``(model_table, model_state)`` where ``model_state`` =
     (langs, vocab, W, priors) ready for `nb_classify`'s broadcast."""
     import math
-
-    import ray
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -3010,13 +2292,7 @@ def nb_train(ds, text_col: str = "text", lang_col: str = "lang"):
             }
         )
 
-    blocks = [
-        t
-        for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    blocks = exchange.blocks(ds.map_batches(partial, batch_format="pyarrow"))
     term_counts: dict[tuple[str, str], int] = {}
     doc_counts: dict[str, int] = {}
     if blocks:
@@ -3144,7 +2420,7 @@ def nb_train_sparse(
 ):
     """Driver-state-free tier of `nb_train` (closes that docstring's
     declared vocab boundary): the (lang, term) count state merges
-    inside term-hash buckets — the `_commonness_bucketed` treatment —
+    inside term-hash buckets — the `_ngram_score_plan` count merge —
     and the weights are DERIVED in those same buckets, so the only
     driver state is per-lang scalars (token totals, doc counts,
     priors, absent-pair floors) plus the global distinct-term count V
@@ -3314,15 +2590,9 @@ def nb_train_sparse(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            merged.map_batches(
-                summarize, batch_format="pyarrow"
-            ).to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(
+        merged.map_batches(summarize, batch_format="pyarrow")
+    )
     tok_totals: dict[str, int] = {}
     doc_counts: dict[str, int] = {}
     v_total = 0
@@ -3795,13 +3065,9 @@ def pmi_topk(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(df_partial, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(
+        ds.map_batches(df_partial, batch_format="pyarrow")
+    )
     df: dict[str, int] = {}
     if parts:
         agg = (
@@ -3865,14 +3131,9 @@ def percentile_rank_by(
             }
         )
 
-    parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(hist_partial, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    parts = exchange.blocks(
+        ds.map_batches(hist_partial, batch_format="pyarrow")
+    )
     ranks: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
     if parts:
         agg = (
@@ -4092,19 +3353,14 @@ def fluency_buckets(ds, text_col: str = "text", lang_col: str = "lang"):
     middle / tail — the explicit integer rule a SQL ``row_number``
     window reproduces bit-for-bit (the repo's no-ntile convention).
 
-    Scale shape: the fluency passes are `bigram_fluency`'s two
-    streaming tiers; the tercile rank is the per-language sort a
+    Scale shape: the fluency passes are `bigram_fluency`'s count-and-
+    score plan; the tercile rank is the per-language sort a
     CCNet-style split inherently needs — here the doc-sized
     (id, lang, score) triple ranks driver-side like `pca_project`'s
     bin step (a Ray sort-by-(lang, score) + per-partition offsets is
     the above-gate extension)."""
-    import ray
 
-    flu_parts = [
-        t
-        for t in ray.get(bigram_fluency(ds, text_col).to_arrow_refs())
-        if t.num_rows
-    ]
+    flu_parts = exchange.blocks(bigram_fluency(ds, text_col))
     empty = pa.table(
         {
             "doc_id": pa.array([], pa.int64()),
@@ -4130,13 +3386,9 @@ def fluency_buckets(ds, text_col: str = "text", lang_col: str = "lang"):
             ["doc_id", "lang"]
         )
 
-    lang_parts = [
-        t
-        for t in ray.get(
-            ds.map_batches(lang_rows, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    lang_parts = exchange.blocks(
+        ds.map_batches(lang_rows, batch_format="pyarrow")
+    )
     lt = pa.concat_tables(lang_parts)
     lids = lt["doc_id"].to_numpy(zero_copy_only=False)
     lorder = np.argsort(lids)
@@ -4335,8 +3587,6 @@ def heaps_fit(ds, text_col: str = "text", num_buckets: int = 32) -> pa.Table:
     import math
     import zlib
 
-    import ray
-
     def stage1(batch: pa.Table) -> pa.Table:
         # rows tagged kind 0 = per-doc token count, 1 = (term, doc)
         if batch.num_rows == 0 or "doc_id" not in batch.column_names:
@@ -4406,20 +3656,14 @@ def heaps_fit(ds, text_col: str = "text", num_buckets: int = 32) -> pa.Table:
             }
         )
 
-    new_terms = [
-        t
-        for t in ray.get(
-            rows.filter(expr="kind == 1")
-            .groupby("bucket")
-            .map_groups(first_doc_counts, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
+    new_terms = exchange.blocks(
+        rows.filter(expr="kind == 1")
+        .groupby("bucket")
+        .map_groups(first_doc_counts, batch_format="pyarrow")
+    )
     tok_rows = [
         t.select(["doc_id", "n"])
-        for t in ray.get(rows.filter(expr="kind == 0").to_arrow_refs())
-        if t.num_rows
+        for t in exchange.blocks(rows.filter(expr="kind == 0"))
     ]
     # per-doc table: doc-sized.  At this corpus scale the prefix scan +
     # OLS fold runs driver-side over two skinny int columns; the

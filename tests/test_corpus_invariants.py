@@ -93,3 +93,30 @@ def test_derived_cache_dirs_keyed_by_corpus_version():
         b = entry._q_dir(kind, other)
         assert a != b and tag in a and CORPUS_VERSION in a and "v27" in b
     assert entry._q_dir("warc", corpus) != entry._q_dir("warcdd", corpus)
+
+
+def test_derived_cache_dirs_keyed_by_engine_sources(tmp_path, monkeypatch):
+    """The same cached directories carry a digest of the engine's
+    ``*.py`` sources: a sweep after an engine change must not check
+    checkpoints an older tree wrote."""
+    import __ray_entry__ as entry
+    from crawler_ai_ray.sources.synth import corpus_dir
+
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n")
+    (pkg / "sub" / "b.py").write_text("y = 2\n")
+    digest = entry._src_digest.__wrapped__
+    before = digest(str(pkg))
+    (pkg / "notes.txt").write_text("not a source\n")
+    assert digest(str(pkg)) == before
+    (pkg / "sub" / "b.py").write_text("y = 3\n")
+    after = digest(str(pkg))
+    assert after != before
+
+    corpus = corpus_dir("sf0.01")
+    dirs = []
+    for d in (before, after):
+        monkeypatch.setattr(entry, "_src_digest", lambda _pkg, d=d: d)
+        dirs.append(entry._q_dir("crawl", corpus))
+    assert dirs[0] != dirs[1] and dirs[0].endswith(before)

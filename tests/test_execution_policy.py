@@ -1,8 +1,9 @@
 """The engine's Ray Data execution policy (``crawler_ai_ray/__init__.py``):
 Ray's per-operator reservation split is off in every process that
 imports the package, whichever of the package and ``ray.data`` loads
-first; the crawl's modules still never load ``ray.data``; and a
-read→map chain runs its map tasks side by side on the 4-CPU session."""
+first; the crawl's modules still never load ``ray.data``; the text
+stages gather Datasets without a schema probe; and a read→map chain
+runs its map tasks side by side on the 4-CPU session."""
 
 from __future__ import annotations
 
@@ -45,6 +46,16 @@ def test_crawl_modules_do_not_load_ray_data():
         "crawler_ai_ray.state.seen; print('ray.data' in sys.modules)"
     )
     assert _run(code) == "False"
+
+
+
+def test_textstats_gathers_through_exchange_blocks():
+    """``stages/textstats.py`` gathers Datasets only through
+    ``exchange.blocks``: ``to_arrow_refs`` on a lazy Dataset re-runs its
+    plan under a ``LimitOperator[limit=1]`` schema probe, the cancel
+    path of Ray 2.49's fatal ``task_manager.cc`` check."""
+    with open(os.path.join(ROOT, "crawler_ai_ray", "stages", "textstats.py")) as f:
+        assert "to_arrow_refs" not in f.read()
 
 
 @pytest.mark.usefixtures("ray_session")

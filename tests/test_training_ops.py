@@ -2813,12 +2813,72 @@ def test_hamming_degenerate_bucket_collapse(ray_session):
     assert got[got.doc_b == n].hamming.iloc[0] == 1
 
 
-def test_commonness_bucketed_tier_agreement(ray_session):
-    """Forced past the vocab-broadcast threshold, the bucketed tier
-    (counts merged + joined inside term-hash buckets, no driver vocab
-    state) must be bit-equal to the broadcast tier."""
-    import numpy as np
-    import pyarrow as pa
+def _lm_run(fn, ds):
+    """``fn(ds)`` as a DataFrame sorted by doc_id, with its typed
+    columns even when empty (Ray's ``to_pandas`` drops them then)."""
+    out = fn(ds).materialize()
+    df = out.to_pandas()
+    if not len(df):
+        df = out.schema().base_schema.empty_table().to_pandas()
+    return df.sort_values("doc_id", ignore_index=True)
+
+
+def _lm_paths_agree(fn, ds, force_bucketed, force_shuffle):
+    """``fn(ds)`` on the default gates equals it with every count join
+    forced bucketed, every finish forced through the shuffle, and
+    both; returns the default result."""
+    import contextlib
+
+    a = _lm_run(fn, ds)
+    for forced in (
+        [force_bucketed], [force_shuffle], [force_bucketed, force_shuffle]
+    ):
+        with contextlib.ExitStack() as stack:
+            for f in forced:
+                stack.enter_context(f())
+            assert _lm_run(fn, ds).equals(a)
+    return a
+
+
+def _lm_edge_paths_agree(fn, tbl, monkeypatch):
+    """The same four settings on a degenerate input.  An empty count
+    table never takes a bucketed join and an empty finish never
+    shuffles, so the thresholds are set directly, without the
+    fixtures' check that the forced branch ran."""
+    import ray.data
+
+    from crawler_ai_ray.stages import exchange
+
+    ds = ray.data.from_arrow(tbl)
+    a = _lm_run(fn, ds)
+    for shuffle, bucketed in ((True, False), (False, True), (True, True)):
+        with monkeypatch.context() as m:
+            if shuffle:
+                m.setattr(exchange, "DRIVER_FINISH_MAX", 0)
+            if bucketed:
+                m.setattr(exchange, "BROADCAST_MAX", 0)
+            assert _lm_run(fn, ds).equals(a)
+    return a
+
+
+def _lm_docs(texts, ids=None) -> pa.Table:
+    return pa.table(
+        {
+            "doc_id": pa.array(
+                np.arange(len(texts)) if ids is None else ids, pa.int64()
+            ),
+            "text": pa.array(texts, pa.string()),
+        }
+    )
+
+
+def test_commonness_bucketed_tier_agreement(
+    ray_session, force_bucketed, force_shuffle, monkeypatch
+):
+    """The count join forced bucketed and the count merge and per-doc
+    finish forced through the shuffle are bit-equal to the default
+    gates, on a random corpus, an empty one and one-token or null
+    docs."""
     import ray.data
 
     from crawler_ai_ray.stages.textstats import doc_commonness
@@ -2831,33 +2891,47 @@ def test_commonness_bucketed_tier_agreement(ray_session):
         " ".join(rng.choice(vocab, size=rng.integers(2, 40)))
         for _ in range(250)
     ]
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(250), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-    ds = ray.data.from_arrow(docs).repartition(5)
-    a = (
-        doc_commonness(ds)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    b = (
-        doc_commonness(ds, vocab_broadcast_max=0)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
+    ds = ray.data.from_arrow(_lm_docs(texts)).repartition(5)
+    a = _lm_paths_agree(doc_commonness, ds, force_bucketed, force_shuffle)
     assert len(a) == 250
+
+    empty = _lm_edge_paths_agree(doc_commonness, _lm_docs([]), monkeypatch)
+    assert len(empty) == 0
+    assert list(empty.columns) == ["doc_id", "n_tokens", "commonness_ppm"]
+
+    # counts cat=2, dog=1 of 3 tokens; docs without a token emit no row
+    one = _lm_edge_paths_agree(
+        doc_commonness, _lm_docs(["cat", "dog", "cat", "!!", "", None]),
+        monkeypatch,
+    ).set_index("doc_id")
+    assert one["n_tokens"].to_dict() == {0: 1, 1: 1, 2: 1}
+    assert one["commonness_ppm"].to_dict() == {
+        0: 666_666, 1: 333_333, 2: 666_666,
+    }
+
+
+def test_doc_commonness_reads_text_col(ray_session):
+    """``text_col`` names the text column: a renamed column scores the
+    same as the default ``text``."""
+    import ray.data
+
+    from crawler_ai_ray.stages.textstats import doc_commonness
+
+    docs = _lm_docs(["the cat sat", "the dog", "a cat and the dog"])
+    a = _lm_run(doc_commonness, ray.data.from_arrow(docs))
+    body = ray.data.from_arrow(docs.rename_columns(["doc_id", "body"]))
+    b = _lm_run(lambda ds: doc_commonness(ds, text_col="body"), body)
+    assert len(a) == 3
     assert a.equals(b)
 
 
-def test_bigram_fluency_bucketed_tier_agreement(ray_session):
-    """Forced past the threshold, the bucketed bigram tier (pair counts
-    in hp buckets, prev totals in hprev buckets, occurrence score join
-    riding the same buckets) must be bit-equal to the broadcast tier."""
-    import numpy as np
-    import pyarrow as pa
+def test_bigram_fluency_bucketed_tier_agreement(
+    ray_session, force_bucketed, force_shuffle, monkeypatch
+):
+    """Both count joins (pair counts, prefix counts) forced bucketed and
+    the count merge and per-doc finish forced through the shuffle are
+    bit-equal to the default gates, on a random corpus, an empty one
+    and one-token or null docs (no pairs at all)."""
     import ray.data
 
     from crawler_ai_ray.stages.textstats import bigram_fluency
@@ -2871,26 +2945,15 @@ def test_bigram_fluency_bucketed_tier_agreement(ray_session):
         " ".join(rng.choice(vocab, size=rng.integers(2, 30)))
         for _ in range(300)
     ]
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(300), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-    ds = ray.data.from_arrow(docs).repartition(6)
-    a = (
-        bigram_fluency(ds)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    b = (
-        bigram_fluency(ds, vocab_broadcast_max=0)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
+    ds = ray.data.from_arrow(_lm_docs(texts)).repartition(6)
+    a = _lm_paths_agree(bigram_fluency, ds, force_bucketed, force_shuffle)
     # docs with ≥1 [a-z]+ bigram are the domain; ≥ most of the corpus
     assert len(a) > 250
-    assert a.equals(b)
+
+    for tbl in (_lm_docs([]), _lm_docs(["cat", "dog!", "cat", "", None])):
+        got = _lm_edge_paths_agree(bigram_fluency, tbl, monkeypatch)
+        assert len(got) == 0
+        assert list(got.columns) == ["doc_id", "n_pairs", "fluency_ppm"]
 
 
 def test_dup_span_stats_hot_key_path_agreement(ray_session):
@@ -3562,15 +3625,18 @@ def test_source_cap_hand_computed_and_invariant(ray_session):
     assert got.equals(again)
 
 
-def test_trigram_backoff_tiers_and_reference(ray_session):
-    """Stupid-Backoff trigram LM: (a) bucketed tier forced past the
-    threshold is bit-equal to the broadcast tier; (b) both match a
-    sequential pure-Python reference that counts n-gram STRINGS on the
-    train slice (doc_id % 5 != 0) and applies the exact α=0.4 integer
-    branch rule — so hash folding, bucket joins and the held-out
-    scoring shape are all verified against independent math."""
-    import numpy as np
-    import pyarrow as pa
+def test_trigram_backoff_tiers_and_reference(
+    ray_session, force_bucketed, force_shuffle, monkeypatch
+):
+    """Stupid-Backoff trigram LM: (a) the five count joins forced
+    bucketed and the count merge and per-doc finish forced through the
+    shuffle are bit-equal to the default gates, on a random corpus, an
+    empty one, one-token docs and a corpus whose docs are all held out;
+    (b) the results match a sequential pure-Python reference that
+    counts n-gram STRINGS on the train slice (doc_id % 5 != 0) and
+    applies the exact α=0.4 integer branch rule — so hash folding,
+    count joins and the held-out scoring shape are all verified
+    against independent math."""
     import ray.data
 
     from crawler_ai_ray.stages.textstats import trigram_backoff_fluency
@@ -3584,64 +3650,72 @@ def test_trigram_backoff_tiers_and_reference(ray_session):
         " ".join(rng.choice(vocab, size=rng.integers(1, 25)))
         for _ in range(240)
     ]
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(240), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
+    ds = ray.data.from_arrow(_lm_docs(texts)).repartition(5)
+    a = _lm_paths_agree(
+        trigram_backoff_fluency, ds, force_bucketed, force_shuffle
     )
-    ds = ray.data.from_arrow(docs).repartition(5)
-    a = (
-        trigram_backoff_fluency(ds)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    b = (
-        trigram_backoff_fluency(ds, vocab_broadcast_max=0)
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    assert a.equals(b)
 
     # sequential reference over n-gram strings
     from collections import Counter
 
-    c1, c2, c3 = Counter(), Counter(), Counter()
-    toks = {i: t.lower().split() for i, t in enumerate(texts)}
-    n_train = 0
-    for i, ws in toks.items():
-        if i % 5 == 0:
-            continue
-        n_train += len(ws)
-        c1.update(ws)
-        c2.update(zip(ws, ws[1:]))
-        c3.update(zip(ws, ws[1:], ws[2:]))
-    want = {}
-    for i, ws in toks.items():
-        if len(ws) < 3:
-            continue
-        s_sum = b_sum = n = 0
-        for q, p, w in zip(ws, ws[1:], ws[2:]):
-            n += 1
-            if c3[(q, p, w)] > 0:
-                s = (1_000_000 * c3[(q, p, w)]) // c2[(q, p)]
-            elif c2[(p, w)] > 0:
-                s = (400_000 * c2[(p, w)]) // c1[p]
-                b_sum += 1
-            else:
-                s = (160_000 * c1[w]) // max(n_train, 1)
-                b_sum += 1
-            s_sum += s
-        want[i] = (n, s_sum // n, (b_sum * 1_000_000) // n)
-    got = {
-        int(r.doc_id): (int(r.n_tri), int(r.fluency3_ppm),
-                        int(r.backoff_ppm))
-        for r in a.itertuples()
-    }
-    assert got == want
+    def reference(ids, texts):
+        c1, c2, c3 = Counter(), Counter(), Counter()
+        toks = {i: t.lower().split() for i, t in zip(ids, texts)}
+        n_train = 0
+        for i, ws in toks.items():
+            if i % 5 == 0:
+                continue
+            n_train += len(ws)
+            c1.update(ws)
+            c2.update(zip(ws, ws[1:]))
+            c3.update(zip(ws, ws[1:], ws[2:]))
+        want = {}
+        for i, ws in toks.items():
+            if len(ws) < 3:
+                continue
+            s_sum = b_sum = n = 0
+            for q, p, w in zip(ws, ws[1:], ws[2:]):
+                n += 1
+                if c3[(q, p, w)] > 0:
+                    s = (1_000_000 * c3[(q, p, w)]) // c2[(q, p)]
+                elif c2[(p, w)] > 0:
+                    s = (400_000 * c2[(p, w)]) // c1[p]
+                    b_sum += 1
+                else:
+                    s = (160_000 * c1[w]) // max(n_train, 1)
+                    b_sum += 1
+                s_sum += s
+            want[i] = (n, s_sum // n, (b_sum * 1_000_000) // n)
+        return want
+
+    def rows(df):
+        return {
+            int(r.doc_id): (int(r.n_tri), int(r.fluency3_ppm),
+                            int(r.backoff_ppm))
+            for r in df.itertuples()
+        }
+
+    got = rows(a)
+    assert got == reference(range(240), texts)
     # held-out docs actually exercise the backoff path
     assert any(v[2] > 0 for k, v in got.items() if k % 5 == 0)
     assert all(v[2] == 0 for k, v in got.items() if k % 5 != 0)
+
+    for tbl in (_lm_docs([]), _lm_docs(["cat", "dog", "", "a b"])):
+        got = _lm_edge_paths_agree(trigram_backoff_fluency, tbl, monkeypatch)
+        assert len(got) == 0
+        assert list(got.columns) == [
+            "doc_id", "n_tri", "fluency3_ppm", "backoff_ppm",
+        ]
+
+    # every doc held out: nothing trains, every triple backs off to 0
+    ids = np.arange(0, 5 * 40, 5)
+    held = _lm_docs(texts[:40], ids)
+    got = rows(
+        _lm_edge_paths_agree(trigram_backoff_fluency, held, monkeypatch)
+    )
+    assert got == reference(ids, texts[:40])
+    assert got and all(v[1:] == (0, 1_000_000) for v in got.values())
 
 
 def test_kcenter_select_partition_invariant_and_ties(ray_session):

@@ -1,6 +1,10 @@
 """Driver-mimic: run every queries() entry and its oracle_sql() side by
 side, compare row-count + schema + order-insensitive values.
 
+Each line also prints ``plans=`` (Ray Data executions the query started)
+and ``probes=`` (those running under a ``LimitOperator[limit=1]`` schema
+probe: a lazy ``to_arrow_refs`` / ``schema()`` re-running the plan).
+
 Usage: python tools/check_queries.py [sf_dir] [query ...]
 """
 
@@ -77,6 +81,25 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
     return "OK"
 
 
+def count_executions() -> list[int]:
+    """Count every Ray Data execution this process starts, and the
+    schema probes among them: returns the live ``[plans, probes]``."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    counts = [0, 0]
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        counts[0] += 1
+        counts[1] += "LimitOperator[limit=1]" in dag.dag_str
+        return execute(self, dag, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    return counts
+
+
 def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -89,6 +112,8 @@ def main() -> None:
             ignore_reinit_error=True, log_to_driver=False,
         )
     import __ray_entry__ as e
+
+    executions = count_executions()
 
     con = duckdb.connect()
     for t in TABLES:
@@ -106,6 +131,7 @@ def main() -> None:
         if only and name not in only:
             continue
         t0 = time.time()
+        before = list(executions)
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as ex:  # noqa: BLE001
@@ -113,10 +139,14 @@ def main() -> None:
             failures.append(name)
             continue
         t1 = time.time()
+        runs = (
+            f"plans={executions[0] - before[0]:<3d} "
+            f"probes={executions[1] - before[1]}"
+        )
         if name not in sqls:
             print(
                 f"{name:32s} rows-only rows={len(ray_df):>7} "
-                f"ray={t1-t0:6.1f}s"
+                f"ray={t1-t0:6.1f}s {runs}"
             )
             continue
         try:
@@ -128,7 +158,7 @@ def main() -> None:
         verdict = compare(name, ray_df, sql_df)
         print(
             f"{name:32s} {verdict:12s} rows={len(ray_df):>7} "
-            f"ray={t1-t0:6.1f}s sql={time.time()-t1:5.1f}s"
+            f"ray={t1-t0:6.1f}s {runs} sql={time.time()-t1:5.1f}s"
         )
         if verdict != "OK":
             failures.append(name)
