@@ -4991,38 +4991,40 @@ def _collect_small_ds(ds):
     return pa.concat_tables(parts) if parts else None
 
 
-def _q_mm_audio_neardup(sf_dir: str):
-    """Audio near-duplicate pairs: fingerprint (actor-pool decode —
-    stays distributed, that's the real work) → banded Hamming sweep.
-    The pair sweep runs driver-local below the adaptive threshold:
-    fingerprints are 16 B/clip, and the distributed sweep's fixed
-    shuffle constants (~2 s) dwarf the ~ms of actual Hamming work."""
+def _mm_neardup_pairs(sf_dir: str, fp, hash_col: str):
+    """(media_a, media_b, hamming) pairs over a fingerprint Dataset
+    (``media_id``, ``hash_col``) through the banded Hamming sweep of
+    ``dedup.hash64_neardup_pairs``.  The sweep runs driver-local below
+    the adaptive threshold: fingerprints are 16 B/clip, and the
+    distributed sweep's fixed shuffle constants (~2 s) dwarf the ~ms
+    of actual Hamming work."""
     from crawler_ai_ray.stages.dedup import (
         hash64_neardup_pairs,
         hash64_neardup_pairs_local,
     )
 
-    fp = _q_mm_audio_fp(sf_dir)
-    if _media_n(sf_dir) <= _MINHASH_LOCAL_MAX:
+    if _media_n(sf_dir) > _MINHASH_LOCAL_MAX:
+        pairs = hash64_neardup_pairs(fp, id_col="media_id", hash_col=hash_col)
+    else:
         tab = _collect_small_ds(fp)
         if tab is None:
             import pyarrow as pa
 
-            return pa.table(
-                {
-                    "media_a": pa.array([], pa.int64()),
-                    "media_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int32()),
-                }
+            tab = pa.table(
+                {"media_id": pa.array([], pa.int64()),
+                 hash_col: pa.array([], pa.int64())}
             )
         pairs = hash64_neardup_pairs_local(
-            tab, id_col="media_id", hash_col="afp"
-        )
-    else:
-        pairs = hash64_neardup_pairs(
-            fp, id_col="media_id", hash_col="afp"
+            tab, id_col="media_id", hash_col=hash_col
         )
     return pairs.rename_columns(["media_a", "media_b", "hamming"])
+
+
+def _q_mm_audio_neardup(sf_dir: str):
+    """Audio near-duplicate pairs: fingerprint (actor-pool decode —
+    stays distributed, that's the real work) → banded Hamming sweep
+    (`_mm_neardup_pairs`)."""
+    return _mm_neardup_pairs(sf_dir, _q_mm_audio_fp(sf_dir), "afp")
 
 
 def _q_mm_image_phash(sf_dir: str):
@@ -5040,37 +5042,12 @@ def _q_mm_image_phash(sf_dir: str):
 
 def _q_mm_image_neardup(sf_dir: str):
     """Image near-duplicate pairs: dHash → the SAME banded Hamming
-    machinery as text simhash (`dedup.hash64_neardup_pairs`,
+    sweep as text simhash (`dedup.hash64_neardup_pairs`,
     pigeonhole-exact at ≤3 bits).  Planted perturbed copies land 0-3
     bits from their originals; unrelated noise images sit ~32 apart.
     Decode stays an actor pool; the pair sweep is adaptive-local (see
-    `_q_mm_audio_neardup`)."""
-    from crawler_ai_ray.stages.dedup import (
-        hash64_neardup_pairs,
-        hash64_neardup_pairs_local,
-    )
-
-    fp = _q_mm_image_phash(sf_dir)
-    if _media_n(sf_dir) <= _MINHASH_LOCAL_MAX:
-        tab = _collect_small_ds(fp)
-        if tab is None:
-            import pyarrow as pa
-
-            return pa.table(
-                {
-                    "media_a": pa.array([], pa.int64()),
-                    "media_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int32()),
-                }
-            )
-        pairs = hash64_neardup_pairs_local(
-            tab, id_col="media_id", hash_col="phash"
-        )
-    else:
-        pairs = hash64_neardup_pairs(
-            fp, id_col="media_id", hash_col="phash"
-        )
-    return pairs.rename_columns(["media_a", "media_b", "hamming"])
+    `_mm_neardup_pairs`)."""
+    return _mm_neardup_pairs(sf_dir, _q_mm_image_phash(sf_dir), "phash")
 
 
 def _q_mm_video_keyframes(sf_dir: str):

@@ -15,9 +15,18 @@ Five dedup families, each expressed Ray-Data-first:
   buckets → candidate pairs → estimated Jaccard (matching sig fraction)
   ≥ τ.  The scale path: cost linear in docs + bucket collisions.
 * **SimHash** — 64-bit simhash of token hashes; near-dup = Hamming ≤ k
-  found via 4×16-bit band blocking.
+  found via 4×16-bit band blocking (``hash64_neardup_pairs``, shared
+  with the image / audio perceptual hashes).
 * **embedding cosine** — near-dup pairs by cosine over an embedding
-  column; anchors broadcast via ``ray.put``, batch matmul streaming.
+  column; anchors broadcast via ``ray.put``, batch matmul streaming,
+  or random-hyperplane sign sketches (``embedding_neardup_lsh``).
+
+The three banded families are one algorithm, and run as one: a
+``_Banding`` spec (per-item integer band keys plus a per-run verify)
+over the banded pair sweep — band rows sorted on the band key, one
+``_bucket_pairs`` sweep per sorted block, each pair emitted once from
+the lowest band its items share — or over the sweep's driver branch
+``_pairs_from_matrix``.  No pair dedup or aggregate follows.
 
 Plus the document-level **duplicated-span fraction** (``dup_span_stats``):
 per-doc share of n-gram positions whose n-gram occurs in ≥2 documents
@@ -26,7 +35,8 @@ corpus-wide — the exact-substring duplication signal of Lee et al. 2022
 
 Shuffle keys: content-hash / ngram-hash / band-hash — uniformly
 distributed by construction, so these groupbys don't skew.  Pair
-emission inside ``map_groups`` is bounded by max_df / bucket size.
+emission inside ``map_groups`` is bounded by max_df / bucket size, and
+inside a banded run by ``_MAX_CLIQUE_RUN``.
 
 All numeric verification uses integer counts and single divisions —
 deterministic across the Ray engine and the DuckDB oracle.
@@ -37,6 +47,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -826,45 +837,23 @@ def _band_hashes(mat: np.ndarray) -> np.ndarray:
     return (h >> np.uint64(1)).astype(np.int64)
 
 
-def _band_rows(batch: pa.Table) -> pa.Table:
-    """signature rows → (band, band_hash, doc_id, sig) LSH bucket rows.
+def _jaccard_verify(mat, x, y, threshold: float):
+    est = (mat[x] == mat[y]).mean(axis=1)
+    return est >= threshold, est
 
-    Fully vectorized: the sig column reads as an (N, 128) int64 matrix
-    (FixedSizeList → one reshape, no Python lists), band hashes come
-    from ``_band_hashes`` and the 16× sig duplication is one
-    ``np.repeat``."""
-    n_docs = batch.num_rows
-    if n_docs == 0:
-        return pa.table(
-            {
-                "band": pa.array([], pa.int32()),
-                "band_hash": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "sig": pa.FixedSizeListArray.from_arrays(
-                    pa.array([], pa.int64()), _N_PERM
-                ),
-            }
-        )
-    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-    sig_arr = batch["sig"].combine_chunks()
-    flat = sig_arr.flatten().to_numpy(zero_copy_only=False)
-    mat = flat.reshape(n_docs, _N_PERM)
-    band_hash = _band_hashes(mat).reshape(-1)
-    return pa.table(
-        {
-            "band": pa.array(
-                np.tile(np.arange(_N_BANDS, dtype=np.int32), n_docs),
-                pa.int32(),
-            ),
-            "band_hash": pa.array(band_hash, pa.int64()),
-            "doc_id": pa.array(np.repeat(ids, _N_BANDS), pa.int64()),
-            "sig": pa.FixedSizeListArray.from_arrays(
-                pa.array(
-                    np.repeat(mat, _N_BANDS, axis=0).reshape(-1), pa.int64()
-                ),
-                _N_PERM,
-            ),
-        }
+
+_JACCARD_OUT = pa.schema(
+    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("est_jaccard", pa.float64())]
+)
+
+
+def _minhash_banding(threshold: float) -> _Banding:
+    """MinHash on the banded sweep: 16 FNV band hashes of the 128-wide
+    signature, verified by the matching-component fraction ≥ τ."""
+    return _Banding(
+        _band_hashes,
+        functools.partial(_jaccard_verify, threshold=threshold),
+        _JACCARD_OUT,
     )
 
 
@@ -882,65 +871,160 @@ def minhash_lsh_pairs(ds, n: int = 3, threshold: float = 0.8, text_col: str = "t
     return minhash_pairs_from_sigs(sigs, threshold=threshold)
 
 
-# A (band, band_hash) run of k identical docs is a k² triu sweep in ONE
+def minhash_lsh_pairs_local(
+    tab: pa.Table, n: int = 3, threshold: float = 0.8,
+    text_col: str = "text",
+) -> pa.Table:
+    """Driver-local ``minhash_lsh_pairs`` over an in-memory table — the
+    same signature kernel (``minhash_sig_batch``) and the driver branch
+    of the banded sweep (``_pairs_from_matrix``), so the output matches
+    the distributed path exactly (pinned by the path-agreement test).
+    Small-input branch of the adaptive split (house rule: a Ray
+    pipeline costs ~1-2 s fixed in shuffle/startup constants; below
+    ~20k docs the whole input is a couple of MB and real compute is
+    ~0.3 s, so ANY distributed plan is pure overhead)."""
+    sigs = minhash_sig_batch(tab, n=n, text_col=text_col)
+    return _pairs_from_matrix(
+        _sig_matrix(sigs["sig"]),
+        sigs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+        _minhash_banding(threshold),
+    )
+
+
+def minhash_pairs_from_sigs(sigs, threshold: float = 0.8):
+    """(doc_id, sig) dataset → lazy near-dup pairs dataset.  Split out
+    of ``minhash_lsh_pairs`` so pipelines that already carry signatures
+    (e.g. the curation chain's stage-1 checkpoint) skip re-shingling
+    the text."""
+    return _banded_pairs(sigs, _minhash_banding(threshold))
+
+
+# ---------------------------------------------------------------------------
+# The banded pair sweep: MinHash, 64-bit Hamming and embedding LSH
+# ---------------------------------------------------------------------------
+
+class _Banding(NamedTuple):
+    """One near-dup family on the banded pair sweep.
+
+    Items travel as ``(doc_id, sig)`` rows, ``sig`` a fixed-width int64
+    payload: a MinHash signature, a 64-bit hash, or an embedding's
+    band sketches followed by its unit vector's float64 bits.
+
+    * ``keys(mat)``: payload rows ``(n, w)`` → ``(n, n_bands)`` int64
+      band keys, integer-exact functions of the payload, so the
+      lowest-shared-band check sees exactly the keys that routed a row.
+    * ``verify(mat, x, y)``: a run's payload rows (sorted by doc_id)
+      and its candidate pairs ``x < y`` → (keep mask, output value).
+    * ``out``: the (id a, id b, value) output schema."""
+
+    keys: Callable[[np.ndarray], np.ndarray]
+    verify: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]
+    out: pa.Schema
+
+
+def _sig_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """FixedSizeList<int64>[w] column → (n, w) int64 matrix."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(len(col), col.type.list_size)
+
+
+def _fsl(mat: np.ndarray) -> pa.FixedSizeListArray:
+    """(n, w) int64 matrix → FixedSizeList<int64>[w] column."""
+    return pa.FixedSizeListArray.from_arrays(
+        pa.array(mat.reshape(-1), pa.int64()), mat.shape[1]
+    )
+
+
+def _items(ids: np.ndarray, mat: np.ndarray) -> pa.Table:
+    """ids and their (n, w) int64 payload rows → ``(doc_id, sig)``."""
+    return pa.table({"doc_id": pa.array(ids, pa.int64()), "sig": _fsl(mat)})
+
+
+def _band_rows(batch: pa.Table, spec: _Banding) -> pa.Table:
+    """``(doc_id, sig)`` items → (band, band_hash, doc_id, sig) LSH
+    rows, one per band: keys from ``spec.keys`` and the payload
+    repeated per band (the shuffle carries it to the verify), all as
+    whole-matrix numpy ops."""
+    mat = _sig_matrix(batch["sig"])
+    keys = spec.keys(mat)
+    n, n_bands = keys.shape
+    return pa.table(
+        {
+            "band": pa.array(
+                np.tile(np.arange(n_bands, dtype=np.int32), n), pa.int32()
+            ),
+            "band_hash": pa.array(keys.reshape(-1), pa.int64()),
+            "doc_id": pa.array(
+                np.repeat(batch["doc_id"].to_numpy(zero_copy_only=False), n_bands),
+                pa.int64(),
+            ),
+            "sig": _fsl(np.repeat(mat, n_bands, axis=0)),
+        }
+    )
+
+
+# A (band, band_hash) run of k identical items is a k² triu sweep in ONE
 # task — at 100 TB a boilerplate page class makes k huge.  Above this
-# run length the sweep collapses identical-signature classes (see
-# ``_run_pairs``); the cap sits above any oracle-compared corpus and a
-# dedicated fuzz test pins the degenerate path.
+# run length the sweep collapses identical-payload classes (see
+# ``_run_pairs``); the cap sits above any oracle-compared corpus and
+# dedicated fuzz tests pin the degenerate path.
 _MAX_CLIQUE_RUN = 256
 
 
 def _clique_pairs(
-    did: np.ndarray, mat: np.ndarray, band: int, threshold: float
+    did: np.ndarray, mat: np.ndarray, band: int, spec: _Banding
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Verified triu over one run's rows (sorted by doc_id) in ``band``,
-    keeping a pair only if ``band`` is the lowest band whose hash its
-    two docs share.  Band hashes are recomputed from the signatures,
-    not compared as chunks, so a pair whose only shared band is a hash
+    keeping a pair only if ``band`` is the lowest band whose key its
+    two items share.  Lower keys are recomputed from the payloads, not
+    compared as chunks, so a pair whose only shared band is a hash
     collision still comes out exactly once."""
     x, y = np.triu_indices(len(did), k=1)
     keep = did[x] != did[y]
     x, y = x[keep], y[keep]
-    est = (mat[x] == mat[y]).mean(axis=1)
-    hit = est >= threshold
-    x, y, est = x[hit], y[hit], est[hit]
+    hit, val = spec.verify(mat, x, y)
+    x, y, val = x[hit], y[hit], val[hit]
     if band and x.size:
-        lower = _band_hashes(mat[:, : band * _ROWS_PER_BAND])
+        lower = spec.keys(mat)[:, :band]
         own = (lower[x] != lower[y]).all(axis=1)
-        x, y, est = x[own], y[own], est[own]
-    return did[x], did[y], est
+        x, y, val = x[own], y[own], val[own]
+    return did[x], did[y], val
 
 
 def _run_pairs(
-    run_did: np.ndarray, run_mat: np.ndarray, band: int, threshold: float
+    run_did: np.ndarray, run_mat: np.ndarray, band: int, spec: _Banding
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One (band, band_hash) run (rows sorted by doc_id) → verified
-    (doc_a, doc_b, est_jaccard) arrays, each pair only from the lowest
-    band its docs share, so a pair sharing several bands is emitted
-    once.  Full triu clique up to ``_MAX_CLIQUE_RUN`` rows.
+    (id a, id b, value) arrays, each pair only from the lowest band its
+    items share, so a pair sharing several bands is emitted once.  Full
+    triu clique up to ``_MAX_CLIQUE_RUN`` rows.
 
-    Above it, identical-signature classes collapse: star edges
-    (min-doc canonical → member, est 1.0) inside each class plus a
-    verified triu over the class REPRESENTATIVES.  Identical signatures
-    share every band hash, so stars come from band 0 only.  The pair
-    LIST shrinks (no full cliques) but the CLOSURE (the union-find
-    clusters) stays that of every ≥τ pair sharing a band hash.  A class
-    shares every band hash, so a run holding a doc holds its whole
-    class, and the class minimum is its representative in every run.
-    Take a ≥τ pair (u, v) and its lowest shared band b*: in b* it is a
-    clique pair, or the run emits the pair of u's and v's
-    representatives — the same est, since est depends only on the two
-    signatures, and the same lowest shared band — while u and v reach
-    their representatives through their class's band-0 clique or
-    stars."""
+    Above it, identical-payload classes collapse: star edges (min-id
+    canonical → member, valued as a pair of identical payloads) inside
+    each class plus a verified triu over the class REPRESENTATIVES.
+    Identical payloads share every band key, so stars come from band 0
+    only.  The pair LIST shrinks (no full cliques) but the CLOSURE (the
+    union-find clusters) stays that of every verified pair sharing a
+    band key.  A class shares every band key, so a run holding an item
+    holds its whole class, and the class minimum is its representative
+    in every run.  Take a verified pair (u, v) and its lowest shared
+    band b*: in b* it is a clique pair, or the run emits the pair of
+    u's and v's representatives — the same value, since the verify
+    depends only on the two payloads, and the same lowest shared band —
+    while u and v reach their representatives through their class's
+    band-0 clique or stars."""
     r = len(run_did)
     if r <= _MAX_CLIQUE_RUN:
-        return _clique_pairs(run_did, run_mat, band, threshold)
+        return _clique_pairs(run_did, run_mat, band, spec)
     # degenerate run: O(r log r) class grouping instead of O(r²) pairs
     uniq, inv = np.unique(run_mat, axis=0, return_inverse=True)
+    cls = np.arange(len(uniq))
+    same, same_val = spec.verify(uniq, cls, cls)
     a_parts: list[np.ndarray] = []
     b_parts: list[np.ndarray] = []
-    j_parts: list[np.ndarray] = []
+    v_parts: list[np.ndarray] = []
     order = np.lexsort((run_did, inv))
     inv_s, did_s = inv[order], run_did[order]
     new = np.empty(r, dtype=bool)
@@ -949,28 +1033,29 @@ def _run_pairs(
     starts = np.append(np.flatnonzero(new), r)
     rep_did = np.empty(len(uniq), dtype=np.int64)
     for p, q in zip(starts[:-1], starts[1:]):
+        c = inv_s[p]
         members = np.unique(did_s[p:q])
-        rep_did[inv_s[p]] = members[0]
-        if band == 0 and len(members) > 1:
+        rep_did[c] = members[0]
+        if band == 0 and len(members) > 1 and same[c]:
             a_parts.append(np.full(len(members) - 1, members[0], np.int64))
             b_parts.append(members[1:].astype(np.int64))
-            j_parts.append(np.ones(len(members) - 1, np.float64))
+            v_parts.append(np.repeat(same_val[c : c + 1], len(members) - 1))
     # verified sweep over class representatives (if even the DISTINCT-
-    # sig count is oversized the collapse has done all it can)
+    # payload count is oversized the collapse has done all it can)
     ro = np.argsort(rep_did)
-    ra, rb, rj = _clique_pairs(rep_did[ro], uniq[ro], band, threshold)
+    ra, rb, rv = _clique_pairs(rep_did[ro], uniq[ro], band, spec)
     return (
         np.concatenate(a_parts + [ra]),
         np.concatenate(b_parts + [rb]),
-        np.concatenate(j_parts + [rj]),
+        np.concatenate(v_parts + [rv]),
     )
 
 
 def _sweep_runs(
     band: np.ndarray, bh: np.ndarray, did: np.ndarray, row: np.ndarray,
-    mat: np.ndarray, threshold: float,
+    mat: np.ndarray, spec: _Banding,
 ) -> pa.Table:
-    """Band rows (band, band_hash, doc_id, row of the doc's signature in
+    """Band rows (band, band_hash, doc_id, row of the item's payload in
     ``mat``) → verified near-dup pairs, one ``_run_pairs`` per sorted
     (band, band_hash) run of two or more rows.  Exact on any set of
     rows that holds each of its runs whole."""
@@ -979,98 +1064,42 @@ def _sweep_runs(
     new = np.ones(len(band), dtype=bool)
     new[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
     starts = np.append(np.flatnonzero(new), len(band))
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    vt = spec.out.field(2).type
+    z = np.zeros(0, np.int64)
+    parts = [(z, z, np.zeros(0, vt.to_pandas_dtype()))]
     for k in np.flatnonzero(np.diff(starts) > 1):
         i, j = starts[k], starts[k + 1]
-        parts.append(
-            _run_pairs(did[i:j], mat[row[i:j]], int(band[i]), threshold)
-        )
-    a, b, e = (np.concatenate(c) for c in zip(*parts))
+        parts.append(_run_pairs(did[i:j], mat[row[i:j]], int(band[i]), spec))
+    a, b, v = (np.concatenate(c) for c in zip(*parts))
+    names = spec.out.names
     return pa.table(
         {
-            "doc_a": pa.array(a, pa.int64()),
-            "doc_b": pa.array(b, pa.int64()),
-            "est_jaccard": pa.array(e, pa.float64()),
+            names[0]: pa.array(a, pa.int64()),
+            names[1]: pa.array(b, pa.int64()),
+            names[2]: pa.array(v, vt),
         }
     )
 
 
-def _bucket_pairs(group: pa.Table, threshold: float) -> pa.Table:
+def _bucket_pairs(group: pa.Table, spec: _Banding) -> pa.Table:
     """(band, band_hash, doc_id, sig) rows → verified near-dup pairs:
     one call per sorted block of the distributed sweep, which holds
     every run whose band_hash it holds."""
     if group.num_rows == 0:  # Ray's schema-less empty blocks
-        z = np.zeros(0, np.int64)
-        return _sweep_runs(z, z, z, z, np.zeros((0, _N_PERM)), threshold)
-    mat = (
-        group["sig"]
-        .combine_chunks()
-        .flatten()
-        .to_numpy(zero_copy_only=False)
-        .reshape(group.num_rows, _N_PERM)
-    )
+        return spec.out.empty_table()
     return _sweep_runs(
         group["band"].to_numpy(zero_copy_only=False),
         group["band_hash"].to_numpy(zero_copy_only=False),
         group["doc_id"].to_numpy(zero_copy_only=False),
         np.arange(group.num_rows),
-        mat,
-        threshold,
+        _sig_matrix(group["sig"]),
+        spec,
     )
 
 
-def _pairs_from_sig_matrix(
-    mat: np.ndarray, did: np.ndarray, threshold: float
-) -> pa.Table:
-    """(n_docs, 128) signature matrix → verified near-dup pairs,
-    without materializing band rows: the distributed path must carry a
-    full sig copy in every one of the 16 band rows (the shuffle needs
-    it), but locally the runs index the ORIGINAL matrix through each
-    band row's doc index.  Same band hashes (``_band_hashes``), same
-    runs, same ``_run_pairs`` and so the same pairs, each once, as the
-    distributed sweep — the path-agreement test pins it."""
-    n_docs = mat.shape[0]
-    idx = np.repeat(np.arange(n_docs, dtype=np.int64), _N_BANDS)
-    return _sweep_runs(
-        np.tile(np.arange(_N_BANDS, dtype=np.int32), n_docs),
-        _band_hashes(mat).reshape(-1),  # doc-major, like idx
-        did[idx],
-        idx,
-        mat,
-        threshold,
-    )
-
-
-def minhash_lsh_pairs_local(
-    tab: pa.Table, n: int = 3, threshold: float = 0.8,
-    text_col: str = "text",
-) -> pa.Table:
-    """Driver-local ``minhash_lsh_pairs`` over an in-memory table — the
-    same signature kernel (``minhash_sig_batch``) and the same banded
-    candidate/verify semantics with zero Ray jobs and no band-row
-    materialization, so the output matches the distributed path
-    exactly (pinned by the path-agreement test).  Small-input branch
-    of the adaptive split (house rule: a Ray pipeline costs ~1-2 s
-    fixed in shuffle/startup constants; below ~20k docs the whole
-    input is a couple of MB and real compute is ~0.3 s, so ANY
-    distributed plan is pure overhead)."""
-    sigs = minhash_sig_batch(tab, n=n, text_col=text_col)
-    mat = (
-        sigs["sig"]
-        .combine_chunks()
-        .flatten()
-        .to_numpy(zero_copy_only=False)
-        .reshape(sigs.num_rows, _N_PERM)
-    )
-    did = sigs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _pairs_from_sig_matrix(mat, did, threshold)
-
-
-def minhash_pairs_from_sigs(sigs, threshold: float = 0.8):
-    """(doc_id, sig) dataset → lazy near-dup pairs dataset.  Split out
-    of ``minhash_lsh_pairs`` so pipelines that already carry signatures
-    (e.g. the curation chain's stage-1 checkpoint) skip re-shingling
-    the text.
+def _banded_pairs(items, spec: _Banding):
+    """``(doc_id, sig)`` items dataset → lazy verified pairs dataset,
+    the distributed branch of the sweep.
 
     The band rows sort on ``band_hash``: Ray's sort range-partitions on
     the key, so all rows of a (band, band_hash) run land in one sorted
@@ -1078,13 +1107,37 @@ def minhash_pairs_from_sigs(sigs, threshold: float = 0.8):
     ``_bucket_pairs`` sweeps each block in ONE call.  Each pair comes
     out of one band only, so no pair dedup or aggregate follows."""
     return (
-        sigs.map_batches(_band_rows, batch_format="pyarrow")
+        items.map_batches(
+            functools.partial(_band_rows, spec=spec), batch_format="pyarrow"
+        )
         .sort("band_hash")
         .map_batches(
-            functools.partial(_bucket_pairs, threshold=threshold),
+            functools.partial(_bucket_pairs, spec=spec),
             batch_size=None,
             batch_format="pyarrow",
         )
+    )
+
+
+def _pairs_from_matrix(
+    mat: np.ndarray, did: np.ndarray, spec: _Banding
+) -> pa.Table:
+    """(n, w) payload matrix → verified near-dup pairs, the driver
+    branch of the sweep: the distributed path must carry a payload copy
+    in every band row (the shuffle needs it), but here the runs index
+    the ORIGINAL matrix through each band row's item index.  Same keys,
+    same runs, same ``_run_pairs`` and so the same pairs, each once, as
+    ``_banded_pairs`` — the path-agreement tests pin it."""
+    keys = spec.keys(mat)
+    n, n_bands = keys.shape
+    idx = np.repeat(np.arange(n, dtype=np.int64), n_bands)
+    return _sweep_runs(
+        np.tile(np.arange(n_bands, dtype=np.int32), n),
+        keys.reshape(-1),  # item-major, like idx
+        did[idx],
+        idx,
+        mat,
+        spec,
     )
 
 
@@ -1141,6 +1194,49 @@ def simhash_neardup_pairs(ds, max_hamming: int = 3, text_col: str = "text"):
     return hash64_neardup_pairs(hashed, max_hamming=max_hamming)
 
 
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint64 array (numpy 1.x has no
+    ``bitwise_count``): unpack the bytes, sum bits."""
+    return np.unpackbits(
+        x.view(np.uint8).reshape(-1, 8), axis=1
+    ).sum(axis=1, dtype=np.int32)
+
+
+_HASH64_SHIFTS = np.arange(0, 64, 16, dtype=np.uint64)
+_HASH64_BANDS = np.arange(4, dtype=np.int64) << 16
+
+
+def _hash64_keys(mat: np.ndarray) -> np.ndarray:
+    """(n, 1) 64-bit hashes → (n, 4) keys ``band·2¹⁶ + 16-bit chunk``."""
+    u = mat[:, :1].view(np.uint64)
+    return ((u >> _HASH64_SHIFTS) & np.uint64(0xFFFF)).astype(np.int64) | _HASH64_BANDS
+
+
+def _hamming_verify(mat, x, y, max_hamming: int):
+    u = mat[:, 0].view(np.uint64)
+    d = _popcount64(u[x] ^ u[y])
+    return d <= max_hamming, d
+
+
+def _hash64_banding(max_hamming: int) -> _Banding:
+    """64-bit hashes on the banded sweep: 4×16-bit bands, verified by
+    popcount Hamming ≤ k."""
+    return _Banding(
+        _hash64_keys,
+        functools.partial(_hamming_verify, max_hamming=max_hamming),
+        pa.schema(
+            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("hamming", pa.int32())]
+        ),
+    )
+
+
+def _hash64_items(batch: pa.Table, id_col: str, hash_col: str) -> pa.Table:
+    return _items(
+        batch[id_col].to_numpy(zero_copy_only=False),
+        batch[hash_col].to_numpy(zero_copy_only=False).astype(np.int64).reshape(-1, 1),
+    )
+
+
 def hash64_neardup_pairs(
     hashed,
     max_hamming: int = 3,
@@ -1150,133 +1246,15 @@ def hash64_neardup_pairs(
     """(id, 64-bit hash) rows → (doc_a, doc_b, hamming ≤ k) pairs via
     4×16-bit band blocking — pigeonhole-exact for k ≤ 3 (any pair
     within distance 3 agrees on ≥1 band).  Hash-agnostic: text simhash
-    and image perceptual hashes share this distributed path."""
-    import ray.data
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        shs = batch[hash_col].to_pylist()
-        out = {"band": [], "band_val": [], "doc_id": [], "simhash": []}
-        for i, sh in zip(ids, shs):
-            u = np.uint64(sh)
-            for b in range(4):
-                out["band"].append(b)
-                out["band_val"].append(int((u >> np.uint64(16 * b)) & np.uint64(0xFFFF)))
-                out["doc_id"].append(i)
-                out["simhash"].append(sh)
-        return pa.table(
-            {
-                "band": pa.array(out["band"], type=pa.int32()),
-                "band_val": pa.array(out["band_val"], type=pa.int32()),
-                "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-                "simhash": pa.array(out["simhash"], type=pa.int64()),
-            }
-        )
-
-    # one Python group call per 512-way shuffle bucket, runs of equal
-    # (band, band_val) swept locally — not one call per LSH key.
-    n_sbuckets = 512
-
-    def add_sbucket(batch: pa.Table) -> pa.Table:
-        b = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch["band_val"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "sbucket",
-            pa.array(
-                ((b * 65536 + v) % n_sbuckets).astype(np.int32), pa.int32()
-            ),
-        )
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        rows = sorted(
-            zip(
-                group["band"].to_pylist(),
-                group["band_val"].to_pylist(),
-                group["doc_id"].to_pylist(),
-                group["simhash"].to_pylist(),
-            )
-        )
-        a_out, b_out, d_out = [], [], []
-        i = 0
-        while i < len(rows):
-            j = i
-            while (
-                j < len(rows)
-                and rows[j][0] == rows[i][0]
-                and rows[j][1] == rows[i][1]
-            ):
-                j += 1
-            run = rows[i:j]
-            if len(run) > _MAX_CLIQUE_RUN:
-                # degenerate band bucket (boilerplate class): collapse
-                # identical 64-bit hashes — star edges at distance 0
-                # inside each class, pairwise sweep over class
-                # representatives only.  Same closure argument as
-                # `_run_pairs`: hamming(u, v) depends only on the two
-                # hash VALUES, so clusters are unchanged while the
-                # emitted pair list drops the k² cliques.
-                classes: dict[int, list[int]] = {}
-                for _b, _v, doc, sh in run:
-                    classes.setdefault(sh, []).append(doc)
-                reps = []
-                for sh, docs_c in classes.items():
-                    docs_c = sorted(set(docs_c))
-                    reps.append((docs_c[0], sh))
-                    for other in docs_c[1:]:
-                        a_out.append(docs_c[0])
-                        b_out.append(other)
-                        d_out.append(0)
-                reps.sort()
-                for x in range(len(reps)):
-                    for y in range(x + 1, len(reps)):
-                        if reps[x][0] == reps[y][0]:
-                            continue
-                        d = bin(
-                            int(np.uint64(reps[x][1]) ^ np.uint64(reps[y][1]))
-                        ).count("1")
-                        if d <= max_hamming:
-                            a_out.append(reps[x][0])
-                            b_out.append(reps[y][0])
-                            d_out.append(d)
-                i = j
-                continue
-            for x in range(len(run)):
-                for y in range(x + 1, len(run)):
-                    if run[x][2] == run[y][2]:
-                        continue
-                    d = bin(
-                        int(np.uint64(run[x][3]) ^ np.uint64(run[y][3]))
-                    ).count("1")
-                    if d <= max_hamming:
-                        a_out.append(run[x][2])
-                        b_out.append(run[y][2])
-                        d_out.append(d)
-            i = j
-        return pa.table(
-            {
-                "doc_a": pa.array(a_out, type=pa.int64()),
-                "doc_b": pa.array(b_out, type=pa.int64()),
-                "hamming": pa.array(d_out, type=pa.int32()),
-            }
-        )
-
-    pairs = (
-        hashed.map_batches(band_rows, batch_format="pyarrow")
-        .map_batches(add_sbucket, batch_format="pyarrow")
-        .groupby("sbucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    and the image / audio perceptual hashes share this distributed
+    path, the banded sweep (``_banded_pairs``) with a popcount verify.
+    Hamming depends only on the two hashes, so the one emission from a
+    pair's lowest shared band carries the same value every band would."""
+    items = hashed.map_batches(
+        functools.partial(_hash64_items, id_col=id_col, hash_col=hash_col),
+        batch_format="pyarrow",
     )
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(
-        ray.data.aggregate.Min("hamming", alias_name="hamming")
-    )
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array (numpy 1.x has no
-    ``bitwise_count``): unpack the bytes, sum bits."""
-    return np.unpackbits(
-        x.view(np.uint8).reshape(-1, 8), axis=1
-    ).sum(axis=1, dtype=np.int32)
+    return _banded_pairs(items, _hash64_banding(max_hamming))
 
 
 def hash64_neardup_pairs_local(
@@ -1286,73 +1264,18 @@ def hash64_neardup_pairs_local(
     hash_col: str = "simhash",
 ) -> pa.Table:
     """Driver-local ``hash64_neardup_pairs`` over an in-memory (id,
-    hash) table: the same 4×16-bit band blocking (pigeonhole-exact for
-    k ≤ 3) and the same Hamming verify, as skinny numpy arrays with no
-    Ray jobs — identical pair set to the distributed path by
-    construction (path-agreement test pins it).  Small-input branch of
-    the adaptive split: a 64-bit hash per item is a few KB even at
-    100k items, where the distributed plan's fixed shuffle constants
-    (~2 s) dwarf the ~10 ms sweep."""
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "hamming": pa.array([], pa.int32()),
-        }
+    hash) table: the driver branch of the same banded sweep
+    (``_pairs_from_matrix``), so the pair set is the distributed one
+    (path-agreement tests pin it).  Small-input branch of the adaptive
+    split: a 64-bit hash per item is a few KB even at 100k items, where
+    the distributed plan's fixed shuffle constants (~2 s) dwarf the
+    ~10 ms sweep."""
+    items = _hash64_items(tab, id_col, hash_col)
+    return _pairs_from_matrix(
+        _sig_matrix(items["sig"]),
+        items["doc_id"].to_numpy(zero_copy_only=False),
+        _hash64_banding(max_hamming),
     )
-    n = tab.num_rows
-    if n == 0:
-        return empty
-    ids = tab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    u = tab[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    vals = np.concatenate(
-        [
-            ((u >> np.uint64(16 * b)) & np.uint64(0xFFFF)).astype(np.int64)
-            for b in range(4)
-        ]
-    )
-    band = np.repeat(np.arange(4, dtype=np.int32), n)
-    idx = np.tile(np.arange(n, dtype=np.int64), 4)
-    dids = ids[idx]
-    order = np.lexsort((dids, vals, band))
-    band, vals, dids, idx = (
-        band[order], vals[order], dids[order], idx[order]
-    )
-    new = np.empty(len(band), dtype=bool)
-    new[0] = True
-    new[1:] = (band[1:] != band[:-1]) | (vals[1:] != vals[:-1])
-    starts = np.append(np.flatnonzero(new), len(band))
-    a_out, b_out, d_out = [], [], []
-    for i, j in zip(starts[:-1], starts[1:]):
-        if j - i < 2:
-            continue
-        x, y = np.triu_indices(j - i, k=1)
-        keep = dids[i + x] != dids[i + y]
-        x, y = x[keep], y[keep]
-        if not x.size:
-            continue
-        d = _popcount64(u[idx[i + x]] ^ u[idx[i + y]])
-        hit = d <= max_hamming
-        a_out.append(dids[i + x[hit]])
-        b_out.append(dids[i + y[hit]])
-        d_out.append(d[hit])
-    if not a_out:
-        return empty
-    pairs = pa.table(
-        {
-            "doc_a": pa.array(np.concatenate(a_out), pa.int64()),
-            "doc_b": pa.array(np.concatenate(b_out), pa.int64()),
-            "hamming": pa.array(
-                np.concatenate(d_out).astype(np.int32), pa.int32()
-            ),
-        }
-    )
-    # cross-band duplicates collapse exactly like the distributed
-    # groupby Min (a pair's hamming is band-independent)
-    agg = pairs.group_by(["doc_a", "doc_b"]).aggregate(
-        [("hamming", "min")]
-    )
-    return agg.rename_columns(["doc_a", "doc_b", "hamming"])
 
 
 def simhash_neardup_pairs_local(
@@ -1416,6 +1339,63 @@ def embedding_neardup_pairs(
     return ds.map_batches(score, batch_format="pyarrow")
 
 
+@functools.lru_cache(maxsize=None)
+def _hyperplanes(seed: int, k: int, dim: int) -> np.ndarray:
+    return np.random.RandomState(seed).standard_normal((k, dim))
+
+
+def _embedding_items(
+    batch: pa.Table, n_bands: int, bits_per_band: int, seed: int,
+    id_col: str, emb_col: str,
+) -> pa.Table:
+    """embedding rows → ``(doc_id, sig)`` items: the ``n_bands`` sign
+    sketches as keys ``band·2^bits + sketch``, then the unit vector's
+    float64 bits.  The sketches are computed here, once per batch, and
+    travel with the item: recomputing them from floats in the sweep (a
+    BLAS call over another shape) could flip a sign near 0."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    if not len(ids):
+        return _items(ids, np.zeros((0, n_bands), np.int64))
+    mat = list_col_to_matrix(batch[emb_col])
+    planes = _hyperplanes(seed, n_bands * bits_per_band, mat.shape[1])
+    signs = (mat @ planes.T) >= 0            # (N, bands*bits)
+    weights = 1 << np.arange(bits_per_band, dtype=np.int64)
+    sketch = signs.reshape(len(ids), n_bands, bits_per_band).astype(np.int64) @ weights
+    keys = sketch | (np.arange(n_bands, dtype=np.int64) << bits_per_band)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return _items(ids, np.concatenate([keys, (mat / norms).view(np.int64)], axis=1))
+
+
+def _sketch_keys(mat: np.ndarray, n_bands: int) -> np.ndarray:
+    return mat[:, :n_bands]
+
+
+def _cosine_verify(mat, x, y, threshold: float, n_bands: int):
+    """cos ≥ τ by one matmul of the run's unit vectors; the value is
+    the number of bands whose sketches the pair shares."""
+    unit = np.ascontiguousarray(mat[:, n_bands:]).view(np.float64)
+    sims = unit @ unit.T
+    keys = mat[:, :n_bands]
+    return sims[x, y] >= threshold, (keys[x] == keys[y]).sum(axis=1)
+
+
+def _embedding_banding(threshold: float, n_bands: int) -> _Banding:
+    """Embedding items on the banded sweep: the carried sketch keys,
+    verified by cosine ≥ τ."""
+    return _Banding(
+        functools.partial(_sketch_keys, n_bands=n_bands),
+        functools.partial(_cosine_verify, threshold=threshold, n_bands=n_bands),
+        pa.schema(
+            [
+                ("anchor_id", pa.int64()),
+                ("vec_id", pa.int64()),
+                ("n_bands_hit", pa.int64()),
+            ]
+        ),
+    )
+
+
 def embedding_neardup_lsh(
     ds,
     threshold: float = 0.95,
@@ -1431,123 +1411,28 @@ def embedding_neardup_lsh(
     anchor matrix — exact, but the anchor side is O(N) so the work is
     O(N²·dim).  Here each vector gets ``n_bands`` sign-sketches
     (``bits_per_band`` hyperplanes each); vectors sharing ANY band
-    sketch land in one bucket and are cosine-verified locally, so the
-    work is O(N·bands + Σ bucket²) and the only exchange is the bucket
-    groupby.  Approximate: a pair is missed iff it collides in NO band —
+    sketch meet in one run of the banded sweep (``_banded_pairs``) and
+    are cosine-verified there, so the work is O(N·bands + Σ run²) and
+    the only exchange is the sort on the band key.  Each pair comes out
+    once, from its lowest shared band, with ``n_bands_hit`` = the
+    number of bands whose sketches it shares.  Approximate: a pair is
+    missed iff it collides in NO band —
     P(miss) = (1-(1-θ/π)^bits)^bands, so pick the band geometry from the
     threshold (defaults suit cos ≥ 0.95; loose thresholds want
     more/narrower bands, e.g. 24×3 for cos ≥ 0.45).
-    Same output schema as :func:`embedding_neardup_pairs`; recall is
-    pinned in tests against the exact variant.
+    Same (anchor_id, vec_id) columns as :func:`embedding_neardup_pairs`;
+    recall is pinned in tests against the exact variant.
     """
-    import ray.data
-
-    rng = np.random.RandomState(seed)
-    planes_holder: dict[int, np.ndarray] = {}
-
-    n_sbuckets = 512
-
-    def sketch(batch: pa.Table) -> pa.Table:
-        mat = list_col_to_matrix(batch[emb_col])
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if mat.size == 0:
-            return pa.table(
-                {
-                    "band": pa.array([], pa.int32()),
-                    "sketch": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "embedding": pa.array([], batch[emb_col].type),
-                }
-            )
-        dim = mat.shape[1]
-        if dim not in planes_holder:
-            r = np.random.RandomState(seed)
-            planes_holder[dim] = r.standard_normal(
-                (n_bands * bits_per_band, dim)
-            )
-        planes = planes_holder[dim]
-        signs = (mat @ planes.T) >= 0            # (N, bands*bits)
-        weights = 1 << np.arange(bits_per_band, dtype=np.int64)
-        out_band, out_sketch, out_id, out_emb = [], [], [], []
-        emb_list = batch[emb_col].to_pylist()
-        for b in range(n_bands):
-            chunk = signs[:, b * bits_per_band:(b + 1) * bits_per_band]
-            vals = chunk.astype(np.int64) @ weights
-            out_band.extend([b] * len(ids))
-            out_sketch.extend(vals.tolist())
-            out_id.extend(ids.tolist())
-            out_emb.extend(emb_list)
-        return pa.table(
-            {
-                "band": pa.array(out_band, pa.int32()),
-                "sketch": pa.array(out_sketch, pa.int64()),
-                "vec_id": pa.array(out_id, pa.int64()),
-                "embedding": pa.array(out_emb, batch[emb_col].type),
-            }
-        )
-
-    def add_sbucket(batch: pa.Table) -> pa.Table:
-        b = batch["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = batch["sketch"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "sbucket",
-            pa.array(
-                ((b * 1000003 + s) % n_sbuckets).astype(np.int32),
-                pa.int32(),
-            ),
-        )
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        order = np.lexsort(
-            (
-                group["vec_id"].to_numpy(zero_copy_only=False),
-                group["sketch"].to_numpy(zero_copy_only=False),
-                group["band"].to_numpy(zero_copy_only=False),
-            )
-        )
-        bands = group["band"].to_numpy(zero_copy_only=False)[order]
-        sketches = group["sketch"].to_numpy(zero_copy_only=False)[order]
-        ids = group["vec_id"].to_numpy(zero_copy_only=False)[order]
-        mat = list_col_to_matrix(group["embedding"])[order]
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        mat = mat / norms
-        a_out, b_out = [], []
-        i = 0
-        n = len(ids)
-        while i < n:
-            j = i
-            while (
-                j < n and bands[j] == bands[i] and sketches[j] == sketches[i]
-            ):
-                j += 1
-            if j - i >= 2:
-                sub = mat[i:j]
-                sims = sub @ sub.T
-                xi, yi = np.nonzero(np.triu(sims >= threshold, k=1))
-                for x, y in zip(xi, yi):
-                    a, c = ids[i + x], ids[i + y]
-                    if a != c:
-                        a_out.append(min(a, c))
-                        b_out.append(max(a, c))
-            i = j
-        return pa.table(
-            {
-                "anchor_id": pa.array(a_out, pa.int64()),
-                "vec_id": pa.array(b_out, pa.int64()),
-            }
-        )
-
-    pairs = (
-        ds.map_batches(sketch, batch_format="pyarrow")
-        .map_batches(add_sbucket, batch_format="pyarrow")
-        .groupby("sbucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    if (n_bands - 1).bit_length() + bits_per_band > 63:
+        raise ValueError("band keys band·2^bits_per_band must fit in int64")
+    items = ds.map_batches(
+        functools.partial(
+            _embedding_items, n_bands=n_bands, bits_per_band=bits_per_band,
+            seed=seed, id_col=id_col, emb_col=emb_col,
+        ),
+        batch_format="pyarrow",
     )
-    # pair may surface in several bands — dedup
-    return pairs.groupby(["anchor_id", "vec_id"]).aggregate(
-        ray.data.aggregate.Count(alias_name="n_bands_hit")
-    )
+    return _banded_pairs(items, _embedding_banding(threshold, n_bands))
 
 
 # ---------------------------------------------------------------------------

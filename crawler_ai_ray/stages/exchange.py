@@ -58,13 +58,16 @@ def blocks(ds) -> list[pa.Table]:
 
 
 def bucket_of(keys, n: int) -> pa.Array:
-    """``key % n`` as int64 for a non-negative integer key column — a
-    bit mask when ``n`` is a power of two."""
+    """``key % n`` as int64 for a non-negative integer key column (u64
+    keys ≥ 2^63 included) — a bit mask when ``n`` is a power of two.
+    The mask and divisor are u64 scalars: a Python int would promote
+    the column to int64 and fail on those keys."""
     k = pc.cast(keys, pa.uint64())
     if n & (n - 1) == 0:
-        b = pc.bit_wise_and(k, n - 1)
+        b = pc.bit_wise_and(k, pa.scalar(n - 1, pa.uint64()))
     else:
-        b = pc.subtract(k, pc.multiply(pc.divide(k, n), n))
+        d = pa.scalar(n, pa.uint64())
+        b = pc.subtract(k, pc.multiply(pc.divide(k, d), d))
     return pc.cast(b, pa.int64())
 
 

@@ -394,8 +394,9 @@ def dhash64(px: np.ndarray) -> int:
 
 class ImagePHash:
     """Actor-pool stage: PPM payload → 64-bit perceptual hash (dHash);
-    output (media_id, phash int64-bitcast) feeds
-    ``dedup.hash64_neardup_pairs`` for image near-dup detection."""
+    output (media_id, phash int64-bitcast) feeds the banded Hamming
+    sweep of ``dedup.hash64_neardup_pairs`` (or its driver branch
+    ``hash64_neardup_pairs_local``) for image near-dup detection."""
 
     def __init__(self, decoder: str = "real"):
         if decoder not in ("real", "fake"):
@@ -450,7 +451,9 @@ def audio_fp64(pcm: np.ndarray) -> int:
 
 class AudioFingerprint:
     """Actor-pool stage: WAV payload → (media_id, afp int64-bitcast);
-    feeds ``dedup.hash64_neardup_pairs`` for audio near-dup."""
+    feeds the banded Hamming sweep of ``dedup.hash64_neardup_pairs``
+    (or its driver branch ``hash64_neardup_pairs_local``) for audio
+    near-dup."""
 
     def __init__(self, decoder: str = "real"):
         if decoder not in ("real", "fake"):

@@ -148,6 +148,14 @@ def test_bucket_of_is_key_mod_n(n):
     assert got.to_pylist() == (k % n).tolist()
 
 
+@pytest.mark.parametrize("n", [64, 48])
+def test_bucket_of_takes_u64_keys_above_2_63(n):
+    k = [0, 1, 2**63, 2**64 - 1]
+    got = exchange.bucket_of(pa.array(k, pa.uint64()), n)
+    assert got.type == pa.int64()
+    assert got.to_pylist() == [x % n for x in k]
+
+
 # --- exchange.join --------------------------------------------------------
 
 LEFT = pa.schema([("k", pa.int64()), ("lv", pa.int64())])
@@ -316,3 +324,29 @@ def test_join_salts_hot_keys_when_bucketed(force_bucketed):
         got[k] = got.get(k, 0) + v
     assert got == want
     assert out["k"].to_pylist().count(hot) > 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_join_bucketed_on_raw_u64_keys(force_bucketed):
+    """64-bit hash keys, half of them ≥ 2^63, join without masking."""
+    rng = np.random.default_rng(6)
+    rk = np.unique(rng.integers(0, 2**64, 40, dtype=np.uint64))
+    lk = np.concatenate([rk[::2], rng.integers(0, 2**64, 30, dtype=np.uint64)])
+    assert (rk >= 2**63).any() and (rk < 2**63).any()
+    left = pa.table({"k": pa.array(lk, pa.uint64()),
+                     "lv": pa.array(np.arange(lk.size), pa.int64())})
+    right = pa.table({"k": pa.array(rk, pa.uint64()),
+                      "rv": pa.array(np.arange(rk.size) * 7, pa.int64())})
+    rv = dict(zip(right["k"].to_pylist(), right["rv"].to_pylist()))
+    want = sorted(
+        (k, lv, rv[k])
+        for k, lv in zip(left["k"].to_pylist(), left["lv"].to_pylist())
+        if k in rv
+    )
+    with force_bucketed():
+        got = exchange.join(
+            _dataset([left.slice(0, 20), left.slice(20)]), _dataset([right]),
+            "k", "inner", left_schema=left.schema, right_schema=right.schema,
+            num_buckets=4,
+        )
+    assert _rows(got) == want

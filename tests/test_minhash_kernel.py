@@ -170,11 +170,12 @@ def _both_paths(sigs: np.ndarray, ids: np.ndarray) -> tuple[list, list]:
     import ray.data
 
     from crawler_ai_ray.stages.dedup import (
-        _pairs_from_sig_matrix,
+        _minhash_banding,
+        _pairs_from_matrix,
         minhash_pairs_from_sigs,
     )
 
-    local = _rows(_pairs_from_sig_matrix(sigs, ids, TAU))
+    local = _rows(_pairs_from_matrix(sigs, ids, _minhash_banding(TAU)))
     dist = _rows(
         minhash_pairs_from_sigs(
             ray.data.from_arrow(_sig_table(sigs, ids)).repartition(4), threshold=TAU
