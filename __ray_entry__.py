@@ -4748,17 +4748,33 @@ def _q_emb_neardup(sf_dir: str):
 
 def _q_emb_neardup_lsh(sf_dir: str):
     """Random-hyperplane LSH near-dup (the O(N) scale path; recall vs
-    the exact variant is pinned in tests — rows-only check)."""
+    the exact variant is pinned in tests — rows-only check).  The pairs
+    (a few dozen rows) are gathered and projected on the driver: Ray's
+    ``select_columns`` passes zero-row blocks through unprojected, so a
+    lazy projection would mix block schemas."""
+    import pyarrow as pa
+    import ray
+
+    from crawler_ai_ray.stages import exchange
     from crawler_ai_ray.stages.dedup import embedding_neardup_lsh
 
     # band geometry follows the threshold: cos ≥ 0.45 → per-bit collision
     # p = 1-acos(0.45)/π ≈ 0.65 → 24 bands × 3 bits gives P(miss) ≈ 4e-4
-    return embedding_neardup_lsh(
-        _table(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
-        threshold=0.45,
-        n_bands=24,
-        bits_per_band=3,
-    ).select_columns(["anchor_id", "vec_id"])
+    parts = exchange.blocks(
+        embedding_neardup_lsh(
+            _table(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+            threshold=0.45,
+            n_bands=24,
+            bits_per_band=3,
+        )
+    )
+    cols = ["anchor_id", "vec_id"]
+    pairs = (
+        pa.concat_tables(parts).select(cols)
+        if parts
+        else pa.table({c: pa.array([], pa.int64()) for c in cols})
+    )
+    return ray.data.from_arrow(pairs)
 
 
 # --- events / relational --------------------------------------------------

@@ -32,6 +32,30 @@ cost (~7 s at sf0.1) dwarfed the useful work; the persistent bucketing
 produces byte-identical output with ~10× lower round latency and scales
 the same way (buckets ≥ cluster cores; thousands at 10^10-frontier).
 
+The driver loop (``_run_rounds``, shared by ``run_crawl`` and
+``run_recrawl``) keeps its own bookkeeping off the rounds' path:
+
+::
+
+    ray.put(context) once          # policy + seen/store actor handles;
+                                   # a worker resolves it once per crawl
+    round r+1: dispatch its bucket tasks as soon as round r's returned
+    round r:   SeenPool.dump(seen/round=r, rnd=r)   # each shard writes
+               #   its own delta file: round r's fresh URLs only, even
+               #   though round r+1's check_and_add calls already arrive
+               write round=r/_MANIFEST.json          # tmp + os.replace
+    round r+1: wait for its bucket tasks; repeat
+
+A round is complete exactly when its manifest exists: resume restarts
+at the first round without one, after removing that round's and later
+rounds' partial checkpoints and seen deltas.  A round's ``wall_ms`` runs
+from its dispatch to the return of its last bucket task, so the rounds
+tile the crawl's wall, and ``seen_total`` is the running sum of the
+seen deltas.  Each partition record in the manifest also carries the
+bucket task's phase times (``read_ms``, ``plan_ms``, ``fetch_wait_ms``,
+``extract_ms``, ``expand_seen_ms``, ``write_ms``); ``tools/crawl_rounds.py``
+prints them per round.
+
 Semantics are the pinned wave-crawl spec — see ``oracle/sim.py`` (the
 independent sequential implementation tests conformance: identical
 per-host fetch sequences + final URL-seen set).
@@ -114,12 +138,37 @@ CRAWL_SCHEMA = pa.schema(
     ]
 )
 
-_NULLS = {name: None for name in CRAWL_SCHEMA.names}
+# the columns a q or s row fills: every other column (``round``,
+# ``host_seq`` and the o-row payload) is null on both kinds, so the
+# checkpoint read decodes only these
+_QS_SCHEMA = pa.schema(
+    CRAWL_SCHEMA.field(n)
+    for n in (
+        "kind", "host", "url", "priority", "seq", "crawled",
+        "career_found", "attempts", "next_seq", "due_round", "status",
+    )
+)
+
+
+# (name, type) pairs read once: a pyarrow Field builds a new str on
+# every ``.name`` access
+_FIELDS = [(f.name, f.type) for f in CRAWL_SCHEMA]
 
 
 def _rows_to_table(rows: list[dict]) -> pa.Table:
-    return pa.Table.from_pylist(
-        [{**_NULLS, **r} for r in rows], schema=CRAWL_SCHEMA
+    return pa.Table.from_arrays(
+        [pa.array([r.get(n) for r in rows], t) for n, t in _FIELDS],
+        schema=CRAWL_SCHEMA,
+    )
+
+
+def _crawl_table(qs: pa.Table) -> pa.Table:
+    """A ``_QS_SCHEMA`` table widened to ``CRAWL_SCHEMA`` with null
+    columns."""
+    have = set(qs.column_names)
+    return pa.Table.from_arrays(
+        [qs[n] if n in have else pa.nulls(qs.num_rows, t) for n, t in _FIELDS],
+        schema=CRAWL_SCHEMA,
     )
 
 
@@ -296,10 +345,12 @@ def _plan_bucket(
 
 def _fetch_extract_rows(
     rows: list[dict], store_handles: list, num_store_shards: int
-) -> None:
+) -> float:
     """Fetch + extract the wave rows in place (kind w → e): one batched
-    ``fetch_detailed`` call per store shard, then the core HTML pass
-    (title, text, anchors) and the contact/classify calls per hit."""
+    ``fetch_detailed`` call per store shard, then, as each shard's reply
+    arrives, the core HTML pass (title, text, anchors) and the
+    contact/classify calls per hit.  Returns the seconds spent waiting
+    for replies."""
     import ray
 
     from ..state.pagestore import store_shard_for_host
@@ -314,16 +365,20 @@ def _fetch_extract_rows(
     for i, r in enumerate(rows):
         sh = store_shard_for_host(r["host"], num_store_shards)
         by_shard.setdefault(sh, []).append(i)
-    refs = {
-        sh: store_handles[sh].fetch_detailed.remote(
+    shard_of = {
+        store_handles[sh].fetch_detailed.remote(
             [rows[i]["url"] for i in idxs]
-        )
+        ): sh
         for sh, idxs in by_shard.items()
     }
-    fetched = {sh: ray.get(ref) for sh, ref in refs.items()}
-    for sh, idxs in by_shard.items():
-        for j, i in enumerate(idxs):
-            f = fetched[sh][j]
+    pending = list(shard_of)
+    wait_s = 0.0
+    while pending:
+        t = time.perf_counter()
+        [ref], pending = ray.wait(pending)
+        fetched = ray.get(ref)
+        wait_s += time.perf_counter() - t
+        for i, f in zip(by_shard[shard_of[ref]], fetched):
             html_b = f["html"]
             r = rows[i]
             r["kind"] = "e"
@@ -355,6 +410,7 @@ def _fetch_extract_rows(
                 phones_vn=contacts.extract_phones_vn(text),
                 html_bytes=len(html_b),
             )
+    return wait_s
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +523,12 @@ def _seen_filter_rows(
 # driver loop
 # ---------------------------------------------------------------------------
 
-def _initial_state(cfg: CrawlConfig, seen: SeenPool) -> pa.Table:
+def _write_initial_state(cfg: CrawlConfig, seen: SeenPool) -> None:
+    """Round -1: one q row (the seed url) and one s row per seed host,
+    written partitioned by host bucket, and the seeds added to the
+    seen set."""
+    import ray
+
     seeds = pq.read_table(os.path.join(cfg.corpus, "seeds.parquet")).to_pylist()
     seeds.sort(key=lambda r: r["seed_order"])
     rows = []
@@ -488,15 +549,29 @@ def _initial_state(cfg: CrawlConfig, seen: SeenPool) -> pa.Table:
             }
         )
         by_shard.setdefault(shard_for_host(host, seen.num_shards), []).append(r["url"])
-    import ray
-
     ray.get(
         [
             seen.shards[sh].check_and_add.remote(urls, "init:seed")
             for sh, urls in by_shard.items()
         ]
     )
-    return _rows_to_table(rows)
+    init = _rows_to_table(rows)
+    d = _round_dir(cfg.out_dir, -1)
+    dest = np.array(
+        [shard_for_host(h, cfg.buckets) for h in init["host"].to_pylist()],
+        dtype=np.int64,
+    )
+    for j in sorted(set(dest.tolist())):
+        ddir = _bucket_dir(d, j)
+        os.makedirs(ddir, exist_ok=True)
+        pq.write_table(
+            init.filter(pa.array(dest == j)),
+            os.path.join(ddir, "part-0.parquet"),
+        )
+    os.makedirs(d, exist_ok=True)
+    _write_manifest(
+        d, {"round": -1, "rows": len(rows), "q": len(seeds), "s": len(seeds), "o": 0}
+    )
 
 
 def _round_dir(out_dir: str, rnd: int) -> str:
@@ -611,27 +686,28 @@ def _process_bucket(
     engine's single persistent partition key, so a round needs NO
     all-to-all exchange: the only cross-bucket traffic is candidates for
     new hosts (e.g. a careers.X subdomain discovered on X), which ride
-    the partitioned write."""
-    t0 = time.time()
+    the partitioned write.
+
+    Returns the partition's lineage record: row counts, ``wall_ms`` and
+    the per-phase times ``read_ms`` / ``plan_ms`` / ``fetch_wait_ms``
+    (waiting on page-store replies) / ``extract_ms`` /
+    ``expand_seen_ms`` / ``write_ms``."""
+    t0 = time.perf_counter()
     bdir = _bucket_dir(prev, bucket)
-    if os.path.isdir(bdir):
-        in_files = sorted(
-            f for f in os.listdir(bdir) if f.endswith(".parquet")
-        )
-        table = pads.dataset(bdir, format="parquet").to_table(
-            filter=pc.field("kind").isin(["q", "s"])
-        )
+    in_files = sorted(
+        f for f in os.listdir(bdir) if f.endswith(".parquet")
+    ) if os.path.isdir(bdir) else []
+    if in_files:
         # schema evolution: checkpoints written before a (nullable)
-        # column was added read back without it — fill with nulls so
-        # resume across engine versions keeps working
-        for f in CRAWL_SCHEMA:
-            if f.name not in table.column_names:
-                table = table.append_column(
-                    f.name, pa.nulls(table.num_rows, f.type)
-                )
-        table = table.select(CRAWL_SCHEMA.names).cast(CRAWL_SCHEMA)
+        # column was added read back without it — the dataset schema
+        # fills it with nulls, so resume across engine versions works
+        table = _crawl_table(
+            pads.dataset(
+                [os.path.join(bdir, f) for f in in_files],
+                format="parquet", schema=_QS_SCHEMA,
+            ).to_table(filter=pc.field("kind").isin(["q", "s"]))
+        )
     else:
-        in_files = []
         table = _rows_to_table([])
     if n_sub > 1 and table.num_rows:
         # hot-bucket split: keep only hosts whose SALTED hash lands in
@@ -655,11 +731,14 @@ def _process_bucket(
     }
     if table.num_rows == 0:
         return counts
+    t_read = time.perf_counter()
     # stage chain, queue-as-Arrow: only the ≤budget wave rows + state
     # rows + fresh candidates are ever Python dicts; the untouched
     # remainder of the queue (`rest`) passes through as an Arrow table
     wave, rest, states = _plan_bucket(table, policy, rnd)
-    _fetch_extract_rows(wave, store_handles, n_store)
+    t_plan = time.perf_counter()
+    wait_s = _fetch_extract_rows(wave, store_handles, n_store)
+    t_fetch = time.perf_counter()
     if recrawl:
         # refresh pass: re-fetch + re-extract only — the url list is
         # fixed by the λ schedule, so no expansion and no seen-filter
@@ -674,6 +753,7 @@ def _process_bucket(
         new_q = _seen_filter_rows(
             cands, seen_handles, n_seen, epoch=f"{rnd}:{bucket}:{sub}"
         )
+    t_expand = time.perf_counter()
 
     py_rows = o_rows + new_q + list(states.values())
     py_tbl = _rows_to_table(py_rows)
@@ -710,8 +790,42 @@ def _process_bucket(
         counts["fetched"] = succ
         counts["errors"] = len(o_rows) - succ
         counts["bytes"] = sum(r.get("html_bytes") or 0 for r in o_rows)
-    counts["wall_ms"] = round((time.time() - t0) * 1000, 1)
+    t_end = time.perf_counter()
+    for k, secs in (
+        ("wall_ms", t_end - t0),
+        ("read_ms", t_read - t0),
+        ("plan_ms", t_plan - t_read),
+        ("fetch_wait_ms", wait_s),
+        ("extract_ms", t_fetch - t_plan - wait_s),
+        ("expand_seen_ms", t_expand - t_fetch),
+        ("write_ms", t_end - t_expand),
+    ):
+        counts[k] = round(secs * 1000, 1)
     return counts
+
+
+# worker-side cache of the crawl's context tuple, by object ref id: a
+# worker deserializes the policy and the actor handles once per crawl
+_BUCKET_CTX: dict[str, tuple] = {}
+
+
+def _run_bucket(
+    ctx: list, bucket: int, rnd: int, prev: str, out: str,
+    sub: int, n_sub: int, recrawl: bool,
+) -> dict:
+    """Body of a bucket task.  ``ctx`` is ``[ref]`` of the crawl's
+    ``_process_bucket`` context (policy, seen handles and count, store
+    handles and count, buckets); nested in a list, the ref is not
+    resolved at every dispatch."""
+    key = ctx[0].hex()
+    args = _BUCKET_CTX.get(key)
+    if args is None:
+        import ray
+
+        args = ray.get(ctx[0])
+        _BUCKET_CTX.clear()
+        _BUCKET_CTX[key] = args
+    return _process_bucket(bucket, rnd, prev, out, *args, sub, n_sub, recrawl)
 
 
 _BUCKET_TASK = None
@@ -722,8 +836,166 @@ def _get_bucket_task():
     if _BUCKET_TASK is None:
         import ray
 
-        _BUCKET_TASK = ray.remote(num_cpus=1)(_process_bucket)
+        _BUCKET_TASK = ray.remote(num_cpus=1)(_run_bucket)
     return _BUCKET_TASK
+
+
+def _write_manifest(round_dir: str, manifest: dict) -> None:
+    """Write a round's ``_MANIFEST.json`` through a temp file and
+    ``os.replace``: a round is complete exactly when its manifest
+    exists, and resume never looks at the temp file."""
+    path = os.path.join(round_dir, "_MANIFEST.json")
+    with open(path + ".tmp", "w") as f:
+        json.dump(manifest, f)
+    os.replace(path + ".tmp", path)
+
+
+def _read_manifest(out_dir: str, rnd: int) -> dict:
+    with open(os.path.join(_round_dir(out_dir, rnd), "_MANIFEST.json")) as f:
+        return json.load(f)
+
+
+def _first_open_round(out_dir: str) -> int:
+    """The first round, from the init round -1 on, without a manifest."""
+    rnd = -1
+    while os.path.exists(
+        os.path.join(_round_dir(out_dir, rnd), "_MANIFEST.json")
+    ):
+        rnd += 1
+    return rnd
+
+
+def _drop_rounds(root: str, first: int) -> None:
+    """Remove the ``round=`` directories of ``first`` and later rounds
+    under ``root``: the partial output of an interrupted run."""
+    import shutil
+
+    if not os.path.isdir(root):
+        return
+    for d in os.listdir(root):
+        if d.startswith("round=") and int(d.split("=")[1]) >= first:
+            shutil.rmtree(os.path.join(root, d))
+
+
+def _round_work(
+    prev: str, n_buckets: int, ck_rows: int, split_queue_rows: int,
+    max_split: int,
+) -> list[tuple[int, int, int]]:
+    """A round's ``(bucket, sub, n_sub)`` tasks.  Explicit skew
+    repartitioning: an oversized bucket queue (parquet-footer row
+    counts, no decode) fans out into salted-host sub-tasks; no bucket
+    can be oversized while the whole checkpoint is not."""
+    work = []
+    for b in range(n_buckets):
+        k = 1
+        if split_queue_rows and ck_rows > split_queue_rows:
+            rows_b = _bucket_queue_rows(prev, b)
+            if rows_b > split_queue_rows:
+                k = min(max_split, -(-rows_b // split_queue_rows))
+        work.extend((b, s, k) for s in range(k))
+    return work
+
+
+def _run_rounds(
+    out_dir: str,
+    start: int,
+    max_rounds: int,
+    ctx: tuple,
+    local_round_rows: int,
+    seen: SeenPool | None = None,
+    split_queue_rows: int = 0,
+    max_split: int = 1,
+) -> dict:
+    """Rounds ``start`` … until the queue drains or ``max_rounds``;
+    returns the run's totals.  ``ctx`` is ``_process_bucket``'s context
+    (policy, seen handles and count, store handles and count, buckets).
+    Without a ``seen`` pool the rounds are recrawl rounds (no expansion,
+    no seen filter, no seen deltas).
+
+    Round r+1 is dispatched as soon as round r's buckets return; round
+    r's bookkeeping (the seen delta dump and its manifest) runs while
+    round r+1 does."""
+    import ray
+
+    n_buckets = ctx[-1]
+    pm = _read_manifest(out_dir, start - 1)
+    # q rows entering the round, and all rows of its input checkpoint
+    in_rows, ck_rows = pm["q"], pm["q"] + pm["s"] + pm["o"]
+    seen_total = pm.get("seen_total", 0)
+    rounds = start
+    ctx_ref = None
+    pending = None
+
+    def close(rnd: int, done: list[dict], counts: dict, wall_ms: float) -> None:
+        nonlocal seen_total
+        manifest = {
+            "round": rnd,
+            "input": _round_dir(out_dir, rnd - 1),
+            "wall_ms": round(wall_ms, 1),
+            **counts,
+            "buckets": n_buckets,
+        }
+        if seen is not None:
+            seen_total += seen.dump(
+                os.path.join(out_dir, "seen", f"round={rnd:04d}"), rnd=rnd
+            )
+            manifest["seen_total"] = seen_total
+        # per-partition lineage: one record per bucket task (counts,
+        # wall_ms and phase times, input_files) — the exact-resume +
+        # audit trail
+        manifest["partitions"] = sorted(
+            (c for c in done if c["urls_in"]),
+            key=lambda c: (c["bucket"], c["sub"]),
+        )
+        _write_manifest(_round_dir(out_dir, rnd), manifest)
+
+    if start > 0 and in_rows == 0:
+        max_rounds = start  # a resumed run that had drained its queue
+    for rnd in range(start, max_rounds):
+        prev, out = _round_dir(out_dir, rnd - 1), _round_dir(out_dir, rnd)
+        os.makedirs(out, exist_ok=True)
+        local = in_rows <= local_round_rows
+        t0 = time.perf_counter()
+        if local:
+            # tiny tail round: same per-bucket code, driver-local
+            done = [
+                _process_bucket(k, rnd, prev, out, *ctx, recrawl=seen is None)
+                for k in range(n_buckets)
+            ]
+            t1 = time.perf_counter()
+        else:
+            # plain Ray tasks, not a Dataset job: the round's work is a
+            # FIXED ≤ buckets×max_split task list with one dict result
+            # each — a Ray Data job pays ~0.19 s of streaming-executor
+            # startup per round for no benefit
+            if ctx_ref is None:
+                ctx_ref = [ray.put(ctx)]
+            task = _get_bucket_task()
+            refs = [
+                task.remote(ctx_ref, b, rnd, prev, out, s, k, seen is None)
+                for b, s, k in _round_work(
+                    prev, n_buckets, ck_rows, split_queue_rows, max_split
+                )
+            ]
+        if pending is not None:
+            close(*pending)
+        if not local:
+            done = ray.get(refs)
+            t1 = time.perf_counter()
+        counts = {k: sum(c[k] for c in done) for k in ("q", "s", "o")}
+        in_rows = counts["q"]  # next round's queue size, no re-scan
+        ck_rows = counts["q"] + counts["s"] + counts["o"]
+        pending = (rnd, done, counts, (t1 - t0) * 1000)
+        rounds = rnd + 1
+        if counts["q"] == 0:
+            break
+    if pending is not None:
+        close(*pending)
+
+    totals = {**_crawl_tallies(out_dir), "rounds": rounds}
+    if seen is not None:
+        totals["seen_total"] = seen_total
+    return totals
 
 
 def run_crawl(
@@ -740,15 +1012,6 @@ def run_crawl(
     The store is read-only; a reused seen pool is ``reset()`` to the
     same blank state a fresh one would have.  The caller owns shutdown
     of any pool it passes."""
-    import ray
-
-    # one remote export per SESSION (cached): re-wrapping per run
-    # re-exports the function and re-ships it to every worker — ~1 s
-    # of first-round gap on each fresh crawl.  The policy ships once
-    # via plasma (auto-deref'd task arg), not re-pickled per task.
-    bucket_task = _get_bucket_task()
-    pol_ref = ray.put(cfg.policy)
-
     os.makedirs(cfg.out_dir, exist_ok=True)
     own_seen = seen_pool is None
     if seen_pool is not None:
@@ -760,157 +1023,32 @@ def run_crawl(
     store = store_pool if store_pool is not None else PageStorePool(
         os.path.join(cfg.corpus, "pages.parquet"), cfg.store_shards
     )
-    start_round = 0
+    seen_root = os.path.join(cfg.out_dir, "seen")
     try:
-        if resume:
-            done = sorted(
-                d for d in os.listdir(cfg.out_dir)
-                if d.startswith("round=")
-                and os.path.exists(os.path.join(cfg.out_dir, d, "_MANIFEST.json"))
-            )
-            if done:
-                last = done[-1]
-                start_round = int(last.split("=")[1]) + 1
-                # replay per-round delta dumps for every COMPLETE round
-                # (a crashed round may have left a stale delta — skip it,
-                # its urls re-enter when the round re-runs)
-                seen_root = os.path.join(cfg.out_dir, "seen")
-                dirs = [
-                    os.path.join(seen_root, d)
-                    for d in sorted(os.listdir(seen_root))
-                    if d.startswith("round=")
-                    and int(d.split("=")[1]) < start_round
-                ]
-                seen.restore(dirs)
-        if start_round == 0:
-            init = _initial_state(cfg, seen)
-            d = _round_dir(cfg.out_dir, -1)
-            # clear any stale state from a previous run
-            import shutil
-
-            for sub in os.listdir(cfg.out_dir):
-                if sub.startswith("round="):
-                    shutil.rmtree(os.path.join(cfg.out_dir, sub))
-            os.makedirs(d, exist_ok=True)
-            dest = np.array(
-                [
-                    shard_for_host(h, cfg.buckets)
-                    for h in init["host"].to_pylist()
-                ],
-                dtype=np.int64,
-            )
-            for j in sorted(set(dest.tolist())):
-                ddir = _bucket_dir(d, j)
-                os.makedirs(ddir, exist_ok=True)
-                pq.write_table(
-                    init.filter(pa.array(dest == j)),
-                    os.path.join(ddir, "part-0.parquet"),
-                )
-            with open(os.path.join(d, "_MANIFEST.json"), "w") as f:
-                json.dump({"round": -1, "rows": init.num_rows}, f)
-            # q rows entering the round, and all rows of its input
-            # checkpoint
-            in_rows = init.filter(pc.field("kind") == "q").num_rows
-            ck_rows = init.num_rows
+        # resume from the first round without a manifest; a restart at
+        # round 0 re-seeds the seen set, so it starts over
+        start = _first_open_round(cfg.out_dir) if resume else -1
+        if start <= 0:
+            start = -1
+        for root in (cfg.out_dir, seen_root):
+            _drop_rounds(root, start)
+        if start == -1:
+            _write_initial_state(cfg, seen)
+            start = 0
         else:
-            # a resumed run reads both from the last round's manifest
-            with open(
-                os.path.join(
-                    _round_dir(cfg.out_dir, start_round - 1), "_MANIFEST.json"
-                )
-            ) as f:
-                pm = json.load(f)
-            in_rows, ck_rows = pm["q"], pm["q"] + pm["s"] + pm["o"]
-
-        totals = {"fetched": 0, "errors": 0, "rounds": 0}
-        n_buckets = cfg.buckets
-        for rnd in range(start_round, cfg.max_rounds):
-            t0 = time.time()
-            prev = _round_dir(cfg.out_dir, rnd - 1)
-            out = _round_dir(cfg.out_dir, rnd)
-            os.makedirs(out, exist_ok=True)
-            args = (
-                cfg.policy, seen.shards, seen.num_shards, store.shards,
-                store.num_shards, n_buckets,
+            # replay the delta of every complete round
+            seen.restore(
+                [os.path.join(seen_root, d) for d in sorted(os.listdir(seen_root))]
             )
-            if in_rows <= cfg.local_round_rows:
-                # tiny tail round: same per-bucket code, driver-local
-                bucket_counts = [
-                    _process_bucket(k, rnd, prev, out, *args)
-                    for k in range(n_buckets)
-                ]
-            else:
-                # explicit skew repartitioning: oversized bucket queues
-                # (parquet-footer row counts, no decode) fan out into
-                # salted-host sub-tasks; no bucket can be oversized
-                # while the whole checkpoint is not
-                work: list[dict] = []
-                for b in range(n_buckets):
-                    k = 1
-                    if cfg.split_queue_rows and ck_rows > cfg.split_queue_rows:
-                        rows_b = _bucket_queue_rows(prev, b)
-                        if rows_b > cfg.split_queue_rows:
-                            k = min(
-                                cfg.max_split,
-                                -(-rows_b // cfg.split_queue_rows),
-                            )
-                    work.extend(
-                        {"bucket": b, "sub": s, "n_sub": k}
-                        for s in range(k)
-                    )
-
-                # plain Ray tasks, not a Dataset job: the round's work
-                # is a FIXED ≤ buckets×max_split task list with one
-                # dict result each — a Ray Data job pays ~0.19 s of
-                # streaming-executor startup per round for no benefit
-                # (measured; plain tasks ~0.03 s), which at 13 rounds
-                # was ~12 % of crawl wall.  The per-bucket stage chain
-                # itself is unchanged.
-                bucket_counts = ray.get(
-                    [
-                        bucket_task.remote(
-                            w["bucket"], rnd, prev, out, pol_ref,
-                            seen.shards, seen.num_shards, store.shards,
-                            store.num_shards, n_buckets, w["sub"],
-                            w["n_sub"],
-                        )
-                        for w in work
-                    ]
-                )
-            seen_total = seen.dump(
-                os.path.join(cfg.out_dir, "seen", f"round={rnd:04d}"),
-                return_total=True,
-            )
-            counts = {
-                k: sum(c[k] for c in bucket_counts) for k in ("q", "s", "o")
-            }
-            in_rows = counts["q"]  # next round's queue size, no re-scan
-            ck_rows = counts["q"] + counts["s"] + counts["o"]
-            wall_ms = (time.time() - t0) * 1000
-            manifest = {
-                "round": rnd,
-                "input": prev,
-                "wall_ms": round(wall_ms, 1),
-                **counts,
-                "buckets": n_buckets,
-                "seen_total": seen_total,
-                # per-partition lineage: one record per bucket task
-                # (urls_in / fetched / errors / bytes / wall_ms /
-                # input_files) — the exact-resume + audit trail
-                "partitions": sorted(
-                    (c for c in bucket_counts if c["urls_in"]),
-                    key=lambda c: (c["bucket"], c.get("sub", 0)),
-                ),
-            }
-            with open(os.path.join(out, "_MANIFEST.json"), "w") as f:
-                json.dump(manifest, f)
-            totals["rounds"] = rnd + 1
-            if counts["q"] == 0:
-                break
-
-        totals.update(_crawl_tallies(cfg.out_dir))
-        totals["seen_total"] = seen.total_seen()
-        return totals
+        ctx = (
+            cfg.policy, seen.shards, seen.num_shards, store.shards,
+            store.num_shards, cfg.buckets,
+        )
+        return _run_rounds(
+            cfg.out_dir, start, cfg.max_rounds, ctx, cfg.local_round_rows,
+            seen=seen, split_queue_rows=cfg.split_queue_rows,
+            max_split=cfg.max_split,
+        )
     finally:
         if own_seen:
             seen.shutdown()
@@ -1033,37 +1171,17 @@ def run_recrawl(
         policy.hosts = load_host_policies(
             os.path.join(corpus, "hostcfg.parquet")
         )
-    import shutil
-
     os.makedirs(out_dir, exist_ok=True)
-    start_round = 0
-    if resume:
-        done = sorted(
-            d
-            for d in os.listdir(out_dir)
-            if d.startswith("round=")
-            and "-" not in d
-            and os.path.exists(os.path.join(out_dir, d, "_MANIFEST.json"))
-        )
-        if done and os.path.exists(
-            os.path.join(_round_dir(out_dir, -1), "_MANIFEST.json")
-        ):
-            start_round = int(done[-1].split("=")[1]) + 1
-        elif not os.path.exists(
-            os.path.join(_round_dir(out_dir, -1), "_MANIFEST.json")
-        ):
-            resume = False  # no init checkpoint: full restart
-    if not resume:
-        for sub in os.listdir(out_dir):
-            if sub.startswith("round="):
-                shutil.rmtree(os.path.join(out_dir, sub))
+    # resume from the first round without a manifest; without the init
+    # round's manifest it starts over
+    start = _first_open_round(out_dir) if resume else -1
+    _drop_rounds(out_dir, start)
     own_store = store_pool is None
     store = store_pool if store_pool is not None else PageStorePool(
         os.path.join(corpus, "pages.parquet"), store_shards
     )
     try:
-        totals = {"fetched": 0, "errors": 0, "rounds": 0}
-        if not resume:
+        if start == -1:
             init_task = ray.remote(num_cpus=1)(_recrawl_init_bucket)
             init_counts = ray.get(
                 [
@@ -1073,74 +1191,13 @@ def run_recrawl(
             )
             d_init = _round_dir(out_dir, -1)
             os.makedirs(d_init, exist_ok=True)
-            in_rows = sum(c["q"] + c["s"] for c in init_counts)
-            with open(os.path.join(d_init, "_MANIFEST.json"), "w") as f:
-                json.dump({"round": -1, "rows": in_rows}, f)
-        else:
-            prev_m = os.path.join(
-                _round_dir(out_dir, start_round - 1), "_MANIFEST.json"
+            q, s = (sum(c[k] for c in init_counts) for k in ("q", "s"))
+            _write_manifest(
+                d_init, {"round": -1, "rows": q + s, "q": q, "s": s, "o": 0}
             )
-            with open(prev_m) as f:
-                pm = json.load(f)
-            in_rows = (
-                pm["rows"]
-                if start_round == 0
-                else pm.get("q", 0) + pm.get("s", 0)
-            )
-            totals["rounds"] = start_round
-            if start_round > 0 and pm.get("q", 0) == 0:
-                # crawl already finished: recount tallies and return
-                totals.update(_crawl_tallies(out_dir))
-                return totals
-
-        bucket_task = _get_bucket_task()
-        pol_ref = ray.put(policy)
-        for rnd in range(start_round, max_rounds):
-            t0 = time.time()
-            prev = _round_dir(out_dir, rnd - 1)
-            out = _round_dir(out_dir, rnd)
-            os.makedirs(out, exist_ok=True)
-            if in_rows <= local_round_rows:
-                bucket_counts = [
-                    _process_bucket(
-                        k, rnd, prev, out, policy, [], 1, store.shards,
-                        store.num_shards, buckets, recrawl=True,
-                    )
-                    for k in range(buckets)
-                ]
-            else:
-                bucket_counts = ray.get(
-                    [
-                        bucket_task.remote(
-                            k, rnd, prev, out, pol_ref, [], 1,
-                            store.shards, store.num_shards, buckets, 0, 1,
-                            True,
-                        )
-                        for k in range(buckets)
-                    ]
-                )
-            counts = {
-                k: sum(c[k] for c in bucket_counts) for k in ("q", "s", "o")
-            }
-            in_rows = counts["q"] + counts["s"]
-            manifest = {
-                "round": rnd,
-                "input": prev,
-                "wall_ms": round((time.time() - t0) * 1000, 1),
-                **counts,
-                "buckets": buckets,
-                "partitions": sorted(
-                    (c for c in bucket_counts if c.get("urls_in")),
-                    key=lambda c: (c["bucket"], c.get("sub", 0)),
-                ),
-            }
-            with open(os.path.join(out, "_MANIFEST.json"), "w") as f:
-                json.dump(manifest, f)
-            totals["rounds"] = rnd + 1
-            if counts["q"] == 0:
-                break
-        totals.update(_crawl_tallies(out_dir))
-        return totals
+            start = 0
+        ctx = (policy, [], 1, store.shards, store.num_shards, buckets)
+        return _run_rounds(out_dir, start, max_rounds, ctx, local_round_rows)
     finally:
         if own_store:
             store.shutdown()

@@ -19,7 +19,11 @@ hash-partitioned across shards"):
   positive makes the crawl *skip* a URL (crawl-safe direction), at a
   rate of at most 8/2^16 per filter in the chain.
 * ``dump()``/``restore()`` round-trip the shard through Arrow for the
-  Parquet checkpoint (FIXTURES.md F5 resume semantics).
+  Parquet checkpoint (FIXTURES.md F5 resume semantics).  A shard keeps
+  its journal of fresh URLs keyed by the round in each call's
+  ``epoch``, and writes its own delta file: the crawl driver dumps
+  round r while round r+1's calls already arrive, and the round-r
+  delta still holds exactly round r's URLs.
 
 The sharding hash is ``zlib.crc32`` (stable across processes, unlike
 ``hash()``), so a dump written by one run can be restored by another.
@@ -27,6 +31,7 @@ The sharding hash is ``zlib.crc32`` (stable across processes, unlike
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import numpy as np
@@ -191,9 +196,10 @@ class UrlSeenShard:
         self.capacity = capacity
         self.exact: set[str] | None = set() if exact else None
         self.filter = None if exact else ScalableCuckooFilter(capacity)
-        # urls added since the last delta dump (per-round incremental
-        # checkpoints: O(new) per round instead of O(seen))
-        self._journal: list[str] = []
+        # urls added since the last delta dump, by the round of the
+        # caller's epoch (per-round incremental checkpoints: O(new) per
+        # round instead of O(seen)); epoch-less and seed calls are -1
+        self._journal: dict[int, list[str]] = {}
         # idempotency: last answer per caller epoch ("rnd:bucket:sub");
         # a RETRIED bucket task replays its original answer instead of
         # seeing its own first attempt's marks (which would silently
@@ -220,23 +226,27 @@ class UrlSeenShard:
             cached = self._epoch_cache.get(epoch)
             if cached is not None and len(cached) == len(urls):
                 return cached
-        out = self._check_and_add(urls)
+        rnd = None if epoch is None else epoch.split(":", 1)[0]
+        out = self._check_and_add(
+            urls, self._journal.setdefault(
+                int(rnd) if rnd and rnd.isdigit() else -1, []
+            ),
+        )
         if epoch is not None:
-            rnd = epoch.split(":", 1)[0]
             if rnd != self._epoch_rnd:
                 self._epoch_cache.clear()
                 self._epoch_rnd = rnd
             self._epoch_cache[epoch] = out
         return out
 
-    def _check_and_add(self, urls: list[str]) -> list[bool]:
+    def _check_and_add(self, urls: list[str], journal: list[str]) -> list[bool]:
         if self.exact is not None:
             out = []
             for u in urls:
                 fresh = u not in self.exact
                 if fresh:
                     self.exact.add(u)
-                    self._journal.append(u)
+                    journal.append(u)
                 out.append(fresh)
             return out
         h = _hash_urls(urls)
@@ -251,7 +261,7 @@ class UrlSeenShard:
                 first_idx.setdefault(int(hv), i)
         if fresh.any():
             self.filter.add_many(h[fresh])
-            self._journal.extend(u for u, f in zip(urls, fresh) if f)
+            journal.extend(u for u, f in zip(urls, fresh) if f)
         return fresh.tolist()
 
     def n_seen(self) -> int:
@@ -264,12 +274,27 @@ class UrlSeenShard:
             return pa.table({"url": pa.array(sorted(self.exact), pa.string())})
         return self.filter.dump()
 
-    def dump_delta(self) -> pa.Table:
+    def dump_delta(self, rnd: int | None = None) -> pa.Table:
         """Incremental checkpoint: urls added since the previous delta
-        dump (restore = replay every round's delta in order)."""
-        t = pa.table({"url": pa.array(sorted(self._journal), pa.string())})
-        self._journal = []
-        return t
+        dump by calls of round ``rnd`` or earlier (every round when
+        None); restore = replay every round's delta in order."""
+        keys = [k for k in self._journal if rnd is None or k <= rnd]
+        urls = [u for k in keys for u in self._journal.pop(k)]
+        return pa.table({"url": pa.array(sorted(urls), pa.string())})
+
+    def write_dump(
+        self, path: str, delta: bool = True, rnd: int | None = None
+    ) -> int:
+        """Write ``dump_delta(rnd)`` (or the full ``dump()``) to the
+        parquet file ``path`` through a temp file and ``os.replace``;
+        returns its row count."""
+        import pyarrow.parquet as pq
+
+        t = self.dump_delta(rnd) if delta else self.dump()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(t, path + ".tmp")
+        os.replace(path + ".tmp", path)
+        return t.num_rows
 
     def restore(self, table: pa.Table) -> None:
         """Replay a url dump or delta into this shard's structure, or load
@@ -318,35 +343,26 @@ class SeenPool:
         ray.get([s.reset.remote() for s in self.shards])
 
     def dump(
-        self, out_dir: str, delta: bool = True, return_total: bool = False
-    ) -> int | None:
-        """Write per-shard parquet; ``delta=True`` writes only urls added
-        since the last dump (O(new) per round — at 10^10-URL scale a full
-        dump per round would be quadratic I/O).  ``return_total=True``
-        piggybacks the per-shard seen counts on the SAME actor round-trip
-        (the crawl loop otherwise paid a second 2×shards RTT per round
-        for ``total_seen``)."""
-        import os
-
-        import pyarrow.parquet as pq
+        self, out_dir: str, delta: bool = True, rnd: int | None = None
+    ) -> int:
+        """Each shard writes its own ``shard-XXXX.parquet`` under
+        ``out_dir`` (no table travels to the driver); returns once every
+        file exists, with the number of rows written.  ``delta=True``
+        writes only urls added since the last dump (O(new) per round —
+        at 10^10-URL scale a full dump per round would be quadratic
+        I/O), restricted to calls of round ``rnd`` or earlier when
+        given."""
         import ray
 
-        os.makedirs(out_dir, exist_ok=True)
-        meth = "dump_delta" if delta else "dump"
-        refs = [getattr(s, meth).remote() for s in self.shards]
-        if return_total:
-            nrefs = [s.n_seen.remote() for s in self.shards]
-        tables = ray.get(refs)
-        for i, t in enumerate(tables):
-            pq.write_table(t, os.path.join(out_dir, f"shard-{i:04d}.parquet"))
-        if return_total:
-            return sum(ray.get(nrefs))
-        return None
+        return sum(ray.get([
+            s.write_dump.remote(
+                os.path.join(out_dir, f"shard-{i:04d}.parquet"), delta, rnd
+            )
+            for i, s in enumerate(self.shards)
+        ]))
 
     def restore(self, in_dirs: str | list[str]) -> None:
         """Replay one or more dump dirs (deltas in round order)."""
-        import os
-
         import pyarrow.parquet as pq
         import ray
 

@@ -417,3 +417,160 @@ def test_tallies_match_o_row_scan(unit_corpus, tmp_path):
         unit_corpus, crawl_dir, rc_dir, store_shards=2, resume=True
     )
     assert tallies(again) == tallies(recrawl)
+
+
+_PHASES = ("read_ms", "plan_ms", "fetch_wait_ms", "extract_ms",
+           "expand_seen_ms", "write_ms")
+
+
+def _manifests(out_dir):
+    import json
+
+    out = []
+    for d in sorted(os.listdir(out_dir)):
+        path = os.path.join(out_dir, d, "_MANIFEST.json")
+        if d.startswith("round=") and "-" not in d and os.path.exists(path):
+            with open(path) as f:
+                out.append(json.load(f))
+    return out
+
+
+def _deterministic(m):
+    """A manifest without its wall-clock fields (and with its input
+    round as a directory name, not a path)."""
+    m = dict(m, input=os.path.basename(m["input"]))
+    m.pop("wall_ms")
+    m["partitions"] = [
+        {k: v for k, v in p.items() if k != "wall_ms" and k not in _PHASES}
+        for p in m["partitions"]
+    ]
+    return m
+
+
+def _seen_by_round(out_dir):
+    import pyarrow.parquet as pq
+
+    root = os.path.join(out_dir, "seen")
+    return {
+        d: sorted(
+            u
+            for f in sorted(os.listdir(os.path.join(root, d)))
+            for u in pq.read_table(os.path.join(root, d, f))["url"].to_pylist()
+        )
+        for d in sorted(os.listdir(root))
+    }
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_resume_from_overlapped_boundary(unit_corpus, tmp_path):
+    """The driver dispatches round r+1 before it dumps round r's seen
+    delta and writes round r's manifest.  A crash there leaves round
+    r+1's partial output, no round-r manifest or delta, and maybe their
+    temp files; resuming must give the uninterrupted run's fetch log,
+    seen deltas and manifests (``seen_total`` included)."""
+    import shutil
+
+    from crawler_ai_ray.pipelines.crawl import CrawlConfig, run_crawl
+
+    full_dir = str(tmp_path / "full")
+    full_totals = run_crawl(CrawlConfig(
+        unit_corpus, full_dir, seen_shards=4, store_shards=2,
+        local_round_rows=0, buckets=8,
+    ))
+    full_manifests = _manifests(full_dir)
+    r = 2
+    assert len(full_manifests) > r + 2
+
+    part_dir = str(tmp_path / "part")
+    shutil.copytree(full_dir, part_dir)
+    rdir = lambda n: os.path.join(part_dir, f"round={n:04d}")
+    seen_dir = lambda n: os.path.join(part_dir, "seen", f"round={n:04d}")
+    for n in range(r + 2, len(full_manifests)):
+        shutil.rmtree(rdir(n))
+    for n in range(r, len(full_manifests)):
+        shutil.rmtree(seen_dir(n))
+    os.remove(os.path.join(rdir(r), "_MANIFEST.json"))
+    os.remove(os.path.join(rdir(r + 1), "_MANIFEST.json"))
+    # round r+1 ran part of its buckets
+    parts = sorted(
+        os.path.join(root, f)
+        for root, _d, files in os.walk(rdir(r + 1)) for f in files
+    )
+    for f in parts[::2]:
+        os.remove(f)
+    # the interrupted bookkeeping's temp files
+    with open(os.path.join(rdir(r), "_MANIFEST.json.tmp"), "w") as f:
+        f.write('{"round": ')
+    os.makedirs(seen_dir(r))
+    with open(os.path.join(seen_dir(r), "shard-0000.parquet.tmp"), "wb") as f:
+        f.write(b"PAR1")
+
+    totals = run_crawl(
+        CrawlConfig(unit_corpus, part_dir, seen_shards=4, store_shards=2,
+                    local_round_rows=0, buckets=8),
+        resume=True,
+    )
+    assert totals == full_totals
+    assert _by_host(_engine_log(part_dir)) == _by_host(_engine_log(full_dir))
+    assert _seen_by_round(part_dir) == _seen_by_round(full_dir)
+    assert [_deterministic(m) for m in _manifests(part_dir)] == [
+        _deterministic(m) for m in full_manifests
+    ]
+    assert full_manifests[-1]["seen_total"] == full_totals["seen_total"] == sum(
+        map(len, _seen_by_round(full_dir).values())
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_round_walls_tile_the_crawl(unit_corpus, tmp_path):
+    """A round's ``wall_ms`` runs from its dispatch to the return of
+    its last bucket, so the rounds never overlap: their sum is at most
+    the crawl's wall.  Every partition record carries its phase times,
+    which sum to at most its own ``wall_ms``."""
+    import time
+
+    from crawler_ai_ray.pipelines.crawl import CrawlConfig, run_crawl
+
+    for name, local_rows in (("dist", 0), ("mixed", 64)):
+        out_dir = str(tmp_path / name)
+        t = time.perf_counter()
+        run_crawl(CrawlConfig(unit_corpus, out_dir, seen_shards=4,
+                              store_shards=2, local_round_rows=local_rows,
+                              buckets=8))
+        wall_ms = (time.perf_counter() - t) * 1000
+        ms = _manifests(out_dir)
+        assert sum(m["wall_ms"] for m in ms) <= wall_ms
+        for m in ms:
+            for p in m["partitions"]:
+                assert p["wall_ms"] <= m["wall_ms"] + 0.1
+                assert all(p[k] >= 0 for k in _PHASES)
+                assert sum(p[k] for k in _PHASES) <= p["wall_ms"] + 0.4
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_queue_and_state_rows_hold_no_payload(unit_corpus, tmp_path):
+    """The checkpoint read decodes only ``_QS_SCHEMA``: every other
+    column is null on every q and s row of a crawl and a recrawl."""
+    import pyarrow.dataset as pads
+
+    from crawler_ai_ray.pipelines.crawl import (
+        _QS_SCHEMA,
+        CRAWL_SCHEMA,
+        CrawlConfig,
+        crawl_output_files,
+        run_crawl,
+        run_recrawl,
+    )
+
+    crawl_dir, rc_dir = str(tmp_path / "crawl"), str(tmp_path / "recrawl")
+    run_crawl(CrawlConfig(unit_corpus, crawl_dir, seen_shards=4, store_shards=2))
+    run_recrawl(unit_corpus, crawl_dir, rc_dir, store_shards=2)
+    rest = [n for n in CRAWL_SCHEMA.names if n not in _QS_SCHEMA.names]
+    assert "success" in rest and "text" in rest and "round" in rest
+    for d in (crawl_dir, rc_dir):
+        t = pads.dataset(
+            crawl_output_files(d, include_init=True), format="parquet"
+        ).to_table(filter=pc.field("kind").isin(["q", "s"]))
+        assert set(t["kind"].to_pylist()) == {"q", "s"}
+        for n in rest:
+            assert t[n].null_count == t.num_rows, (d, n)

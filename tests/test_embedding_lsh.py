@@ -165,3 +165,29 @@ def test_identical_vectors_above_the_run_cap_keep_the_closure():
     assert set(local) <= want
     assert len(local) < len(want)  # the collapse engaged
     assert _closure(local, ids) == _closure(want, ids)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_neardup_query_blocks_share_one_schema():
+    """``emb_neardup_lsh`` keeps only (anchor_id, vec_id): every output
+    block, empty ones included, has that schema, and Ray reports no
+    block with a different one."""
+    import logging
+
+    import ray
+
+    import __ray_entry__ as m
+
+    seen: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = seen.append
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(handler)
+    try:
+        blocks = ray.get(m._q_emb_neardup_lsh(SF01).materialize().to_arrow_refs())
+    finally:
+        log.removeHandler(handler)
+    want = pa.schema([("anchor_id", pa.int64()), ("vec_id", pa.int64())])
+    assert blocks and sum(b.num_rows for b in blocks) > 0
+    assert all(b.schema.equals(want) for b in blocks), [b.schema for b in blocks]
+    assert not [r for r in seen if "different schema" in r.getMessage()]

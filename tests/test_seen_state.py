@@ -196,3 +196,90 @@ def test_check_and_add_epoch_idempotent():
     # epoch-less calls bypass the cache entirely (legacy behavior)
     assert sh.check_and_add(["https://h.com/x"]) == [True]
     assert sh.check_and_add(["https://h.com/x"]) == [False]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+class TestRoundJournal:
+    """The journal is keyed by the round in each call's epoch, so the
+    crawl driver can dump round r while round r+1's calls arrive."""
+
+    def test_interleaved_rounds_dump_their_own_urls(self, exact):
+        s = UrlSeenShard(exact=exact)
+        s.check_and_add(["seed"], "init:seed")
+        s.check_and_add(["a", "b"], "0:0:0")
+        # round 1 calls arrive before round 0's dump
+        assert s.check_and_add(["c", "a"], "1:0:0") == [True, False]
+        s.check_and_add(["d"], "1:1:0")
+        assert s.dump_delta(0)["url"].to_pylist() == ["a", "b", "seed"]
+        s.check_and_add(["e", "d"], "2:0:0")
+        assert s.dump_delta(1)["url"].to_pylist() == ["c", "d"]
+        assert s.dump_delta(2)["url"].to_pylist() == ["e"]
+        assert s.dump_delta(3).num_rows == 0
+
+    def test_replayed_epoch_adds_nothing(self, exact):
+        s = UrlSeenShard(exact=exact)
+        urls = [f"https://h.vn/{i}" for i in range(6)]
+        first = s.check_and_add(urls, "4:2:0")
+        assert s.dump_delta(4).num_rows == 6
+        assert s.check_and_add(urls, "4:2:0") == first
+        assert s.dump_delta(4).num_rows == 0
+        assert s.dump_delta().num_rows == 0 and s.n_seen() == 6
+
+    def test_dump_delta_without_round_takes_everything(self, exact):
+        s = UrlSeenShard(exact=exact)
+        s.check_and_add(["y"], "5:0:0")
+        s.check_and_add(["x"], "0:3:1")
+        s.check_and_add(["z"])
+        s.check_and_add(["w"], "init:seed")
+        assert s.dump_delta()["url"].to_pylist() == ["w", "x", "y", "z"]
+        assert s.dump_delta().num_rows == 0
+
+    def test_replaying_deltas_in_order_rebuilds_the_set(self, exact):
+        s = UrlSeenShard(exact=exact)
+        s.check_and_add([f"s{i}" for i in range(3)], "init:seed")
+        deltas = []
+        for rnd in range(4):
+            s.check_and_add([f"r{rnd}-{i}" for i in range(5)], f"{rnd}:0:0")
+            # the next round's call lands before this round's dump
+            s.check_and_add([f"r{rnd + 1}-x", "s0"], f"{rnd + 1}:1:0")
+            deltas.append(s.dump_delta(rnd))
+        deltas.append(s.dump_delta())
+        r = UrlSeenShard(exact=exact)
+        for d in deltas:
+            r.restore(d)
+        assert r.n_seen() == s.n_seen() == 3 + 4 * 6
+        if exact:
+            assert r.dump().equals(s.dump())
+        every = [u for d in deltas for u in d["url"].to_pylist()]
+        assert len(every) == len(set(every)) == s.n_seen()
+        assert not any(r.check_and_add(every))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pool_dump_writes_shard_files(tmp_path):
+    """Each shard writes its own delta file; ``SeenPool.dump`` returns
+    after every file exists, with the rows written, and leaves no temp
+    file."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from crawler_ai_ray.state.seen import SeenPool
+
+    pool = SeenPool(2)
+    try:
+        ray.get([
+            pool.shards[0].check_and_add.remote(["a", "b"], "0:0:0"),
+            pool.shards[1].check_and_add.remote(["c"], "0:1:0"),
+            pool.shards[1].check_and_add.remote(["d"], "1:1:0"),
+        ])
+        out = str(tmp_path / "round=0000")
+        assert pool.dump(out, rnd=0) == 3
+        assert sorted(os.listdir(out)) == ["shard-0000.parquet", "shard-0001.parquet"]
+        got = [pq.read_table(os.path.join(out, f))["url"].to_pylist()
+               for f in sorted(os.listdir(out))]
+        assert got == [["a", "b"], ["c"]]
+        assert pool.dump(str(tmp_path / "round=0001"), rnd=1) == 1
+    finally:
+        pool.shutdown()
