@@ -226,12 +226,9 @@ class UrlSeenShard:
             cached = self._epoch_cache.get(epoch)
             if cached is not None and len(cached) == len(urls):
                 return cached
-        rnd = None if epoch is None else epoch.split(":", 1)[0]
-        out = self._check_and_add(
-            urls, self._journal.setdefault(
-                int(rnd) if rnd and rnd.isdigit() else -1, []
-            ),
-        )
+        rnd = epoch.split(":", 1)[0] if epoch is not None else ""
+        journal = self._journal.setdefault(int(rnd) if rnd.isdigit() else -1, [])
+        out = self._check_and_add(urls, journal)
         if epoch is not None:
             if rnd != self._epoch_rnd:
                 self._epoch_cache.clear()
