@@ -279,15 +279,12 @@ class UrlSeenShard:
         urls = [u for k in keys for u in self._journal.pop(k)]
         return pa.table({"url": pa.array(sorted(urls), pa.string())})
 
-    def write_dump(
-        self, path: str, delta: bool = True, rnd: int | None = None
-    ) -> int:
-        """Write ``dump_delta(rnd)`` (or the full ``dump()``) to the
-        parquet file ``path`` through a temp file and ``os.replace``;
-        returns its row count."""
+    def write_delta(self, path: str, rnd: int | None = None) -> int:
+        """Write ``dump_delta(rnd)`` to the parquet file ``path`` through
+        a temp file and ``os.replace``; returns its row count."""
         import pyarrow.parquet as pq
 
-        t = self.dump_delta(rnd) if delta else self.dump()
+        t = self.dump_delta(rnd)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         pq.write_table(t, path + ".tmp")
         os.replace(path + ".tmp", path)
@@ -327,11 +324,6 @@ class SeenPool:
 
         return ray.get(self.handle_for_host(host).check_and_add.remote(urls))
 
-    def total_seen(self) -> int:
-        import ray
-
-        return sum(ray.get([s.n_seen.remote() for s in self.shards]))
-
     def reset(self) -> None:
         """Blank every shard (see ``UrlSeenShard.reset``) — persistent
         service pools start each crawl from fresh state."""
@@ -339,21 +331,18 @@ class SeenPool:
 
         ray.get([s.reset.remote() for s in self.shards])
 
-    def dump(
-        self, out_dir: str, delta: bool = True, rnd: int | None = None
-    ) -> int:
+    def dump(self, out_dir: str, rnd: int | None = None) -> int:
         """Each shard writes its own ``shard-XXXX.parquet`` under
         ``out_dir`` (no table travels to the driver); returns once every
-        file exists, with the number of rows written.  ``delta=True``
-        writes only urls added since the last dump (O(new) per round —
-        at 10^10-URL scale a full dump per round would be quadratic
-        I/O), restricted to calls of round ``rnd`` or earlier when
-        given."""
+        file exists, with the number of rows written.  A file holds only
+        the urls added since the last dump (O(new) per round — at
+        10^10-URL scale a full dump per round would be quadratic I/O),
+        restricted to calls of round ``rnd`` or earlier when given."""
         import ray
 
         return sum(ray.get([
-            s.write_dump.remote(
-                os.path.join(out_dir, f"shard-{i:04d}.parquet"), delta, rnd
+            s.write_delta.remote(
+                os.path.join(out_dir, f"shard-{i:04d}.parquet"), rnd
             )
             for i, s in enumerate(self.shards)
         ]))
