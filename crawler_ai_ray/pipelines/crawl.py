@@ -140,7 +140,8 @@ CRAWL_SCHEMA = pa.schema(
 
 # the columns a q or s row fills: every other column (``round``,
 # ``host_seq`` and the o-row payload) is null on both kinds, so the
-# checkpoint read decodes only these
+# checkpoint read decodes only these, and a bucket's queue and host
+# states stay this narrow until they are written
 _QS_SCHEMA = pa.schema(
     CRAWL_SCHEMA.field(n)
     for n in (
@@ -153,13 +154,20 @@ _QS_SCHEMA = pa.schema(
 # (name, type) pairs read once: a pyarrow Field builds a new str on
 # every ``.name`` access
 _FIELDS = [(f.name, f.type) for f in CRAWL_SCHEMA]
+_QS_NAMES = frozenset(_QS_SCHEMA.names)
 
 
-def _rows_to_table(rows: list[dict]) -> pa.Table:
-    return pa.Table.from_arrays(
-        [pa.array([r.get(n) for r in rows], t) for n, t in _FIELDS],
-        schema=CRAWL_SCHEMA,
-    )
+def _rows_to_table(rows: list[dict], qs_rows: list[dict] = ()) -> pa.Table:
+    """``rows`` then ``qs_rows`` as one ``CRAWL_SCHEMA`` table (a
+    missing key is null); the q/s rows in ``qs_rows`` are read only for
+    the ``_QS_SCHEMA`` columns."""
+    n_qs = len(qs_rows)
+    cols = []
+    for n, t in _FIELDS:
+        vals = [r.get(n) for r in rows]
+        vals += [r.get(n) for r in qs_rows] if n in _QS_NAMES else [None] * n_qs
+        cols.append(pa.array(vals, t))
+    return pa.Table.from_arrays(cols, schema=CRAWL_SCHEMA)
 
 
 def _crawl_table(qs: pa.Table) -> pa.Table:
@@ -549,13 +557,12 @@ def _write_initial_state(cfg: CrawlConfig, seen: SeenPool) -> None:
             }
         )
         by_shard.setdefault(shard_for_host(host, seen.num_shards), []).append(r["url"])
-    ray.get(
-        [
-            seen.shards[sh].check_and_add.remote(urls, "init:seed")
-            for sh, urls in by_shard.items()
-        ]
-    )
-    init = _rows_to_table(rows)
+    # the seen shards add the seeds while the init parts are written
+    refs = [
+        seen.shards[sh].check_and_add.remote(urls, "init:seed")
+        for sh, urls in by_shard.items()
+    ]
+    init = _rows_to_table([], rows)
     d = _round_dir(cfg.out_dir, -1)
     dest = np.array(
         [shard_for_host(h, cfg.buckets) for h in init["host"].to_pylist()],
@@ -569,6 +576,7 @@ def _write_initial_state(cfg: CrawlConfig, seen: SeenPool) -> None:
             os.path.join(ddir, "part-0.parquet"),
         )
     os.makedirs(d, exist_ok=True)
+    ray.get(refs)
     _write_manifest(
         d, {"round": -1, "rows": len(rows), "q": len(seeds), "s": len(seeds), "o": 0}
     )
@@ -701,14 +709,12 @@ def _process_bucket(
         # schema evolution: checkpoints written before a (nullable)
         # column was added read back without it — the dataset schema
         # fills it with nulls, so resume across engine versions works
-        table = _crawl_table(
-            pads.dataset(
-                [os.path.join(bdir, f) for f in in_files],
-                format="parquet", schema=_QS_SCHEMA,
-            ).to_table(filter=pc.field("kind").isin(["q", "s"]))
-        )
+        table = pads.dataset(
+            [os.path.join(bdir, f) for f in in_files],
+            format="parquet", schema=_QS_SCHEMA,
+        ).to_table(filter=pc.field("kind").isin(["q", "s"]))
     else:
-        table = _rows_to_table([])
+        table = _QS_SCHEMA.empty_table()
     if n_sub > 1 and table.num_rows:
         # hot-bucket split: keep only hosts whose SALTED hash lands in
         # this sub-task (independent of the primary bucket hash, so the
@@ -755,8 +761,7 @@ def _process_bucket(
         )
     t_expand = time.perf_counter()
 
-    py_rows = o_rows + new_q + list(states.values())
-    py_tbl = _rows_to_table(py_rows)
+    py_tbl = _rows_to_table(o_rows, new_q + list(states.values()))
     # destination routing: every rest/state/o row's host lives in THIS
     # bucket by construction; only fresh candidates could cross (they
     # currently inherit the discovering host, so this is a no-op guard)
@@ -767,7 +772,7 @@ def _process_bucket(
     for j in sorted(set(dest.tolist()) | {bucket}):
         parts = []
         if j == bucket and rest.num_rows:
-            parts.append(rest)
+            parts.append(_crawl_table(rest))
         local = py_tbl.filter(pa.array(dest == j))
         if local.num_rows:
             parts.append(local)
@@ -1129,7 +1134,7 @@ def _recrawl_init_bucket(
         counts["s"] += 1
     ddir = _bucket_dir(_round_dir(out_dir, -1), bucket)
     os.makedirs(ddir, exist_ok=True)
-    pq.write_table(_rows_to_table(rows), os.path.join(ddir, "part-0.parquet"))
+    pq.write_table(_rows_to_table([], rows), os.path.join(ddir, "part-0.parquet"))
     return counts
 
 
