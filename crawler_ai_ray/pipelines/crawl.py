@@ -140,8 +140,8 @@ CRAWL_SCHEMA = pa.schema(
 
 # the columns a q or s row fills: every other column (``round``,
 # ``host_seq`` and the o-row payload) is null on both kinds, so the
-# checkpoint read decodes only these, and a bucket's queue and host
-# states stay this narrow until they are written
+# checkpoint read decodes only these, and a bucket's untouched queue
+# stays this narrow until it is written
 _QS_SCHEMA = pa.schema(
     CRAWL_SCHEMA.field(n)
     for n in (
@@ -154,20 +154,19 @@ _QS_SCHEMA = pa.schema(
 # (name, type) pairs read once: a pyarrow Field builds a new str on
 # every ``.name`` access
 _FIELDS = [(f.name, f.type) for f in CRAWL_SCHEMA]
-_QS_NAMES = frozenset(_QS_SCHEMA.names)
+
+# a bucket task's phase times, in the order it runs them; each manifest
+# partition record carries them (``tools/crawl_rounds.py`` prints them)
+PHASES = ("read_ms", "plan_ms", "fetch_wait_ms", "extract_ms",
+          "expand_seen_ms", "write_ms")
 
 
-def _rows_to_table(rows: list[dict], qs_rows: list[dict] = ()) -> pa.Table:
-    """``rows`` then ``qs_rows`` as one ``CRAWL_SCHEMA`` table (a
-    missing key is null); the q/s rows in ``qs_rows`` are read only for
-    the ``_QS_SCHEMA`` columns."""
-    n_qs = len(qs_rows)
-    cols = []
-    for n, t in _FIELDS:
-        vals = [r.get(n) for r in rows]
-        vals += [r.get(n) for r in qs_rows] if n in _QS_NAMES else [None] * n_qs
-        cols.append(pa.array(vals, t))
-    return pa.Table.from_arrays(cols, schema=CRAWL_SCHEMA)
+def _rows_to_table(rows: list[dict]) -> pa.Table:
+    """``rows`` as one ``CRAWL_SCHEMA`` table, a missing key null."""
+    return pa.Table.from_arrays(
+        [pa.array([r.get(n) for r in rows], t) for n, t in _FIELDS],
+        schema=CRAWL_SCHEMA,
+    )
 
 
 def _crawl_table(qs: pa.Table) -> pa.Table:
@@ -355,10 +354,9 @@ def _fetch_extract_rows(
     rows: list[dict], store_handles: list, num_store_shards: int
 ) -> float:
     """Fetch + extract the wave rows in place (kind w → e): one batched
-    ``fetch_detailed`` call per store shard, then, as each shard's reply
-    arrives, the core HTML pass (title, text, anchors) and the
-    contact/classify calls per hit.  Returns the seconds spent waiting
-    for replies."""
+    ``fetch_detailed`` call per store shard, then the core HTML pass
+    (title, text, anchors) and the contact/classify calls per hit.
+    Returns the seconds spent waiting for the replies."""
     import ray
 
     from ..state.pagestore import store_shard_for_host
@@ -373,20 +371,15 @@ def _fetch_extract_rows(
     for i, r in enumerate(rows):
         sh = store_shard_for_host(r["host"], num_store_shards)
         by_shard.setdefault(sh, []).append(i)
-    shard_of = {
-        store_handles[sh].fetch_detailed.remote(
-            [rows[i]["url"] for i in idxs]
-        ): sh
+    refs = [
+        store_handles[sh].fetch_detailed.remote([rows[i]["url"] for i in idxs])
         for sh, idxs in by_shard.items()
-    }
-    pending = list(shard_of)
-    wait_s = 0.0
-    while pending:
-        t = time.perf_counter()
-        [ref], pending = ray.wait(pending)
-        fetched = ray.get(ref)
-        wait_s += time.perf_counter() - t
-        for i, f in zip(by_shard[shard_of[ref]], fetched):
+    ]
+    t = time.perf_counter()
+    fetched = ray.get(refs)
+    wait_s = time.perf_counter() - t
+    for idxs, got in zip(by_shard.values(), fetched):
+        for i, f in zip(idxs, got):
             html_b = f["html"]
             r = rows[i]
             r["kind"] = "e"
@@ -562,7 +555,7 @@ def _write_initial_state(cfg: CrawlConfig, seen: SeenPool) -> None:
         seen.shards[sh].check_and_add.remote(urls, "init:seed")
         for sh, urls in by_shard.items()
     ]
-    init = _rows_to_table([], rows)
+    init = _rows_to_table(rows)
     d = _round_dir(cfg.out_dir, -1)
     dest = np.array(
         [shard_for_host(h, cfg.buckets) for h in init["host"].to_pylist()],
@@ -609,18 +602,23 @@ def crawl_output_files(
     return files
 
 
+def round_manifests(out_dir: str) -> list[dict]:
+    """The ``_MANIFEST.json`` of every completed round from 0 on, in
+    round order (the init round -1 is left out)."""
+    ms = []
+    for d in sorted(os.listdir(out_dir)):
+        path = os.path.join(out_dir, d, "_MANIFEST.json")
+        if d.startswith("round=") and "-" not in d and os.path.exists(path):
+            with open(path) as f:
+                ms.append(json.load(f))
+    return ms
+
+
 def read_crawl_metrics(out_dir: str) -> pa.Table:
     """Per-(round, bucket) lineage/metrics rows from the round
     manifests — the ``metrics`` table of SURVEY §1.2."""
     rows: list[dict] = []
-    for d in sorted(os.listdir(out_dir)):
-        if not d.startswith("round=") or "-" in d:
-            continue
-        mpath = os.path.join(out_dir, d, "_MANIFEST.json")
-        if not os.path.exists(mpath):
-            continue
-        with open(mpath) as f:
-            m = json.load(f)
+    for m in round_manifests(out_dir):
         for p in m.get("partitions", []):
             rows.append(
                 {
@@ -761,7 +759,7 @@ def _process_bucket(
         )
     t_expand = time.perf_counter()
 
-    py_tbl = _rows_to_table(o_rows, new_q + list(states.values()))
+    py_tbl = _rows_to_table(o_rows + new_q + list(states.values()))
     # destination routing: every rest/state/o row's host lives in THIS
     # bucket by construction; only fresh candidates could cross (they
     # currently inherit the discovering host, so this is a no-op guard)
@@ -796,15 +794,11 @@ def _process_bucket(
         counts["errors"] = len(o_rows) - succ
         counts["bytes"] = sum(r.get("html_bytes") or 0 for r in o_rows)
     t_end = time.perf_counter()
-    for k, secs in (
-        ("wall_ms", t_end - t0),
-        ("read_ms", t_read - t0),
-        ("plan_ms", t_plan - t_read),
-        ("fetch_wait_ms", wait_s),
-        ("extract_ms", t_fetch - t_plan - wait_s),
-        ("expand_seen_ms", t_expand - t_fetch),
-        ("write_ms", t_end - t_expand),
-    ):
+    counts["wall_ms"] = round((t_end - t0) * 1000, 1)
+    for k, secs in zip(PHASES, (
+        t_read - t0, t_plan - t_read, wait_s, t_fetch - t_plan - wait_s,
+        t_expand - t_fetch, t_end - t_expand,
+    )):
         counts[k] = round(secs * 1000, 1)
     return counts
 
@@ -1134,7 +1128,7 @@ def _recrawl_init_bucket(
         counts["s"] += 1
     ddir = _bucket_dir(_round_dir(out_dir, -1), bucket)
     os.makedirs(ddir, exist_ok=True)
-    pq.write_table(_rows_to_table([], rows), os.path.join(ddir, "part-0.parquet"))
+    pq.write_table(_rows_to_table(rows), os.path.join(ddir, "part-0.parquet"))
     return counts
 
 
@@ -1178,8 +1172,11 @@ def run_recrawl(
         )
     os.makedirs(out_dir, exist_ok=True)
     # resume from the first round without a manifest; without the init
-    # round's manifest it starts over
+    # round's manifest, or with one that predates its q/s/o counts, it
+    # starts over
     start = _first_open_round(out_dir) if resume else -1
+    if start == 0 and "q" not in _read_manifest(out_dir, -1):
+        start = -1
     _drop_rounds(out_dir, start)
     own_store = store_pool is None
     store = store_pool if store_pool is not None else PageStorePool(

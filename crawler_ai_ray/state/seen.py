@@ -279,7 +279,7 @@ class UrlSeenShard:
         urls = [u for k in keys for u in self._journal.pop(k)]
         return pa.table({"url": pa.array(sorted(urls), pa.string())})
 
-    def write_delta(self, path: str, rnd: int | None = None) -> int:
+    def write_delta(self, path: str, rnd: int) -> int:
         """Write ``dump_delta(rnd)`` to the parquet file ``path`` through
         a temp file and ``os.replace``; returns its row count."""
         import pyarrow.parquet as pq
@@ -331,13 +331,13 @@ class SeenPool:
 
         ray.get([s.reset.remote() for s in self.shards])
 
-    def dump(self, out_dir: str, rnd: int | None = None) -> int:
+    def dump(self, out_dir: str, rnd: int) -> int:
         """Each shard writes its own ``shard-XXXX.parquet`` under
         ``out_dir`` (no table travels to the driver); returns once every
         file exists, with the number of rows written.  A file holds only
-        the urls added since the last dump (O(new) per round — at
-        10^10-URL scale a full dump per round would be quadratic I/O),
-        restricted to calls of round ``rnd`` or earlier when given."""
+        the urls added by calls of round ``rnd`` or earlier since the
+        last dump (O(new) per round — at 10^10-URL scale a full dump per
+        round would be quadratic I/O)."""
         import ray
 
         return sum(ray.get([

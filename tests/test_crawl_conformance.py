@@ -12,6 +12,7 @@ import pyarrow.compute as pc
 import pytest
 
 from crawler_ai_ray.oracle.sim import simulate_crawl
+from crawler_ai_ray.pipelines.crawl import PHASES, round_manifests
 from crawler_ai_ray.state.politeness import CrawlPolicy
 
 
@@ -382,6 +383,46 @@ def test_recrawl_resume_matches_uninterrupted(unit_corpus, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_recrawl_resumes_from_countless_init_manifest(unit_corpus, tmp_path):
+    """An init manifest without q/s/o counts (``{"round": -1, "rows":
+    N}``, as older engines wrote it) is an open round: the resumed
+    recrawl starts over and equals an uninterrupted run."""
+    import json
+    import shutil
+
+    from crawler_ai_ray.pipelines.crawl import read_crawl_output, run_recrawl
+
+    crawl_dir = str(tmp_path / "crawl")
+    _run_engine(unit_corpus, crawl_dir, CrawlPolicy())
+
+    def olog(d):
+        t = read_crawl_output(
+            d, columns=["host", "url", "round", "host_seq", "status"],
+            filter=pc.field("kind") == "o",
+        )
+        return sorted(map(tuple, zip(*[t[c].to_pylist()
+                                       for c in t.column_names])))
+
+    full_dir = str(tmp_path / "rc_full")
+    full_totals = run_recrawl(unit_corpus, crawl_dir, full_dir, store_shards=2)
+    part_dir = str(tmp_path / "rc_part")
+    shutil.copytree(full_dir, part_dir)
+    for d in os.listdir(part_dir):
+        if d.startswith("round=") and "-" not in d:
+            shutil.rmtree(os.path.join(part_dir, d))
+    init = os.path.join(part_dir, "round=-001", "_MANIFEST.json")
+    with open(init) as f:
+        m = json.load(f)
+    with open(init, "w") as f:
+        json.dump({"round": -1, "rows": m["q"] + m["s"]}, f)
+    totals = run_recrawl(
+        unit_corpus, crawl_dir, part_dir, store_shards=2, resume=True
+    )
+    assert totals == full_totals
+    assert olog(part_dir) == olog(full_dir)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_tallies_match_o_row_scan(unit_corpus, tmp_path):
     """``fetched`` / ``errors`` come from the round manifests; they must
     equal a scan of every checkpoint's o-rows after a fresh crawl, a
@@ -419,29 +460,13 @@ def test_tallies_match_o_row_scan(unit_corpus, tmp_path):
     assert tallies(again) == tallies(recrawl)
 
 
-_PHASES = ("read_ms", "plan_ms", "fetch_wait_ms", "extract_ms",
-           "expand_seen_ms", "write_ms")
-
-
-def _manifests(out_dir):
-    import json
-
-    out = []
-    for d in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, d, "_MANIFEST.json")
-        if d.startswith("round=") and "-" not in d and os.path.exists(path):
-            with open(path) as f:
-                out.append(json.load(f))
-    return out
-
-
 def _deterministic(m):
     """A manifest without its wall-clock fields (and with its input
     round as a directory name, not a path)."""
     m = dict(m, input=os.path.basename(m["input"]))
     m.pop("wall_ms")
     m["partitions"] = [
-        {k: v for k, v in p.items() if k != "wall_ms" and k not in _PHASES}
+        {k: v for k, v in p.items() if k != "wall_ms" and k not in PHASES}
         for p in m["partitions"]
     ]
     return m
@@ -477,7 +502,7 @@ def test_resume_from_overlapped_boundary(unit_corpus, tmp_path):
         unit_corpus, full_dir, seen_shards=4, store_shards=2,
         local_round_rows=0, buckets=8,
     ))
-    full_manifests = _manifests(full_dir)
+    full_manifests = round_manifests(full_dir)
     r = 2
     assert len(full_manifests) > r + 2
 
@@ -513,7 +538,7 @@ def test_resume_from_overlapped_boundary(unit_corpus, tmp_path):
     assert totals == full_totals
     assert _by_host(_engine_log(part_dir)) == _by_host(_engine_log(full_dir))
     assert _seen_by_round(part_dir) == _seen_by_round(full_dir)
-    assert [_deterministic(m) for m in _manifests(part_dir)] == [
+    assert [_deterministic(m) for m in round_manifests(part_dir)] == [
         _deterministic(m) for m in full_manifests
     ]
     assert full_manifests[-1]["seen_total"] == full_totals["seen_total"] == sum(
@@ -538,19 +563,22 @@ def test_round_walls_tile_the_crawl(unit_corpus, tmp_path):
                               store_shards=2, local_round_rows=local_rows,
                               buckets=8))
         wall_ms = (time.perf_counter() - t) * 1000
-        ms = _manifests(out_dir)
+        ms = round_manifests(out_dir)
         assert sum(m["wall_ms"] for m in ms) <= wall_ms
         for m in ms:
             for p in m["partitions"]:
                 assert p["wall_ms"] <= m["wall_ms"] + 0.1
-                assert all(p[k] >= 0 for k in _PHASES)
-                assert sum(p[k] for k in _PHASES) <= p["wall_ms"] + 0.4
+                assert all(p[k] >= 0 for k in PHASES)
+                assert sum(p[k] for k in PHASES) <= p["wall_ms"] + 0.4
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_queue_and_state_rows_hold_no_payload(unit_corpus, tmp_path):
-    """The checkpoint read decodes only ``_QS_SCHEMA``: every other
-    column is null on every q and s row of a crawl and a recrawl."""
+    """The checkpoint read decodes only ``_QS_SCHEMA``, so every other
+    column must be null on every q and s row of a crawl and a recrawl.
+    The writer keeps every key of a row dict, so the files show what
+    the q/s dicts of the init, the plan, the expansion and the recrawl
+    init hold."""
     import pyarrow.dataset as pads
 
     from crawler_ai_ray.pipelines.crawl import (

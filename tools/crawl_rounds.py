@@ -15,23 +15,13 @@ over all rounds. Needs no Ray session.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import sys
 
-PHASES = ("read_ms", "plan_ms", "fetch_wait_ms", "extract_ms",
-          "expand_seen_ms", "write_ms")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-
-def manifests(out_dir: str) -> list[dict]:
-    ms = []
-    for d in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, d, "_MANIFEST.json")
-        if d.startswith("round=") and "-" not in d and os.path.exists(path):
-            with open(path) as f:
-                ms.append(json.load(f))
-    return ms
+from crawler_ai_ray.pipelines.crawl import PHASES, round_manifests  # noqa: E402
 
 
 def round_rows(ms: list[dict]) -> list[dict]:
@@ -56,9 +46,9 @@ def _fmt(v) -> str:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    rows = round_rows(manifests(argv[0]))
+    rows = round_rows(round_manifests(argv[0]))
     if not rows:
         print(f"no round manifests under {argv[0]}", file=sys.stderr)
         return 1
